@@ -107,40 +107,132 @@ def build_constraint_rows(theta, k: int, n: int) -> np.ndarray:
     return rows
 
 
-def pseudo_inverse(M, rel_tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below rel_tol times the largest one are treated as zero,
-    so rank-deficient input is fine.
-    """
+def _svd_pinv(M, rel_tol: float):
+    """Pseudo-inverse and singular values of every matrix in a stack (..., k, n)."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix must be finite")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0:
-        return M.T.copy()
-    cutoff = rel_tol * s[0]
+        return np.swapaxes(M, -1, -2).copy(), s
+    cutoff = rel_tol * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+    return (np.swapaxes(Vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(U, -1, -2), s
+
+
+def pseudo_inverse(M, rel_tol: float = 1e-10) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse via SVD.
+
+    Singular values below rel_tol times the largest one are treated as zero,
+    so rank-deficient input is fine. A stack (..., k, n) gives (..., n, k),
+    each matrix with its own cutoff.
+    """
+    return _svd_pinv(M, rel_tol)[0]
 
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """A constraint matrix together with its pseudo-inverse and projector."""
+    """A constraint matrix with its pseudo-inverse, projector and sigma_min/sigma_max.
+
+    sigma_ratio is scale-free, so a rank test on it does not depend on
+    length units; an all-zero matrix gives 0.
+    """
 
     A: np.ndarray
     A_pinv: np.ndarray
     N: np.ndarray
+    sigma_ratio: np.ndarray | float
 
 
 def null_projector(A, rel_tol: float = 1e-10) -> Projector:
-    """Null-space projector N = I - A^+ A for a (k, n) constraint matrix."""
+    """Null-space projector N = I - A^+ A for a (k, n) constraint matrix.
+
+    A stack (..., k, n) gives stacked fields from one batched SVD.
+    """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("expected a 2-d constraint matrix")
-    pinv = pseudo_inverse(A, rel_tol=rel_tol)
-    N = np.eye(A.shape[1]) - pinv @ A
-    return Projector(A=A, A_pinv=pinv, N=N)
+    if A.ndim < 2:
+        raise ValueError("expected a 2-d constraint matrix or a stack of them")
+    pinv, s = _svd_pinv(A, rel_tol)
+    N = np.eye(A.shape[-1]) - pinv @ A
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(s[..., 0] > 0.0, s[..., -1] / s[..., 0], 0.0)
+    return Projector(A=A, A_pinv=pinv, N=N, sigma_ratio=ratio[()])
+
+
+# The k = 2 closed form loses about eps * g00 g11 / det of relative accuracy,
+# so Gram systems whose det / (g00 g11) is below this go to the SVD instead.
+GRAM_DET_TOL = 1e-6
+
+
+def _gram_closed_form(G, B):
+    """z = G^-1 b for a stack of k = 1 or k = 2 Gram systems (S, k, k), (S, k).
+
+    Returns z and the mask of samples the closed form can be trusted on:
+    nonzero rows for k = 1, a determinant above GRAM_DET_TOL times g00 g11
+    for k = 2 (rows more than about 1e-3 rad from parallel). Larger k trusts
+    no sample. The closed forms keep the optimizer's inner loop off LAPACK's
+    per-matrix overhead.
+    """
+    S, k = B.shape
+    if k == 1:
+        ok = G[:, 0, 0] > 0.0
+        return B / np.where(ok, G[:, 0, 0], 1.0)[:, None], ok
+    if k != 2:
+        return np.zeros(B.shape), np.zeros(S, dtype=bool)
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    ok = det > GRAM_DET_TOL * G[:, 0, 0] * G[:, 1, 1]
+    det = np.where(ok, det, 1.0)
+    Z = np.empty(B.shape)
+    Z[:, 0] = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
+    Z[:, 1] = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
+    return Z, ok
+
+
+def gram_solve(G, B) -> np.ndarray:
+    """Batched solve of small Gram systems G z = B, shapes (S, k, k) and (S, k).
+
+    Samples the closed form does not trust get z = G^+ B from a batched SVD.
+    """
+    Z, ok = _gram_closed_form(G, B)
+    if not ok.all():
+        Z[~ok] = np.einsum("skl,sl->sk", pseudo_inverse(G[~ok]), B[~ok])
+    return Z
+
+
+def pinv_apply(A, B) -> np.ndarray:
+    """A_n^+ b_n for a stack of wide matrices A (S, k, n) and rates B (S, k).
+
+    Well-conditioned samples go through the Gram closed form; the rest get
+    the SVD pseudo-inverse of A_n itself, which is accurate to about
+    eps / (sigma_min/sigma_max) where the Gram form would square that.
+    """
+    Z, ok = _gram_closed_form(np.einsum("skj,slj->skl", A, A), B)
+    out = np.einsum("skj,sk->sj", A, Z)
+    if not ok.all():
+        out[~ok] = np.einsum("sjk,sk->sj", pseudo_inverse(A[~ok]), B[~ok])
+    return out
+
+
+def null_space_apply(A, V) -> np.ndarray:
+    """N(x_n) v_n = v_n - A_n^+ A_n v_n for a stack A (S, k, n) and vectors V (S, n).
+
+    The batched counterpart of ``null_projector(A_n).N @ v_n``.
+    """
+    return V - pinv_apply(A, np.einsum("skj,sj->sk", A, V))
+
+
+def feature_stack(feature, X) -> np.ndarray:
+    """feature(X) for a stack of states X (S, n), checked to be (S, p, n).
+
+    Every many-sample path calls its feature through here, so one that does
+    not broadcast over leading axes fails with the same error everywhere.
+    """
+    X = np.asarray(X, dtype=float)
+    Phi = np.asarray(feature(X), dtype=float)
+    if Phi.ndim != 3 or Phi.shape[0] != X.shape[0] or Phi.shape[2] != X.shape[1]:
+        raise ValueError(f"feature returned shape {Phi.shape} for states of shape {X.shape}; "
+                         "it must broadcast over a stack of states to (S, p, n)")
+    return Phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,10 +256,14 @@ class SphericalConstraint:
     def A_at(self, x=None) -> np.ndarray:
         return self.matrix
 
+    def A_stack(self, X) -> np.ndarray:
+        """The constant matrix repeated for each of the S rows of X, (S, k, n)."""
+        return np.broadcast_to(self.matrix, (len(X), self.k, self.n))
+
     def projector_at(self, x=None) -> Projector:
         A = self.matrix
         # Orthonormal rows make the pseudo-inverse a plain transpose.
-        return Projector(A=A, A_pinv=A.T.copy(), N=np.eye(self.n) - A.T @ A)
+        return Projector(A=A, A_pinv=A.T.copy(), N=np.eye(self.n) - A.T @ A, sigma_ratio=1.0)
 
     def to_config(self) -> dict:
         return {"form": "spherical", "theta_rad": list(self.theta), "k": self.k, "n": self.n}
@@ -180,6 +276,12 @@ class SelectionConstraint:
     ``feature`` maps a state to the (p, n) feature matrix Phi(x); ``lam`` is
     the (k, p) coefficient matrix. For the arm experiments Phi is the task
     Jacobian and Lambda picks out (or mixes) task coordinates.
+
+    ``A_at`` and ``projector_at`` call the feature on one state (n,).
+    ``A_stack``, which every many-sample path uses, calls it once on a stack
+    of states (S, n) through ``feature_stack`` and needs (S, p, n) back, so
+    the feature must broadcast over leading axes the way
+    ``kinematics.jacobian`` does.
     """
 
     lam: np.ndarray
@@ -199,12 +301,16 @@ class SelectionConstraint:
     def A_at(self, x) -> np.ndarray:
         return self.lam @ self.feature(np.asarray(x, dtype=float))
 
+    def A_stack(self, X) -> np.ndarray:
+        """A(x_n) for every row of X, shape (S, k, n), from one feature call."""
+        return self.lam @ feature_stack(self.feature, X)
+
     def projector_at(self, x) -> Projector:
         return null_projector(self.A_at(x))
 
     def select_rates(self, task_rate) -> np.ndarray:
-        """Map a full task-space rate onto the constrained coordinates."""
-        return self.lam @ np.asarray(task_rate, dtype=float)
+        """Map a full task-space rate (p,), or a stack (m, p), onto the constrained coordinates."""
+        return np.asarray(task_rate, dtype=float) @ self.lam.T
 
     def to_config(self) -> dict:
         cfg = {"form": "selection", "lam": self.lam.tolist(), "k": self.k}

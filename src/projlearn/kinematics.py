@@ -51,69 +51,81 @@ class TaskPose:
         return np.array([self.x, self.y, self.theta], dtype=float)
 
 
+def _check_states(arm: PlanarArm, q) -> np.ndarray:
+    q = np.asarray(q, dtype=float)
+    if q.ndim == 0 or q.shape[-1] != arm.n:
+        raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("joint angles must be finite")
+    return q
+
+
 def joint_positions(arm: PlanarArm, q) -> np.ndarray:
     """Cartesian positions of the base and every joint/end point.
 
     Args:
         arm: the arm description.
-        q: joint angles, shape (n,).
+        q: joint angles, shape (n,), or a stack of states (..., n).
 
     Returns:
-        Array of shape (n + 1, 2); row 0 is the base at the origin, row i is
-        the far end of link i.
+        Array of shape (n + 1, 2), or (..., n + 1, 2) for a stack; row 0 is
+        the base at the origin, row i is the far end of link i.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (arm.n,):
-        raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("joint angles must be finite")
-    angles = np.cumsum(q)
+    q = _check_states(arm, q)
+    angles = np.cumsum(q, axis=-1)
     lengths = np.asarray(arm.link_lengths)
-    pts = np.zeros((arm.n + 1, 2))
-    pts[1:, 0] = np.cumsum(lengths * np.cos(angles))
-    pts[1:, 1] = np.cumsum(lengths * np.sin(angles))
+    pts = np.zeros(q.shape[:-1] + (arm.n + 1, 2))
+    pts[..., 1:, 0] = np.cumsum(lengths * np.cos(angles), axis=-1)
+    pts[..., 1:, 1] = np.cumsum(lengths * np.sin(angles), axis=-1)
     return pts
 
 
-def forward_kinematics(arm: PlanarArm, q) -> TaskPose:
-    """End-effector pose of a planar chain.
+def end_pose(arm: PlanarArm, q) -> np.ndarray:
+    """End-effector (x, y, theta) as an array; broadcasts like joint_positions.
 
-    x = sum_i l_i cos(q_1 + ... + q_i), same with sin for y, and the
-    orientation is the plain angle sum wrapped to (-pi, pi].
+    q of shape (..., n) gives (..., 3), theta wrapped to (-pi, pi].
     """
     pts = joint_positions(arm, q)
+    pose = np.empty(pts.shape[:-2] + (3,))
+    pose[..., :2] = pts[..., -1, :]
+    pose[..., 2] = wrap_angle(np.sum(q, axis=-1))
+    return pose
+
+
+def forward_kinematics(arm: PlanarArm, q) -> TaskPose:
+    """End-effector pose of a single state (n,) of a planar chain.
+
+    x = sum_i l_i cos(q_1 + ... + q_i), same with sin for y, and the
+    orientation is the plain angle sum wrapped to (-pi, pi]. end_pose is the
+    same pose for a stack of states.
+    """
+    pts = joint_positions(arm, q)
+    if pts.ndim != 2:
+        raise ValueError(f"expected {arm.n} joint angles, got shape {np.shape(q)}")
     return TaskPose(x=pts[-1, 0], y=pts[-1, 1], theta=float(np.sum(q)))
 
 
 def jacobian(arm: PlanarArm, q) -> np.ndarray:
     """Task Jacobian of (x, y, theta) with respect to the joint angles.
 
-    Returns a (3, n) matrix. The orientation row is all ones: every revolute
-    joint contributes its rate directly to the end-effector orientation.
+    Broadcasts over leading axes: a single state (n,) gives a (3, n)
+    matrix, a stack of states (..., n) gives (..., 3, n) whose slices equal
+    the single-state calls. The last axis must still hold exactly n finite
+    angles. joint_positions and end_pose broadcast the same way;
+    forward_kinematics, which returns one TaskPose, stays single-state. The
+    orientation row is all ones: every revolute joint contributes its rate
+    directly to the end-effector orientation.
     """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (arm.n,):
-        raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("joint angles must be finite")
-    angles = np.cumsum(q)
+    q = _check_states(arm, q)
+    angles = np.cumsum(q, axis=-1)
     lengths = np.asarray(arm.link_lengths)
     sins = lengths * np.sin(angles)
     coss = lengths * np.cos(angles)
-    J = np.ones((3, arm.n))
+    J = np.ones(q.shape[:-1] + (3, arm.n))
     # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); reverse cumsum keeps it O(n).
-    J[0, :] = -np.cumsum(sins[::-1])[::-1]
-    J[1, :] = np.cumsum(coss[::-1])[::-1]
+    J[..., 0, :] = -np.cumsum(sins[..., ::-1], axis=-1)[..., ::-1]
+    J[..., 1, :] = np.cumsum(coss[..., ::-1], axis=-1)[..., ::-1]
     return J
-
-
-def jacobian_stack(arm: PlanarArm, Q) -> np.ndarray:
-    """Jacobians for a batch of configurations, shape (N, 3, n)."""
-    Q = np.asarray(Q, dtype=float)
-    out = np.empty((Q.shape[0], 3, arm.n))
-    for i in range(Q.shape[0]):
-        out[i] = jacobian(arm, Q[i])
-    return out
 
 
 def manipulability(A) -> float:

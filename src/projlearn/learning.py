@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .constraints import (SelectionConstraint, SphericalConstraint, build_constraint_rows,
-                          diagonal_selection, pseudo_inverse, spherical_param_count)
+                          diagonal_selection, feature_stack, gram_solve, null_space_apply,
+                          pinv_apply, spherical_param_count)
 from .policies import policy_values
 from .simulator import Dataset
 
@@ -142,45 +143,6 @@ def _consistency_terms_constant(N_hat, PI, D) -> np.ndarray:
     return np.einsum("ni,ij,nj->n", PI, N_hat, D)
 
 
-def _gram_solve(G, B) -> np.ndarray:
-    """Batched solve of small Gram systems G z = B, shapes (n,k,k) and (n,k).
-
-    Closed forms for k of 1 and 2 keep this off the LAPACK per-matrix
-    overhead, which dominates the optimizer's inner loop otherwise. Exactly
-    singular samples come back non-finite for the caller to repair.
-    """
-    k = G.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if k == 1:
-            return B / G[:, :, 0]
-        if k == 2:
-            det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-            z0 = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
-            z1 = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
-            return np.stack([z0, z1], axis=1)
-    try:
-        return np.linalg.solve(G, B[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        return np.full(B.shape, np.nan)
-
-
-def _consistency_terms_stack(A_stack, PI, D) -> np.ndarray:
-    """pi^T (I - A^+ A) (u - pi) per sample for a stack of wide matrices."""
-    Ap = np.einsum("nkj,nj->nk", A_stack, PI)
-    Ad = np.einsum("nkj,nj->nk", A_stack, D)
-    G = np.einsum("nkj,nlj->nkl", A_stack, A_stack)
-    direct = np.einsum("ni,ni->n", PI, D)
-    corr = np.einsum("nk,nk->n", Ap, _gram_solve(G, Ad))
-    bad = ~np.isfinite(corr)
-    if np.any(bad):
-        # Samples that hit a singular Gram matrix get a rank-aware
-        # pseudo-inverse one at a time.
-        for i in np.flatnonzero(bad):
-            A = A_stack[i]
-            corr[i] = Ap[i] @ (pseudo_inverse(A @ A.T) @ Ad[i])
-    return direct - corr
-
-
 def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     """Sum over samples of |pi^T N(x) (u - pi)| for a candidate constraint.
 
@@ -192,16 +154,34 @@ def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     X, U, PI = _stacked(dataset, prior_pi)
     D = U - PI
     if isinstance(model, SphericalConstraint):
-        proj = model.projector_at(None)
-        terms = _consistency_terms_constant(proj.N, PI, D)
-    elif isinstance(model, SelectionConstraint):
-        Phi = _feature_stack(dataset, model.feature, X)
-        A_stack = np.einsum("kp,npj->nkj", np.asarray(model.lam, dtype=float), Phi)
-        terms = _consistency_terms_stack(A_stack, PI, D)
+        terms = _consistency_terms_constant(model.projector_at(None).N, PI, D)
     else:
-        A_stack = np.stack([model.A_at(x) for x in X])
-        terms = _consistency_terms_stack(A_stack, PI, D)
+        terms = np.einsum("ni,ni->n", PI, null_space_apply(model.A_stack(X), D))
     return float(np.sum(np.abs(terms)))
+
+
+def _lambda_objective(Phi, PI, D, k: int):
+    """The consistency score as a function of the angles of Lambda, for fixed data.
+
+    The feature moments Phi pi, Phi d, Phi Phi^T and pi . d are computed
+    once, so an evaluation costs two (S x p)(p x k) products and one
+    (S x p^2)(p^2 x k^2) product instead of rebuilding Lambda Phi per sample.
+    """
+    S, p = Phi.shape[:2]
+    Fp = np.einsum("spj,sj->sp", Phi, PI)
+    Fd = np.einsum("spj,sj->sp", Phi, D)
+    M = np.einsum("spj,sqj->spq", Phi, Phi).reshape(S, p * p)
+    direct = np.einsum("sj,sj->s", PI, D)
+
+    def objective(theta):
+        lam = build_constraint_rows(theta, k, p)
+        # (lam kron lam)[(a, b), (p, q)] = lam[a, p] lam[b, q], built by broadcasting.
+        kron = (lam[:, None, :, None] * lam[None, :, None, :]).reshape(k * k, p * p)
+        G = (M @ kron.T).reshape(S, k, k)
+        corr = np.einsum("sk,sk->s", Fp @ lam.T, gram_solve(G, Fd @ lam.T))
+        return float(np.sum(np.abs(direct - corr)))
+
+    return objective
 
 
 # --- learning the constraint when the prior is known ------------------------------
@@ -213,16 +193,6 @@ class LearnedConstraint:
     restarts_used: int
     seed: int
     diagnostics: dict = field(default_factory=dict)
-
-
-def _feature_stack(dataset: Dataset, feature_fn, X) -> np.ndarray:
-    cached = dataset.meta.get("_feature_stack")
-    if (cached is not None and cached.shape[0] == X.shape[0]
-            and np.array_equal(cached[0], feature_fn(X[0]))):
-        return cached
-    stack = np.stack([feature_fn(x) for x in X])
-    dataset.meta["_feature_stack"] = stack
-    return stack
 
 
 def _screened_sampler(objective, dim, draws: int = 32):
@@ -239,10 +209,8 @@ def _screened_sampler(objective, dim, draws: int = 32):
     return sample
 
 
-def _degenerate_prior_fraction(model, X, PI, rel: float = 1e-9) -> float:
-    norms = np.empty(X.shape[0])
-    for i in range(X.shape[0]):
-        norms[i] = np.linalg.norm(model.projector_at(X[i]).N @ PI[i])
+def _degenerate_prior_fraction(A_stack, PI, rel: float = 1e-9) -> float:
+    norms = np.linalg.norm(null_space_apply(A_stack, PI), axis=1)
     scale = float(np.median(np.linalg.norm(PI, axis=1)))
     floor = rel * max(scale, 1.0)
     return float(np.mean(norms < floor))
@@ -272,7 +240,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
         if representation == "lambda":
             if feature_fn is None:
                 raise ValueError("representation 'lambda' needs a feature_fn")
-            k_max = min(k_max, feature_fn(dataset.stack("x")[0]).shape[0])
+            k_max = min(k_max, feature_stack(feature_fn, dataset.stack("x")).shape[1])
         sweep = {}
         best = None
         for kk in range(1, k_max + 1):
@@ -304,14 +272,10 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     elif representation == "lambda":
         if feature_fn is None:
             raise ValueError("representation 'lambda' needs a feature_fn")
-        Phi = _feature_stack(dataset, feature_fn, X)
+        Phi = feature_stack(feature_fn, X)
         p = Phi.shape[1]
         dim = spherical_param_count(k, p)
-
-        def objective(theta):
-            lam = build_constraint_rows(theta, k, p)
-            A_stack = np.einsum("kp,npj->nkj", lam, Phi)
-            return float(np.sum(np.abs(_consistency_terms_stack(A_stack, PI, D))))
+        objective = _lambda_objective(Phi, PI, D, k)
 
         def to_model(theta):
             return SelectionConstraint(lam=build_constraint_rows(theta, k, p),
@@ -325,8 +289,9 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     init = sampler(rng)
     res = optimize(objective, init, opt, sampler=sampler)
     model = to_model(res.params)
+    A_stack = model.A_stack(X) if representation == "spherical" else model.lam @ Phi
     diag = {
-        "degenerate_prior_fraction": _degenerate_prior_fraction(model, X, PI),
+        "degenerate_prior_fraction": _degenerate_prior_fraction(A_stack, PI),
         "failures": res.failures,
         "prior_norm_median": float(np.median(np.linalg.norm(PI, axis=1))),
     }
@@ -342,15 +307,8 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
 
 def _projection_energy(A_stack, W_hat) -> float:
     """sum_n w_n^T (A_n^+ A_n) w_n, the part of w inside the constrained span."""
-    Aw = np.einsum("nkj,nj->nk", A_stack, W_hat)
-    G = np.einsum("nkj,nlj->nkl", A_stack, A_stack)
-    terms = np.einsum("nk,nk->n", Aw, _gram_solve(G, Aw))
-    bad = ~np.isfinite(terms)
-    if np.any(bad):
-        for i in np.flatnonzero(bad):
-            A = A_stack[i]
-            terms[i] = Aw[i] @ (pseudo_inverse(A @ A.T) @ Aw[i])
-    return float(np.sum(terms))
+    inside = pinv_apply(A_stack, np.einsum("skj,sj->sk", A_stack, W_hat))
+    return float(np.sum(inside * inside))
 
 
 def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
@@ -371,7 +329,7 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
         raise ValueError("w_hat must have one row per sample")
     if float(np.max(np.linalg.norm(W_hat, axis=1))) == 0.0:
         raise ValueError("w_hat is identically zero; nothing constrains the fit")
-    Phi = _feature_stack(dataset, feature_fn, X)
+    Phi = feature_stack(feature_fn, X)
     p = Phi.shape[1]
 
     if mode == "diagonal":
@@ -379,7 +337,7 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
         best = None
         for rows in combinations(range(p), k):
             lam = diagonal_selection(list(rows), p)
-            val = _projection_energy(np.einsum("kp,npj->nkj", lam, Phi), W_hat)
+            val = _projection_energy(lam @ Phi, W_hat)
             if best is None or val < best[1]:
                 best = (lam, val)
         return best
@@ -392,7 +350,7 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
 
     def objective(theta):
         lam = build_constraint_rows(theta, k, p)
-        return _projection_energy(np.einsum("kp,npj->nkj", lam, Phi), W_hat)
+        return _projection_energy(lam @ Phi, W_hat)
 
     rng = np.random.default_rng(opt.seed)
     sampler = _screened_sampler(objective, dim)

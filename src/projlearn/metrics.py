@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constraints import null_space_apply
 from .policies import policy_values
 from .simulator import Dataset, action_std
 
@@ -70,9 +71,7 @@ def eval_learned_constraint(model, test_set: Dataset, prior=None) -> dict:
     X = test_set.stack("x")
     PI = test_set.stack("pi") if prior is None else policy_values(prior, X)
     W = test_set.stack("w")
-    est = np.empty_like(W)
-    for i in range(X.shape[0]):
-        est[i] = model.projector_at(X[i]).N @ PI[i]
+    est = null_space_apply(model.A_stack(X), PI)
     return {
         "e_w": nmse_w(W, est, sigma),
         "e_n": consistency_error(model, test_set, prior_pi=PI, sigma_u=sigma),

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .kinematics import PlanarArm, forward_kinematics, manipulability_gradient, wrap_angle
+from .kinematics import PlanarArm, end_pose, manipulability_gradient, wrap_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +90,10 @@ class TaskPointAttractor:
     Returns gain * (r* - r) over (x, y, theta), with the angular difference
     wrapped so the orientation error stays in (-pi, pi]. The constraint
     model selects the coordinates it constrains from this 3-vector.
+
+    A single target (3,) serves one state (n,). A stack of targets (m, 3)
+    serves a stack of states (m, n), one target per state, and returns
+    (m, 3); this is how lockstep rollouts drive many trajectories at once.
     """
 
     arm: PlanarArm
@@ -98,14 +102,13 @@ class TaskPointAttractor:
 
     def __post_init__(self):
         target = np.asarray(self.target, dtype=float)
-        if target.shape != (3,):
-            raise ValueError("target must be (x, y, theta)")
+        if target.ndim not in (1, 2) or target.shape[-1] != 3:
+            raise ValueError("target must be (x, y, theta) or a stack of them")
         object.__setattr__(self, "target", target)
 
     def __call__(self, q):
-        pose = forward_kinematics(self.arm, q).as_array()
-        err = self.target - pose
-        err[2] = wrap_angle(err[2])
+        err = self.target - end_pose(self.arm, q)
+        err[..., 2] = wrap_angle(err[..., 2])
         return self.gain * err
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import SelectionConstraint, null_projector
-from .kinematics import (PlanarArm, forward_kinematics, jacobian, joint_positions,
-                         manipulability, wrap_angle)
+from .constraints import SelectionConstraint, null_projector, null_space_apply
+from .kinematics import PlanarArm, forward_kinematics, jacobian, joint_positions, wrap_angle
 from .policies import policy_values
 from .simulator import Dataset, RankCollapseError, Trajectory
 
@@ -32,9 +31,7 @@ def estimate_components(dataset: Dataset, model, prior_pi=None):
         PI = prior_pi
     else:
         PI = policy_values(prior_pi, X)
-    w_hat = np.empty_like(U)
-    for i in range(X.shape[0]):
-        w_hat[i] = model.projector_at(X[i]).N @ PI[i]
+    w_hat = null_space_apply(model.A_stack(X), PI)
     return w_hat, U - w_hat
 
 
@@ -44,7 +41,7 @@ def estimate_task_policy(model, X, U) -> np.ndarray:
     U = np.atleast_2d(np.asarray(U, dtype=float))
     if X.shape[0] != U.shape[0]:
         raise ValueError("states and actions disagree on the sample count")
-    return np.stack([model.A_at(x) @ u for x, u in zip(X, U)])
+    return np.einsum("skj,sj->sk", model.A_stack(X), U)
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +115,7 @@ class RetargetPlan:
             arm = self.imitator
             self.execution_model = SelectionConstraint(
                 lam=self.constraint.lam,
-                feature=lambda q: jacobian(arm, q)[list(corr), :],
+                feature=lambda q: jacobian(arm, q)[..., list(corr), :],
                 meta={"feature": "jacobian", "links": list(arm.link_lengths),
                       "rows": list(corr)})
         else:
@@ -130,12 +127,16 @@ class RetargetPlan:
 
 
 def retarget_step(plan: RetargetPlan, x, step: int = 0, rank_tol: float = 1e-10) -> np.ndarray:
-    """One action of the retargeted controller: u = A^+ b + N pi_robot."""
+    """One action of the retargeted controller: u = A^+ b + N pi_robot.
+
+    Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
+    rank_tol, the same scale-free test the data rollouts use.
+    """
     x = np.asarray(x, dtype=float)
     proj = plan.projector_at(x)
-    m = manipulability(proj.A)
-    if m < rank_tol:
-        raise RankCollapseError(step, m)
+    ratio = float(proj.sigma_ratio)
+    if ratio < rank_tol:
+        raise RankCollapseError(step, ratio)
     b = plan.task_source.rate(plan, x, step)
     return proj.A_pinv @ b + proj.N @ np.asarray(plan.pi_robot(x), dtype=float)
 

@@ -174,6 +174,51 @@ class RankCollapseError(RuntimeError):
         self.sigma_ratio = sigma_ratio
 
 
+def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: float,
+             steps: int, rank_tol: float) -> list:
+    """Explicit-Euler rollout of m trajectories in lockstep, u = A^+ b + N pi.
+
+    Q0 holds the m start states, (m, n). task_rates(Q) gives the full
+    task-space rates of every state, (m, p); the constraint selects the
+    coordinates it governs. Every step takes one batched SVD of the m
+    constraint matrices, for both the projector and the rank test, and
+    raises RankCollapseError with the worst sigma_min/sigma_max when one
+    falls below rank_tol. Returns one Trajectory per start.
+    """
+    Q = np.array(Q0, dtype=float)
+    m, n = Q.shape
+    k = constraint.k
+    X, U, V, W, PI = (np.empty((m, steps, n)) for _ in range(5))
+    B = np.empty((m, steps, k))
+    for t in range(steps):
+        proj = null_projector(constraint.A_stack(Q))
+        ratio = float(np.min(proj.sigma_ratio))
+        if ratio < rank_tol:
+            raise RankCollapseError(t, ratio)
+        b = constraint.select_rates(task_rates(Q))
+        pi = policy_values(null_policy, Q)
+        v = np.einsum("sjk,sk->sj", proj.A_pinv, b)
+        w = np.einsum("sij,sj->si", proj.N, pi)
+        X[:, t] = Q
+        U[:, t] = v + w
+        V[:, t] = v
+        W[:, t] = w
+        B[:, t] = b
+        PI[:, t] = pi
+        Q = Q + dt * U[:, t]
+    return [Trajectory(dt=dt, x=X[i], u=U[i], v=V[i], w=W[i], b=B[i], pi=PI[i])
+            for i in range(m)]
+
+
+def _step_count(dt: float, duration: float) -> int:
+    if dt <= 0.0 or duration <= 0.0:
+        raise ValueError("dt and duration must be positive")
+    steps = int(round(duration / dt))
+    if steps < 1:
+        raise ValueError("duration shorter than one step")
+    return steps
+
+
 def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_policy,
                         null_policy, q0, dt: float, duration: float,
                         rank_tol: float = 1e-10) -> Trajectory:
@@ -181,40 +226,14 @@ def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_po
 
     task_policy returns the full task-space rate; the constraint selects the
     coordinates it governs. Raises RankCollapseError when A(x) loses row
-    rank along the way.
+    rank along the way. This is the lockstep rollout with one trajectory.
     """
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("dt and duration must be positive")
-    steps = int(round(duration / dt))
-    if steps < 1:
-        raise ValueError("duration shorter than one step")
-    q = np.asarray(q0, dtype=float).copy()
-    k = constraint.k
-    X = np.empty((steps, arm.n))
-    U = np.empty((steps, arm.n))
-    V = np.empty((steps, arm.n))
-    W = np.empty((steps, arm.n))
-    B = np.empty((steps, k))
-    PI = np.empty((steps, arm.n))
-    for t in range(steps):
-        A = constraint.A_at(q)
-        svals = np.linalg.svd(A, compute_uv=False)
-        ratio = float(svals[-1] / svals[0]) if svals[0] > 0.0 else 0.0
-        if ratio < rank_tol:
-            raise RankCollapseError(t, ratio)
-        proj = null_projector(A)
-        b = constraint.select_rates(task_policy(q))
-        pi = np.asarray(null_policy(q), dtype=float)
-        v = proj.A_pinv @ b
-        w = proj.N @ pi
-        X[t] = q
-        U[t] = v + w
-        V[t] = v
-        W[t] = w
-        B[t] = b
-        PI[t] = pi
-        q = q + dt * U[t]
-    return Trajectory(dt=dt, x=X, u=U, v=V, w=W, b=B, pi=PI)
+    steps = _step_count(dt, duration)
+    q0 = np.asarray(q0, dtype=float)
+    if q0.shape != (arm.n,):
+        raise ValueError(f"expected {arm.n} joint angles, got shape {q0.shape}")
+    return _rollout(constraint, lambda Q: policy_values(task_policy, Q), null_policy,
+                    q0[None], dt, steps, rank_tol)[0]
 
 
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))
@@ -243,19 +262,22 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
 
     Each trajectory gets a fresh start drawn from the configured joint
     ranges and a fresh task target, so b varies across the data while the
-    constraint stays put.
+    constraint stays put. All trajectories are rolled out in lockstep; each
+    equals simulate_trajectory from its own start toward its own target.
     """
+    if n_trajectories < 1:
+        raise ValueError("need at least one trajectory")
     rng = np.random.default_rng(seed)
     target_cfg = target_cfg or {}
     model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q),
                                 meta={"feature": "jacobian", "links": list(arm.link_lengths)})
-    trajs = []
+    starts, targets = [], []
     for _ in range(n_trajectories):
-        q0 = sample_arm_start(rng, start_ranges_deg)
-        target = sample_task_target(rng, **target_cfg)
-        task = TaskPointAttractor(arm=arm, target=target, gain=task_gain)
-        trajs.append(simulate_trajectory(arm, model, task, null_policy, q0,
-                                         dt=dt, duration=points_per_traj * dt))
+        starts.append(sample_arm_start(rng, start_ranges_deg))
+        targets.append(sample_task_target(rng, **target_cfg))
+    task = TaskPointAttractor(arm=arm, target=np.array(targets), gain=task_gain)
+    trajs = _rollout(model, task, null_policy, np.array(starts), dt,
+                     _step_count(dt, points_per_traj * dt), rank_tol=1e-10)
     meta = {
         "system": "planar_arm",
         "seed": _seed_repr(seed),
@@ -362,7 +384,7 @@ def save_dataset(dataset: Dataset, directory):
     directory.mkdir(parents=True, exist_ok=True)
     for i, traj in enumerate(dataset.trajectories):
         save_trajectory_csv(traj, directory / f"traj_{i:04d}.csv")
-    sidecar = {k: v for k, v in dataset.meta.items() if not k.startswith("_")}
+    sidecar = dict(dataset.meta)
     sidecar["n_trajectories"] = len(dataset.trajectories)
     sidecar["dt"] = dataset.trajectories[0].dt
     (directory / "dataset.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))

@@ -5,7 +5,8 @@ import pytest
 
 from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, diagonal_selection,
-                                   null_projector, pseudo_inverse, spherical_from_unit,
+                                   gram_solve, null_projector, null_space_apply,
+                                   pinv_apply, pseudo_inverse, spherical_from_unit,
                                    spherical_param_count, spherical_to_unit)
 from projlearn.kinematics import PlanarArm, jacobian
 
@@ -151,6 +152,96 @@ class TestNullProjector:
             A = lam @ jacobian(arm, rng.uniform(0.2, 1.0, 3))
             proj = null_projector(A)
             assert np.max(np.abs(A @ proj.N)) < 1e-10
+
+
+class TestBatchedProjection:
+    """The stacked Gram-solve path against per-sample null_projector."""
+
+    @staticmethod
+    def _stack(k, n, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(40, k, n))
+        # exactly singular Gram matrices: a zero matrix and repeated rows
+        A[5] = 0.0
+        if k > 1:
+            A[11, 1] = 2.0 * A[11, 0]
+        return A, rng.normal(size=(40, n)), rng.normal(size=(40, k))
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    def test_matches_per_sample_reference(self, k, n):
+        A, V, B = self._stack(k, n, seed=10 * k + n)
+        NV = null_space_apply(A, V)
+        AB = pinv_apply(A, B)
+        for i in range(A.shape[0]):
+            proj = null_projector(A[i])
+            assert np.allclose(NV[i], proj.N @ V[i], rtol=0.0, atol=1e-12)
+            assert np.allclose(AB[i], proj.A_pinv @ B[i], rtol=0.0, atol=1e-12)
+
+    def test_near_singular_samples_match_svd_reference(self):
+        # the Gram closed form squares the condition number; samples whose
+        # rows are close to parallel must still match the SVD reference
+        rng = np.random.default_rng(12)
+        ratios = [1.0, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9]
+        A = np.empty((len(ratios), 2, 3))
+        for i, r in enumerate(ratios):
+            U = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+            V = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+            A[i] = U @ np.diag([1.0, r]) @ V.T
+        V, B = rng.normal(size=(len(ratios), 3)), rng.normal(size=(len(ratios), 2))
+        NV, AB = null_space_apply(A, V), pinv_apply(A, B)
+        for i in range(len(ratios)):
+            proj = null_projector(A[i])
+            assert proj.sigma_ratio == pytest.approx(ratios[i], rel=1e-6)
+            ref = proj.A_pinv @ B[i]
+            assert np.linalg.norm(AB[i] - ref) <= 1e-6 * np.linalg.norm(ref)
+            assert np.allclose(NV[i], proj.N @ V[i], rtol=0.0, atol=1e-6)
+
+    def test_gram_solve_matches_pseudo_inverse(self):
+        A, _, B = self._stack(2, 3, seed=4)
+        A[7, 1] = A[7, 0] + 1e-9 * A[7, 1]
+        G = np.einsum("skj,slj->skl", A, A)
+        Z = gram_solve(G, B)
+        for i in range(A.shape[0]):
+            ref = pseudo_inverse(G[i]) @ B[i]
+            assert np.linalg.norm(Z[i] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
+
+    def test_zero_matrix_leaves_vectors_alone(self):
+        A, V, _ = self._stack(2, 3, seed=1)
+        assert np.array_equal(null_space_apply(A, V)[5], V[5])
+
+    def test_selection_stack_matches_single_states(self):
+        arm = PlanarArm((0.1, 0.2, 0.15))
+        model = SelectionConstraint(lam=diagonal_selection((1, 0, 1)),
+                                    feature=lambda q: jacobian(arm, q))
+        X = np.random.default_rng(2).uniform(-np.pi, np.pi, size=(12, 3))
+        A = model.A_stack(X)
+        assert A.shape == (12, 2, 3)
+        for i in range(12):
+            assert np.allclose(A[i], model.A_at(X[i]), rtol=0.0, atol=1e-15)
+
+    def test_non_broadcasting_feature_rejected(self):
+        model = SelectionConstraint(lam=diagonal_selection((1, 0, 0)),
+                                    feature=lambda x: np.eye(3))
+        with pytest.raises(ValueError):
+            model.A_stack(np.zeros((4, 3)))
+
+    def test_stacked_projector_matches_single_matrices(self):
+        A, _, _ = self._stack(2, 3, seed=3)
+        stacked = null_projector(A)
+        for i in range(A.shape[0]):
+            single = null_projector(A[i])
+            assert np.allclose(stacked.A_pinv[i], single.A_pinv, rtol=0.0, atol=1e-12)
+            assert np.allclose(stacked.N[i], single.N, rtol=0.0, atol=1e-12)
+            s = np.linalg.svd(A[i], compute_uv=False)
+            expected = s[-1] / s[0] if s[0] > 0.0 else 0.0
+            assert stacked.sigma_ratio[i] == pytest.approx(expected, abs=1e-15)
+            assert single.sigma_ratio == stacked.sigma_ratio[i]
+        assert stacked.sigma_ratio[5] == 0.0
+
+    def test_sigma_ratio_ignores_units(self):
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 0.19, 0.0]])
+        assert null_projector(A).sigma_ratio == pytest.approx(0.19)
+        assert null_projector(1e-10 * A).sigma_ratio == pytest.approx(0.19)
 
 
 class TestSphericalConstraint:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import diagonal_selection
-from projlearn.kinematics import (PlanarArm, TaskPose, forward_kinematics, jacobian,
+from projlearn.kinematics import (PlanarArm, TaskPose, end_pose, forward_kinematics, jacobian,
                                   manipulability, manipulability_gradient,
                                   joint_positions, wrap_angle)
 
@@ -63,6 +63,19 @@ class TestForwardKinematics:
         assert np.allclose(pts[:, 0], [0.0, 0.1, 0.2, 0.3])
         assert np.allclose(pts[:, 1], 0.0)
 
+    def test_stacked_pose_matches_single_states(self):
+        arm = PlanarArm((0.3, 0.2, 0.1))
+        Q = np.random.default_rng(9).uniform(-np.pi, np.pi, size=(4, 5, 3))
+        pts = joint_positions(arm, Q)
+        pose = end_pose(arm, Q)
+        assert pts.shape == (4, 5, 4, 2) and pose.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            assert np.array_equal(pts[idx], joint_positions(arm, Q[idx]))
+            np.testing.assert_allclose(pose[idx], forward_kinematics(arm, Q[idx]).as_array(),
+                                       rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError):
+            forward_kinematics(arm, Q[0])
+
 
 class TestTaskPose:
     def test_theta_normalized(self):
@@ -109,6 +122,24 @@ class TestJacobian:
                 dtheta = wrap_angle(pp.theta - pm.theta)
                 fd[2, j] = dtheta / (2 * h)
             assert np.max(np.abs(J - fd)) < 1e-6
+
+
+    def test_batched_matches_per_row_calls(self):
+        # the broadcasting path against the single-state reference it replaces
+        arm = PlanarArm((0.3, 0.2, 0.1))
+        Q = np.random.default_rng(8).uniform(-np.pi, np.pi, size=(4, 5, 3))
+        J = jacobian(arm, Q)
+        assert J.shape == (4, 5, 3, 3)
+        for idx in np.ndindex(4, 5):
+            np.testing.assert_allclose(J[idx], jacobian(arm, Q[idx]), rtol=0.0, atol=1e-15)
+
+    def test_batched_rejects_bad_states(self):
+        with pytest.raises(ValueError):
+            jacobian(ARM3, np.zeros((5, 2)))
+        Q = np.zeros((5, 3))
+        Q[3, 1] = np.nan
+        with pytest.raises(ValueError):
+            jacobian(ARM3, Q)
 
 
 class TestManipulability:

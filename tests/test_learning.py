@@ -4,6 +4,7 @@ import pytest
 from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, diagonal_selection,
                                    null_projector)
+from projlearn import learning
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConfig,
                                 baseline_objective, baseline_separate_nullspace,
@@ -96,6 +97,39 @@ def angle_gap_mod_pi(a, b) -> float:
     return min(d, np.pi - d)
 
 
+class TestLambdaMomentObjective:
+    """The learner's moment form of the score against consistency_objective."""
+
+    @staticmethod
+    def _check(ds, k, thetas):
+        X, U, PI = ds.stack("x"), ds.stack("u"), ds.stack("pi")
+        objective = learning._lambda_objective(jacobian(ARM, X), PI, U - PI, k)
+        for theta in thetas:
+            model = SelectionConstraint(lam=build_constraint_rows(theta, k, 3),
+                                        feature=lambda q: jacobian(ARM, q))
+            ref = consistency_objective(model, ds)
+            assert objective(theta) == pytest.approx(ref, rel=1e-10, abs=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_reference(self, k):
+        ds = arm_dataset(seed=3, lam_pattern=(1, 1, 0) if k == 2 else (0, 1, 0), n_traj=3)
+        rng = np.random.default_rng(k)
+        dim = 2 if k == 1 else 3
+        self._check(ds, k, [rng.uniform(-np.pi, np.pi, dim) for _ in range(6)])
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_singular_sample_falls_back(self, k):
+        # a straight-arm state zeroes the Jacobian's x row, so Lambda = (x) or
+        # (x, y) at zero angles gives that sample an exactly singular Gram matrix
+        ds = arm_dataset(seed=4, n_traj=1, points=10)
+        traj = ds.trajectories[0]
+        x = traj.x.copy()
+        x[3] = 0.0
+        ds = Dataset(trajectories=[Trajectory(dt=traj.dt, x=x, u=traj.u, pi=traj.pi)])
+        thetas = [np.zeros(2)] if k == 1 else [np.array([0.0, 0.0, 0.0])]
+        self._check(ds, k, thetas)
+
+
 class TestLearnToyConstraint:
     def test_matches_grid_oracle(self):
         # brute-force scan is the reference answer; the learner must agree
@@ -154,6 +188,18 @@ class TestLearnArmConstraint:
     def test_lambda_needs_feature(self):
         with pytest.raises(ValueError):
             learn_constraint(arm_dataset(seed=11), k=2, representation="lambda")
+
+    def test_non_broadcasting_feature_rejected(self):
+        # indexing rows of a stacked Jacobian picks samples, not task rows
+        ds = arm_dataset(seed=11)
+        rows = [0, 1]
+        feature = lambda q: jacobian(ARM, q)[rows, :]
+        with pytest.raises(ValueError, match="broadcast"):
+            learn_constraint(ds, k=1, representation="lambda", feature_fn=feature)
+        with pytest.raises(ValueError, match="broadcast"):
+            learn_constraint(ds, k=None, representation="lambda", feature_fn=feature)
+        with pytest.raises(ValueError, match="broadcast"):
+            learn_selection_matrix(ds, ds.stack("w"), feature, k=1, mode="diagonal")
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):

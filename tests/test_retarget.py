@@ -128,6 +128,22 @@ class TestRetargetStep:
             retarget_step(plan, np.zeros(3), step=4)
         assert err.value.step == 4
 
+    def test_rank_test_ignores_length_units(self):
+        # a well-conditioned state stays valid when the links shrink to 1e-6 m,
+        # and a collapse reports the real sigma ratio, not a manipulability
+        tiny = PlanarArm(tuple(1e-5 * l for l in ARM.link_lengths))
+        plan = RetargetPlan(constraint=true_model(arm=tiny),
+                            task_source=ReplaySource(np.zeros((5, 2))),
+                            pi_robot=ZeroPolicy(dim=3), demonstrator=tiny)
+        x = np.array([0.1, 1.6, 0.1])
+        s = np.linalg.svd(plan.projector_at(x).A, compute_uv=False)
+        assert s[-1] / s[0] > 0.2
+        assert np.all(np.isfinite(retarget_step(plan, x, step=2)))
+        with pytest.raises(RankCollapseError) as err:
+            retarget_step(plan, np.zeros(3), step=3)
+        s = np.linalg.svd(plan.projector_at(np.zeros(3)).A, compute_uv=False)
+        assert err.value.sigma_ratio == pytest.approx(s[-1] / s[0], abs=1e-15)
+
     def test_plan_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             RetargetPlan(constraint="not a model", task_source=None,

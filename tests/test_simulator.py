@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (SelectionConstraint, build_constraint_rows,
-                                   diagonal_selection)
+                                   diagonal_selection, null_projector)
+from projlearn import simulator
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (Dataset, NoiseSpec, RankCollapseError, Trajectory,
                                  action_std, add_noise, constraint_from_meta,
                                  generate_arm_dataset, generate_toy_dataset,
-                                 load_dataset, load_trajectory_csv, save_dataset,
-                                 save_trajectory_csv, simulate_trajectory,
-                                 split_dataset)
+                                 load_dataset, load_trajectory_csv, sample_arm_start,
+                                 sample_task_target, save_dataset, save_trajectory_csv,
+                                 simulate_trajectory, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 
@@ -131,6 +132,65 @@ class TestSimulateTrajectory:
         with pytest.raises(ValueError):
             simulate_trajectory(ARM, self.model, task, PointAttractor(target=np.zeros(3)),
                                 q0=np.zeros(3), dt=-0.02, duration=1.0)
+
+
+class TestLockstepRollout:
+    def test_matches_per_trajectory_rollouts(self):
+        # generate_arm_dataset steps every trajectory at once; each one must
+        # equal a separate simulate_trajectory from the same start and target
+        lam = diagonal_selection((1, 0, 1))
+        pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
+        target_cfg = {"x_range": (-0.05, 0.05), "y_range": (0.0, 0.1)}
+        ds = generate_arm_dataset(ARM, lam, pi, n_trajectories=6, points_per_traj=30,
+                                  dt=0.02, seed=(4, 2), task_gain=2.0, target_cfg=target_cfg)
+        rng = np.random.default_rng((4, 2))
+        model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(ARM, q))
+        for traj in ds.trajectories:
+            q0 = sample_arm_start(rng)
+            task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **target_cfg),
+                                      gain=2.0)
+            ref = simulate_trajectory(ARM, model, task, pi, q0, dt=0.02, duration=30 * 0.02)
+            for name in ("x", "u", "v", "w", "b", "pi"):
+                np.testing.assert_allclose(getattr(traj, name), getattr(ref, name),
+                                           rtol=0.0, atol=1e-12, err_msg=name)
+
+    def test_matches_per_step_projector_near_singularity(self):
+        # rows (1, 0, 0) and (1, q_3, 0): trajectory 0 sits at a
+        # sigma_min/sigma_max near 1e-9, inside the rank tolerance
+        def feature(q):
+            q = np.asarray(q, dtype=float)
+            Phi = np.zeros(q.shape[:-1] + (2, 3))
+            Phi[..., :, 0] = 1.0
+            Phi[..., 1, 1] = q[..., 2]
+            return Phi
+
+        model = SelectionConstraint(lam=np.eye(2), feature=feature)
+        pi = PointAttractor(target=np.array([0.3, -0.4, 3e-9]))
+        Q0 = np.array([[0.0, 0.0, 2e-9], [0.1, 0.2, 0.5]])
+        rates = np.array([0.3, -0.2])
+        trajs = simulator._rollout(model, lambda Q: np.tile(rates, (len(Q), 1)), pi,
+                                   Q0, 0.02, 4, 1e-10)
+        for traj, q in zip(trajs, Q0):
+            for t in range(4):
+                proj = null_projector(model.A_at(q))
+                v = proj.A_pinv @ rates
+                w = proj.N @ pi(q)
+                np.testing.assert_allclose(traj.x[t], q, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(traj.v[t], v, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(traj.w[t], w, rtol=1e-9, atol=1e-12)
+                q = q + 0.02 * (v + w)
+        assert null_projector(model.A_at(Q0[0])).sigma_ratio < 1e-8
+
+    def test_rank_collapse_in_any_trajectory_raises(self):
+        # the straight start of trajectory 1 kills the x row at step 0
+        model = SelectionConstraint(lam=diagonal_selection((1, 1, 0)),
+                                    feature=lambda q: jacobian(ARM, q))
+        task = TaskPointAttractor(arm=ARM, target=np.zeros((2, 3)))
+        with pytest.raises(RankCollapseError) as err:
+            simulator._rollout(model, task, PointAttractor(target=np.zeros(3)),
+                               np.array([[0.1, 1.6, 0.1], [0.0, 0.0, 0.0]]), 0.02, 5, 1e-10)
+        assert err.value.step == 0
+        assert err.value.sigma_ratio < 1e-10
 
 
 class TestSplitDataset:

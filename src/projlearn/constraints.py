@@ -8,6 +8,7 @@ coefficient matrix Lambda and a state-dependent feature matrix Phi, typically
 the arm Jacobian.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -38,11 +39,22 @@ def spherical_to_unit(angles, n: int) -> np.ndarray:
         return np.array([1.0])
     if not np.all(np.isfinite(angles)):
         raise ValueError("angles must be finite")
-    sin_prod = np.concatenate(([1.0], np.cumprod(np.sin(angles))))
-    a = np.empty(n)
-    a[:-1] = np.cos(angles) * sin_prod[:-1]
-    a[-1] = sin_prod[-1]
-    return a
+    return _unit(angles)
+
+
+def _unit(angles: np.ndarray) -> np.ndarray:
+    """spherical_to_unit without the checks, for the optimizer's inner loop.
+
+    A scalar loop: the vectors are a few entries long, where per-call
+    numpy overhead would cost more than the arithmetic.
+    """
+    a = [1.0] * (len(angles) + 1)
+    sin_prod = 1.0
+    for i, t in enumerate(angles.tolist()):
+        a[i] = math.cos(t) * sin_prod
+        sin_prod *= math.sin(t)
+    a[-1] = sin_prod
+    return np.array(a)
 
 
 def spherical_from_unit(a) -> np.ndarray:
@@ -94,17 +106,58 @@ def build_constraint_rows(theta, k: int, n: int) -> np.ndarray:
     expected = spherical_param_count(k, n)
     if theta.shape != (expected,):
         raise ValueError(f"k={k}, n={n} needs {expected} angles, got {theta.size}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
+    return _rows_unchecked(theta, k, n)
+
+
+def _rows_unchecked(theta: np.ndarray, k: int, n: int) -> np.ndarray:
+    """build_constraint_rows for a (k(2n-k-1)/2,) float array, without the checks.
+
+    For objectives evaluated thousands of times per learn on angles whose
+    shape was checked once; a NaN angle gives NaN rows, not an error.
+    """
     rows = np.empty((k, n))
-    basis = np.eye(n)
+    basis = None
     used = 0
     for j in range(k):
         m = n - j
-        local = spherical_to_unit(theta[used:used + m - 1], m)
+        local = _unit(theta[used:used + m - 1])
         used += m - 1
-        rows[j] = basis @ local
+        rows[j] = local if basis is None else basis @ local
         if j + 1 < k:
-            basis = basis @ _householder_complement(local)
+            comp = _householder_complement(local)
+            basis = comp if basis is None else basis @ comp
     return rows
+
+
+def constraint_angles(rows) -> np.ndarray:
+    """Angles whose build_constraint_rows spans the same rows as k orthonormal rows (k, n).
+
+    The inverse of the chart up to the choice of basis inside the span,
+    which the projector does not see. Each step takes the leading right
+    singular vector of the rows expressed in the current complement basis,
+    reads its angles with spherical_from_unit, and moves to the complement
+    of that vector the way build_constraint_rows does.
+    """
+    R = np.atleast_2d(np.asarray(rows, dtype=float))
+    if R.ndim != 2:
+        raise ValueError("expected a (k, n) matrix of rows")
+    k, n = R.shape
+    spherical_param_count(k, n)  # validates k, n
+    if not np.all(np.isfinite(R)) or not np.allclose(R @ R.T, np.eye(k), atol=1e-8):
+        raise ValueError("rows must be finite and orthonormal")
+    angles = []
+    coords = R
+    for j in range(k):
+        lead = np.linalg.svd(coords, full_matrices=False)[2][0]
+        angles.append(spherical_from_unit(lead))
+        if j + 1 < k:
+            # The reflection flips with the sign of the first component, so
+            # take the complement of the vector the angles rebuild, exactly
+            # as build_constraint_rows will.
+            coords = coords @ _householder_complement(_unit(angles[-1]))
+    return np.concatenate(angles)
 
 
 def _svd_pinv(M, rel_tol: float):

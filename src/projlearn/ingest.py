@@ -19,7 +19,8 @@ the configured side are extracted per frame:
 Image y grows downward, so vertical components are flipped before any
 angle arithmetic. Pixel link lengths are averaged over confident frames and
 divided by a configurable scale to give arm link lengths, and velocities
-come from forward differences times the frame rate.
+come from forward differences times the frame rate within each run of
+consecutive kept frames.
 """
 
 import json
@@ -236,16 +237,23 @@ def recording_to_dataset(rec: HumanArmRecording, scale: float = 300.0,
     """Full pipeline: keypoints to a (Dataset, PlanarArm) pair in chain convention.
 
     States are chain-convention joint angles, actions their forward-difference
-    velocities. The returned arm carries the estimated link lengths so its
-    Jacobian can serve as the constraint feature.
+    velocities. Dropped frames split the recording: each run of at least two
+    consecutive kept frames becomes one trajectory, so no velocity is taken
+    across a gap, and shorter runs are discarded. The returned arm carries
+    the estimated link lengths so its Jacobian can serve as the constraint
+    feature.
     """
-    q_human, _ = keypoints_to_joint_angles(rec, confidence_floor)
+    q_human, kept = keypoints_to_joint_angles(rec, confidence_floor)
     q_arm = arm_angles_from_human(q_human)
-    u = finite_difference_velocities(q_arm, rec.fps)
+    breaks = np.flatnonzero(np.diff(kept) != 1) + 1
+    runs = [run for run in np.split(q_arm, breaks) if len(run) >= 2]
+    if not runs:
+        raise ValueError("no two consecutive confident frames; cannot form velocities")
+    trajs = [Trajectory(dt=1.0 / rec.fps, x=run[:-1],
+                        u=finite_difference_velocities(run, rec.fps)) for run in runs]
     lengths = estimate_link_lengths(rec, scale=scale, confidence_floor=confidence_floor)
     arm = PlanarArm(tuple(lengths))
-    traj = Trajectory(dt=1.0 / rec.fps, x=q_arm[:-1], u=u)
-    ds = Dataset(trajectories=[traj],
+    ds = Dataset(trajectories=trajs,
                  meta={"system": "human_arm", "side": rec.side, "fps": rec.fps,
                        "scale": scale, "links": lengths.tolist(), "noise": None})
     return ds, arm

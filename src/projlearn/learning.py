@@ -7,8 +7,18 @@ N-hat pi gives a score
     sum_n | pi_n^T N-hat(x_n) (u_n - pi_n) |
 
 that vanishes for the true projection and needs no access to b or w. The
-learner minimises it over a parameterised constraint family with a
-derivative-free simplex search from random restarts.
+learner minimises it over a parameterised constraint family in two steps.
+Each sample's condition pi_n^T N(x_n) d_n = 0 (d = u - pi) is linear in a
+lifted symmetric matrix: N itself for a constant constraint, lam lam^T
+for A = Lambda Phi with k = 1, and c c^T for k = p - 1, where c spans the
+complement of the rows of Lambda. The last right singular vector of the
+stacked conditions, rounded to the nearest constraint with an
+eigendecomposition, is exact on clean data and a least-squares fit on
+noisy data. One derivative-free simplex polish of the L1 score from there
+gives the answer. Lambda with 1 < k < p - 1 has no such lift and keeps a
+simplex search from screened random restarts. So do lambda learns on
+noisy data: the lambda lifts weight samples unevenly enough to start the
+polish in a wrong basin there.
 
 The module also carries the two-stage approach from earlier work, used here
 as a comparison baseline: first separate a null-space component out of raw
@@ -16,12 +26,13 @@ actions without a prior, then fit a selection matrix to it.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .constraints import (SelectionConstraint, SphericalConstraint, build_constraint_rows,
+from .constraints import (GRAM_DET_TOL, SelectionConstraint, SphericalConstraint,
+                          _rows_unchecked, build_constraint_rows, constraint_angles,
                           diagonal_selection, feature_stack, gram_solve, null_space_apply,
                           pinv_apply, spherical_param_count)
 from .policies import policy_values
@@ -139,10 +150,6 @@ def _stacked(dataset: Dataset, prior_pi):
     return X, U, PI
 
 
-def _consistency_terms_constant(N_hat, PI, D) -> np.ndarray:
-    return np.einsum("ni,ij,nj->n", PI, N_hat, D)
-
-
 def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     """Sum over samples of |pi^T N(x) (u - pi)| for a candidate constraint.
 
@@ -154,10 +161,26 @@ def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     X, U, PI = _stacked(dataset, prior_pi)
     D = U - PI
     if isinstance(model, SphericalConstraint):
-        terms = _consistency_terms_constant(model.projector_at(None).N, PI, D)
+        terms = np.einsum("ni,ij,nj->n", PI, model.projector_at(None).N, D)
     else:
         terms = np.einsum("ni,ni->n", PI, null_space_apply(model.A_stack(X), D))
     return float(np.sum(np.abs(terms)))
+
+
+def _spherical_objective(PI, D, k: int, n: int):
+    """The consistency score as a function of the angles of a constant constraint.
+
+    pi^T (I - A^T A) d = pi . d - <A^T A, pi d^T>, so with the outer
+    products computed once an evaluation costs one (S x n^2)(n^2) product.
+    """
+    direct = np.einsum("sj,sj->s", PI, D)
+    outer = (PI[:, :, None] * D[:, None, :]).reshape(len(PI), n * n)
+
+    def objective(theta):
+        A = _rows_unchecked(theta, k, n)
+        return float(np.abs(direct - outer @ (A.T @ A).ravel()).sum())
+
+    return objective
 
 
 def _lambda_objective(Phi, PI, D, k: int):
@@ -174,7 +197,7 @@ def _lambda_objective(Phi, PI, D, k: int):
     direct = np.einsum("sj,sj->s", PI, D)
 
     def objective(theta):
-        lam = build_constraint_rows(theta, k, p)
+        lam = _rows_unchecked(theta, k, p)
         # (lam kron lam)[(a, b), (p, q)] = lam[a, p] lam[b, q], built by broadcasting.
         kron = (lam[:, None, :, None] * lam[None, :, None, :]).reshape(k * k, p * p)
         G = (M @ kron.T).reshape(S, k, k)
@@ -182,6 +205,105 @@ def _lambda_objective(Phi, PI, D, k: int):
         return float(np.sum(np.abs(direct - corr)))
 
     return objective
+
+
+# --- closed-form start ------------------------------------------------------------
+
+def _sym_vec(M) -> np.ndarray:
+    """Upper triangles of symmetric matrices (..., m, m), off-diagonals times sqrt 2.
+
+    The scaling makes vec(X) . vec(M) = <X, M> and |vec(X)| = |X|_F.
+    """
+    i, j = np.triu_indices(M.shape[-1])
+    return M[..., i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
+
+
+def _sym_unvec(x, m: int) -> np.ndarray:
+    i, j = np.triu_indices(m)
+    X = np.zeros((m, m))
+    X[i, j] = x / np.where(i == j, 1.0, np.sqrt(2.0))
+    return X + np.triu(X, 1).T
+
+
+def _sym_outer(a, b) -> np.ndarray:
+    """sym(a_n b_n^T) for stacks of vectors (S, m)."""
+    ab = a[:, :, None] * b[:, None, :]
+    return 0.5 * (ab + np.swapaxes(ab, 1, 2))
+
+
+def _lifted_start(PI, D, k: int, Phi=None):
+    """Start angles from one linear solve, and the rank margin of that solve.
+
+    Every sample contributes one linear condition <X, M_n> = 0 on a
+    symmetric matrix X:
+
+    * constant constraint (Phi None): X = N, M_n = sym(pi_n d_n^T);
+    * Lambda Phi with k = 1: X = lam lam^T,
+      M_n = (pi.d) G_n - sym(a_n b_n^T), with G = Phi Phi^T, a = Phi pi,
+      b = Phi d (the score times lam^T G lam);
+    * Lambda Phi with k = p - 1: X = c c^T for the unit c orthogonal to the
+      rows of Lambda, M_n = r0_n G_n^-1 + sym(G_n^-1 a_n (G_n^-1 b_n)^T)
+      with r0 = pi.d - a^T G^-1 b (the score times c^T G^-1 c). Samples
+      whose Gram fails the GRAM_DET_TOL trust test are left out.
+
+    X is the last right singular vector of the stacked conditions. For a
+    constant constraint with k < n - 1 every N S N solves them, so the last
+    r = (n-k)(n-k+1)/2 vectors span the solutions; the sum of their squares
+    is positive semi-definite and vanishes exactly on the rows of A. The
+    rounding reads eigenvectors of that sum (X^2 when r = 1), which needs no
+    sign convention: the k smallest are the rows of A, the top one is lam or
+    c, and the others span the rows of Lambda for k = p - 1.
+
+    Returns (angles, rank margin), the margin being the largest singular
+    value inside the solution space over the smallest outside it; or None
+    when no lift applies (1 < k < p - 1, or no trusted sample).
+    """
+    if Phi is None:
+        M = _sym_outer(PI, D)
+        # k = n has no null space; any one vector then gives all n rows.
+        r = max(1, (PI.shape[1] - k) * (PI.shape[1] - k + 1) // 2)
+    else:
+        p = Phi.shape[1]
+        G = np.einsum("spj,sqj->spq", Phi, Phi)
+        a = np.einsum("spj,sj->sp", Phi, PI)
+        b = np.einsum("spj,sj->sp", Phi, D)
+        direct = np.einsum("sj,sj->s", PI, D)
+        r = 1
+        if k == 1:
+            M = direct[:, None, None] * G - _sym_outer(a, b)
+        elif k == p - 1:
+            # det <= prod(diag) for a Gram matrix, so this is a scale-free test.
+            diag_prod = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+            ok = np.linalg.det(G) > GRAM_DET_TOL * diag_prod
+            if not ok.any():
+                return None
+            G_inv = np.linalg.inv(G[ok])
+            ga = np.einsum("spq,sq->sp", G_inv, a[ok])
+            gb = np.einsum("spq,sq->sp", G_inv, b[ok])
+            r0 = direct[ok] - np.einsum("sp,sp->s", a[ok], gb)
+            M = r0[:, None, None] * G_inv + _sym_outer(ga, gb)
+        else:
+            return None
+    m = M.shape[-1]
+    rows = _sym_vec(M)
+    if rows.shape[0] < rows.shape[1]:
+        # Too few samples to fix X: pad so the SVD still returns null vectors.
+        rows = np.vstack([rows, np.zeros((rows.shape[1] - rows.shape[0], rows.shape[1]))])
+    _, s, Vt = np.linalg.svd(rows, full_matrices=False)
+    Y = np.zeros((m, m))
+    for x in Vt[len(s) - r:]:
+        X = _sym_unvec(x, m)
+        Y += X @ X
+    vecs = np.linalg.eigh(Y)[1]  # columns in ascending eigenvalue order
+    if Phi is None:
+        basis = vecs[:, :k]
+    elif k == 1:
+        basis = vecs[:, -1:]
+    else:
+        basis = vecs[:, :-1]
+    inside, outside = s[len(s) - r], (s[len(s) - r - 1] if len(s) > r else 0.0)
+    margin = inside / outside if outside > 0.0 else 1.0
+    return constraint_angles(basis.T), float(margin)
 
 
 # --- learning the constraint when the prior is known ------------------------------
@@ -209,6 +331,17 @@ def _screened_sampler(objective, dim, draws: int = 32):
     return sample
 
 
+def _restart_search(objective, dim: int, opt: OptimizerConfig) -> OptimizeResult:
+    """opt.restarts simplex searches from screened random angles."""
+    sampler = _screened_sampler(objective, dim)
+    return optimize(objective, sampler(np.random.default_rng(opt.seed)), opt, sampler=sampler)
+
+
+def _exact_fit_floor(U) -> float:
+    """Scores below 1e-8 times the summed action norm count as an exact fit."""
+    return 1e-8 * float(np.sum(np.linalg.norm(U, axis=1)))
+
+
 def _degenerate_prior_fraction(A_stack, PI, rel: float = 1e-9) -> float:
     norms = np.linalg.norm(null_space_apply(A_stack, PI), axis=1)
     scale = float(np.median(np.linalg.norm(PI, axis=1)))
@@ -226,6 +359,14 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     matrix applied to ``feature_fn(x)``, with the coefficient rows also kept
     orthonormal since only their span matters for the projection.
 
+    The search starts from the closed-form lift (``_lifted_start``) and
+    polishes the L1 score with one simplex run. Lambda with 1 < k < p - 1
+    has no lift and runs ``opt.restarts`` simplex searches from screened
+    random starts instead. So does a lambda learn whose lifted start is not
+    an exact fit (score above 1e-8 times the summed action norm, as on noisy
+    data). The diagnostics carry the lift's rank margin ``lift_sv_ratio``
+    and the score at its start, ``start_score``.
+
     k is normally known per experiment. Passing k=None sweeps k upward and
     keeps the smallest value whose objective falls below 1e-8 times the
     summed action norm; the per-k objectives land in the diagnostics.
@@ -233,7 +374,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     opt = opt or OptimizerConfig()
     if k is None:
         U = dataset.stack("u")
-        floor = 1e-8 * float(np.sum(np.linalg.norm(U, axis=1)))
+        floor = _exact_fit_floor(U)
         # k = n leaves no null space and zeroes the objective for free, so
         # the sweep stays below it.
         k_max = U.shape[1] - 1
@@ -260,11 +401,8 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
 
     if representation == "spherical":
         dim = spherical_param_count(k, n)
-
-        def objective(theta):
-            A = build_constraint_rows(theta, k, n)
-            return float(np.sum(np.abs(_consistency_terms_constant(
-                np.eye(n) - A.T @ A, PI, D))))
+        objective = _spherical_objective(PI, D, k, n)
+        lifted = _lifted_start(PI, D, k)
 
         def to_model(theta):
             return SphericalConstraint(theta=tuple(np.mod(theta, 2.0 * np.pi)), k=k, n=n)
@@ -276,6 +414,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
         p = Phi.shape[1]
         dim = spherical_param_count(k, p)
         objective = _lambda_objective(Phi, PI, D, k)
+        lifted = _lifted_start(PI, D, k, Phi)
 
         def to_model(theta):
             return SelectionConstraint(lam=build_constraint_rows(theta, k, p),
@@ -284,16 +423,27 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     else:
         raise ValueError(f"unknown representation {representation!r}")
 
-    rng = np.random.default_rng(opt.seed)
-    sampler = _screened_sampler(objective, dim)
-    init = sampler(rng)
-    res = optimize(objective, init, opt, sampler=sampler)
+    sv_ratio, start_score = None, None
+    if lifted is not None:
+        start, sv_ratio = lifted
+        start_score = objective(start)
+    # The lambda lifts weight each sample by lam^T G lam or c^T G^-1 c. On
+    # data with no exact fit that can put the start in a wrong basin, so
+    # such learns keep the screened restart search.
+    if lifted is None or (representation == "lambda" and start_score > _exact_fit_floor(U)):
+        res = _restart_search(objective, dim, opt)
+    else:
+        res = optimize(objective, start, replace(opt, restarts=1))
     model = to_model(res.params)
     A_stack = model.A_stack(X) if representation == "spherical" else model.lam @ Phi
     diag = {
         "degenerate_prior_fraction": _degenerate_prior_fraction(A_stack, PI),
         "failures": res.failures,
         "prior_norm_median": float(np.median(np.linalg.norm(PI, axis=1))),
+        # The lift's rank margin and the L1 score at its start; None when
+        # no lift applies.
+        "lift_sv_ratio": sv_ratio,
+        "start_score": start_score,
     }
     if diag["degenerate_prior_fraction"] > 0.5:
         warnings.warn("secondary policy is (near) zero inside the learned null space "
@@ -349,13 +499,10 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
     dim = spherical_param_count(k, p)
 
     def objective(theta):
-        lam = build_constraint_rows(theta, k, p)
+        lam = _rows_unchecked(theta, k, p)
         return _projection_energy(lam @ Phi, W_hat)
 
-    rng = np.random.default_rng(opt.seed)
-    sampler = _screened_sampler(objective, dim)
-    init = sampler(rng)
-    res = optimize(objective, init, opt, sampler=sampler)
+    res = _restart_search(objective, dim, opt)
     return build_constraint_rows(res.params, k, p), res.value
 
 

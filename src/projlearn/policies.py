@@ -1,18 +1,19 @@
 """Secondary and task-space policies used by the experiments.
 
-All policies are pure functions of the state. The secondary policies mirror
-the ones used to generate the benchmark data: a linear map, a planar limit
-cycle, a sinusoidal field and joint-space point attractors. Task policies
+All policies are pure functions of the state that broadcast over leading
+axes: a state (n,) gives one rate, a stack (S, n) gives (S, dim), so
+policy_values is a single call. The secondary policies mirror the ones used
+to generate the benchmark data: a linear map, a planar limit cycle, a
+sinusoidal field and joint-space point attractors. Task policies
 return rates in the full task space (x, y, theta for the arms); the
 constraint picks out the coordinates it actually governs.
 """
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .kinematics import PlanarArm, end_pose, manipulability_gradient, wrap_angle
+from .kinematics import PlanarArm, end_pose, wrap_angle
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,7 +27,7 @@ class LinearPolicy:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        return -self.L @ np.append(x, 1.0)
+        return -(x @ self.L[:, :-1].T + self.L[:, -1])
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,13 @@ class LimitCyclePolicy:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        rho = float(np.hypot(x[0], x[1]))
-        if rho == 0.0:
-            return np.zeros(2)
-        phi = np.arctan2(x[1], x[0])
+        rho = np.hypot(x[..., 0], x[..., 1])
+        phi = np.arctan2(x[..., 1], x[..., 0])
         rho_dot = rho * (self.rho0 - rho * rho)
         c, s = np.cos(phi), np.sin(phi)
-        return np.array([rho_dot * c - rho * self.omega * s,
-                         rho_dot * s + rho * self.omega * c])
+        # rho = 0 gives phi = 0 and so an exact zero, the fixed point.
+        return np.stack([rho_dot * c - rho * self.omega * s,
+                         rho_dot * s + rho * self.omega * c], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ class SinusoidalPolicy:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        z1 = np.pi * x[0]
-        z2 = np.pi * (x[1] + 0.5)
-        return np.array([np.cos(z1) * np.cos(z2), -np.sin(z1) * np.sin(z2)])
+        z1 = np.pi * x[..., 0]
+        z2 = np.pi * (x[..., 1] + 0.5)
+        return np.stack([np.cos(z1) * np.cos(z2), -np.sin(z1) * np.sin(z2)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,7 +80,7 @@ class ZeroPolicy:
     dim: int
 
     def __call__(self, x):
-        return np.zeros(self.dim)
+        return np.zeros(np.shape(x)[:-1] + (self.dim,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,30 +112,18 @@ class TaskPointAttractor:
         return self.gain * err
 
 
-@dataclass(frozen=True, eq=False)
-class ManipulabilityGradientPolicy:
-    """Secondary policy that climbs the manipulability of a constraint model."""
-
-    model: object
-    step: float = 1e-5
-
-    def __call__(self, x):
-        return manipulability_gradient(self.model, x, step=self.step)
-
-
-PolicySpec = Union[LinearPolicy, LimitCyclePolicy, SinusoidalPolicy, PointAttractor,
-                   ZeroPolicy, TaskPointAttractor, ManipulabilityGradientPolicy]
-
-
-def eval_policy(spec, x) -> np.ndarray:
-    """Evaluate a policy spec at a single state."""
-    return np.asarray(spec(x), dtype=float)
-
-
 def policy_values(spec, X) -> np.ndarray:
-    """Evaluate a policy at every row of X, returning an (N, dim) array."""
+    """Evaluate a policy at every row of X, returning an (S, dim) array.
+
+    Every policy in this module broadcasts over leading axes, so this is
+    one call on the whole stack.
+    """
     X = np.asarray(X, dtype=float)
-    return np.array([eval_policy(spec, x) for x in X])
+    out = np.asarray(spec(X), dtype=float)
+    if out.ndim != 2 or out.shape[0] != X.shape[0]:
+        raise ValueError(f"policy returned shape {out.shape} for states of shape {X.shape}; "
+                         "it must broadcast over a stack of states to (S, dim)")
+    return out
 
 
 _TOY_POLICY_BUILDERS = {

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
-                                   build_constraint_rows, diagonal_selection,
+                                   _rows_unchecked, build_constraint_rows,
+                                   constraint_angles, diagonal_selection,
                                    gram_solve, null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
                                    spherical_param_count, spherical_to_unit)
@@ -81,6 +82,45 @@ class TestBuildConstraintRows:
             build_constraint_rows(np.zeros(3), 3, 2)  # k > n
         with pytest.raises(ValueError):
             build_constraint_rows(np.zeros(2), 1, 2)  # wrong count
+        with pytest.raises(ValueError):
+            build_constraint_rows(np.array([0.1, np.nan, 0.2]), 2, 3)
+
+    def test_unchecked_builder_matches(self):
+        rng = np.random.default_rng(4)
+        for k, n in ((1, 2), (1, 3), (2, 3), (3, 5), (4, 4)):
+            theta = rng.uniform(-np.pi, np.pi, spherical_param_count(k, n))
+            assert np.array_equal(_rows_unchecked(theta, k, n),
+                                  build_constraint_rows(theta, k, n))
+        # unchecked, a NaN angle must still not give plausible rows
+        assert np.isnan(_rows_unchecked(np.array([0.1, np.nan, 0.2]), 2, 3)).any()
+
+
+class TestConstraintAngles:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_round_trip_spans_the_same_rows(self, n):
+        rng = np.random.default_rng(n)
+        for k in range(1, n):
+            for _ in range(5):
+                A = build_constraint_rows(rng.uniform(-np.pi, np.pi, spherical_param_count(k, n)),
+                                          k, n)
+                # any orthonormal basis of the span must map back to it
+                R = np.linalg.qr(rng.normal(size=(k, k)))[0] @ A
+                back = build_constraint_rows(constraint_angles(R), k, n)
+                assert np.max(np.abs(back.T @ back - A.T @ A)) < 1e-12
+
+    def test_axis_rows_at_the_chart_poles(self):
+        for pattern in ((1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)):
+            lam = diagonal_selection(pattern)
+            back = build_constraint_rows(constraint_angles(lam), lam.shape[0], 3)
+            assert np.max(np.abs(back.T @ back - lam.T @ lam)) < 1e-12
+
+    def test_rejects_rows_that_are_not_orthonormal(self):
+        with pytest.raises(ValueError):
+            constraint_angles([[1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError):
+            constraint_angles([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ValueError):
+            constraint_angles(np.eye(3)[:1] * np.nan)
 
 
 class TestPseudoInverse:

@@ -231,6 +231,29 @@ class TestPipeline:
         assert np.max(np.abs(np.array(arm.link_lengths)
                              - np.array(HUMAN_ARM.link_lengths))) < 1e-9
 
+    def test_dropped_frame_splits_the_recording(self):
+        # the elbow opens by 1/6 rad per frame at 10 fps, 1.67 rad/s throughout;
+        # differencing across the empty frame 5 would report 3.33
+        t = np.arange(10)
+        Q = np.column_stack([np.full(10, -1.2), 0.4 + t / 6.0, np.full(10, 0.1)])
+        payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
+        payload[5] = {"people": []}
+        with pytest.warns(UserWarning):
+            frames = parse_keypoint_json(json.dumps(payload))
+        ds, _ = recording_to_dataset(recording(frames, fps=10.0))
+        assert [traj.n_samples for traj in ds.trajectories] == [4, 3]
+        assert np.max(np.abs(ds.stack("u")[:, 1] - 10.0 / 6.0)) < 1e-9
+        assert np.max(np.abs(ds.stack("u")[:, [0, 2]])) < 1e-9
+        assert np.max(np.abs(ds.stack("x") - Q[[0, 1, 2, 3, 6, 7, 8]])) < 1e-9
+
+    def test_no_two_consecutive_frames_rejected(self):
+        payload = synthesize_keypoint_frames(HUMAN_ARM, np.zeros((5, 3)))
+        payload[1] = payload[3] = {"people": []}
+        with pytest.warns(UserWarning):
+            frames = parse_keypoint_json(json.dumps(payload))
+        with pytest.raises(ValueError, match="consecutive"):
+            recording_to_dataset(recording(frames))
+
     def test_constraint_recovered_from_keypoints(self):
         traj = self.constrained_human_motion()
         frames = synthesize_keypoint_frames(HUMAN_ARM, traj.x)

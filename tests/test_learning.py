@@ -3,16 +3,17 @@ import pytest
 
 from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, diagonal_selection,
-                                   null_projector)
+                                   null_projector, spherical_param_count)
 from projlearn import learning
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConfig,
                                 baseline_objective, baseline_separate_nullspace,
                                 consistency_objective, learn_constraint,
                                 learn_selection_matrix, optimize)
-from projlearn.policies import LimitCyclePolicy, PointAttractor, ZeroPolicy
-from projlearn.simulator import (Dataset, Trajectory, generate_arm_dataset,
-                                 generate_toy_dataset)
+from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
+                               SinusoidalPolicy, ZeroPolicy)
+from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
+                                 generate_arm_dataset, generate_toy_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TOY_OPT = OptimizerConfig(restarts=8, max_iters=600, objective_tol=1e-13,
@@ -98,7 +99,7 @@ def angle_gap_mod_pi(a, b) -> float:
 
 
 class TestLambdaMomentObjective:
-    """The learner's moment form of the score against consistency_objective."""
+    """The learner's moment forms of the score against consistency_objective."""
 
     @staticmethod
     def _check(ds, k, thetas):
@@ -116,6 +117,14 @@ class TestLambdaMomentObjective:
         rng = np.random.default_rng(k)
         dim = 2 if k == 1 else 3
         self._check(ds, k, [rng.uniform(-np.pi, np.pi, dim) for _ in range(6)])
+
+    def test_spherical_moment_form_matches_reference(self):
+        ds = toy(seed=6)
+        PI = ds.stack("pi")
+        objective = learning._spherical_objective(PI, ds.stack("u") - PI, 1, 2)
+        for theta in np.linspace(-3.0, 3.0, 7):
+            ref = consistency_objective(SphericalConstraint(theta=(theta,), k=1, n=2), ds)
+            assert objective(np.array([theta])) == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_singular_sample_falls_back(self, k):
@@ -204,6 +213,94 @@ class TestLearnArmConstraint:
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
             learn_constraint(toy(seed=12), k=1, representation="fourier")
+
+
+TOY_PRIORS = {"linear": LinearPolicy(L=[[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]]),
+              "limit_cycle": LimitCyclePolicy(), "sinusoidal": SinusoidalPolicy()}
+ACTION_NOISE = NoiseSpec(epsilon=0.1, target="actions")
+
+
+class TestLiftedStart:
+    """The closed-form start plus one polish against the screened-restart search."""
+
+    @staticmethod
+    def reference_score(objective, k, n, opt):
+        return learning._restart_search(objective, spherical_param_count(k, n), opt).value
+
+    @staticmethod
+    def assert_no_worse(new, ref):
+        assert new <= ref * (1.0 + 1e-6) + 1e-12, (new, ref)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("prior", sorted(TOY_PRIORS))
+    def test_toy_matches_restart_search(self, prior, noisy):
+        for seed in range(3):
+            ds = generate_toy_dataset(150, seed=(seed, 31), null_policy=TOY_PRIORS[prior])
+            if noisy:
+                ds = add_noise(ds, ACTION_NOISE, (seed, 32))
+            PI = ds.stack("pi")
+            objective = learning._spherical_objective(PI, ds.stack("u") - PI, 1, 2)
+            ref = self.reference_score(objective, 1, 2, TOY_OPT)
+            self.assert_no_worse(learn_constraint(ds, k=1, opt=TOY_OPT).objective_value, ref)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("seed", [21, 25])
+    @pytest.mark.parametrize("pattern", [(0, 1, 0), (1, 1, 0)])
+    def test_arm_matches_restart_search(self, pattern, seed, noisy):
+        k = sum(pattern)
+        ds = arm_dataset(seed=seed, lam_pattern=pattern)
+        if noisy:
+            # no exact fit, so the learner runs the restart search instead
+            ds = add_noise(ds, ACTION_NOISE, (seed, 22))
+        X, PI = ds.stack("x"), ds.stack("pi")
+        objective = learning._lambda_objective(jacobian(ARM, X), PI, ds.stack("u") - PI, k)
+        ref = self.reference_score(objective, k, 3, ARM_OPT)
+        learned = learn_constraint(ds, k=k, representation="lambda", opt=ARM_OPT,
+                                   feature_fn=lambda q: jacobian(ARM, q))
+        self.assert_no_worse(learned.objective_value, ref)
+        searched = learned.restarts_used + learned.diagnostics["failures"] > 1
+        assert searched == noisy
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_start_is_exact_on_clean_constant_data(self, k):
+        # k < n - 1 leaves a family N S N of lifted solutions; the start must
+        # still land on the true rows
+        rng = np.random.default_rng(k)
+        n = 4
+        A = build_constraint_rows(rng.uniform(-3.0, 3.0, spherical_param_count(k, n)), k, n)
+        X = rng.uniform(-1.0, 1.0, size=(60, n))
+        PI = X @ rng.normal(size=(n, n)).T + 0.3
+        U = rng.normal(size=(60, k)) @ A + PI @ (np.eye(n) - A.T @ A)
+        angles, margin = learning._lifted_start(PI, U - PI, k)
+        A0 = build_constraint_rows(angles, k, n)
+        assert np.max(np.abs(A0.T @ A0 - A.T @ A)) < 1e-12
+        assert margin < 1e-10
+
+    def test_diagnostics_report_the_start(self):
+        ds = arm_dataset(seed=23)
+        learned = learn_constraint(ds, k=2, representation="lambda", opt=ARM_OPT,
+                                   feature_fn=lambda q: jacobian(ARM, q))
+        diag = learned.diagnostics
+        assert diag["lift_sv_ratio"] < 1e-10
+        assert learned.objective_value <= diag["start_score"] <= 1e-8 * action_norm_sum(ds)
+        assert learned.restarts_used == 1
+
+    def test_middle_k_falls_back_to_restart_search(self):
+        # p = 4 features with k = 2 rows has no lift
+        rng = np.random.default_rng(24)
+        A = build_constraint_rows(rng.uniform(-3.0, 3.0, 5), 2, 4)
+        X = rng.uniform(-1.0, 1.0, size=(80, 4))
+        PI = X @ rng.normal(size=(4, 4)).T
+        U = rng.normal(size=(80, 2)) @ A + PI @ (np.eye(4) - A.T @ A)
+        ds = Dataset(trajectories=[Trajectory(dt=1.0, x=X, u=U, pi=PI)])
+        identity = lambda x: np.broadcast_to(np.eye(4), (len(x), 4, 4))
+        opt = OptimizerConfig(restarts=4, max_iters=2000, objective_tol=1e-13,
+                              param_tol=1e-11, seed=0)
+        learned = learn_constraint(ds, k=2, representation="lambda", opt=opt,
+                                   feature_fn=identity)
+        assert learned.diagnostics["lift_sv_ratio"] is None
+        assert learned.restarts_used + learned.diagnostics["failures"] == 4
+        assert learned.objective_value <= 1e-8 * action_norm_sum(ds)
 
 
 class TestLearnSelectionMatrix:

@@ -133,6 +133,30 @@ class TestPolicyFromConfig:
             policy_from_config({"type": "spline"})
 
 
+@pytest.mark.parametrize("policy, n", [
+    (LinearPolicy(L=[[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]]), 2),
+    (LimitCyclePolicy(rho0=0.6, omega=-1.5), 2),
+    (SinusoidalPolicy(), 2),
+    (PointAttractor(target=[0.3, -0.2], beta=2.0), 2),
+    (ZeroPolicy(dim=2), 2),
+    (TaskPointAttractor(arm=PlanarArm((0.4, 0.3, 0.2)), target=np.array([0.3, 0.4, 0.5]),
+                        gain=2.0), 3),
+], ids=["linear", "limit_cycle", "sinusoidal", "point_attractor", "zero", "task_attractor"])
+def test_stacked_call_matches_per_row_calls(policy, n):
+    X = np.random.default_rng(0).uniform(-1.5, 1.5, size=(40, n))
+    X[0] = 0.0  # the limit cycle's fixed point
+    stacked = policy_values(policy, X)
+    rows = np.array([policy(x) for x in X])
+    assert stacked.shape == rows.shape == (40, rows.shape[1])
+    assert np.allclose(stacked, rows, rtol=1e-14, atol=1e-15)
+
+
+def test_policy_values_rejects_non_broadcasting_callable():
+    X = np.zeros((5, 2))
+    with pytest.raises(ValueError, match="broadcast"):
+        policy_values(lambda x: np.array([x[0], x[1]]), X)
+
+
 def test_policy_values_stacks_rows():
     X = np.array([[0.0, 0.0], [0.5, 0.0]])
     U = policy_values(SinusoidalPolicy(), X)

@@ -13,9 +13,9 @@ import logging
 import sys
 from pathlib import Path
 
-from .experiments import (RUNNERS, THREE_LINK_CASES, TOY_POLICIES, check_acceptance,
-                          config_hash)
+from .experiments import RUNNERS, THREE_LINK_CASES, check_acceptance, config_hash
 from .metrics import MetricRecord
+from .policies import TOY_POLICIES
 from .simulator import save_trajectory_csv
 
 log = logging.getLogger("projlearn")
@@ -123,7 +123,7 @@ def _validate_pi(cfg, key, path, target_key="target_deg"):
     if pi is None:
         return
     _known_keys(pi, {"type", "beta", target_key}, f"{path}{key}.")
-    _choice(pi, "type", f"{path}{key}.", {"point_attractor"})
+    _choice(pi, "type", f"{path}{key}.", {"point_attractor"}, required=True)
     _number(pi, "beta", f"{path}{key}.", lo=0.0)
     _number_list(pi, target_key, f"{path}{key}.", required=True)
 

@@ -17,22 +17,15 @@ import numpy as np
 from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
-from .kinematics import PlanarArm, forward_kinematics, jacobian
+from .kinematics import PlanarArm, end_pose, forward_kinematics, jacobian
 from .learning import (BaselineConfig, OptimizerConfig, baseline_separate_nullspace,
                        learn_constraint, learn_selection_matrix)
 from .metrics import consistency_error, eval_learned_constraint, summarize
-from .policies import (LimitCyclePolicy, LinearPolicy, PointAttractor, SinusoidalPolicy,
-                       TaskPointAttractor)
+from .policies import TOY_POLICIES, PointAttractor, TaskPointAttractor, policy_from_config
 from .retarget import (AttractorSource, ObstacleRegion, ReplaySource, RetargetPlan,
                        check_obstacle_clearance, estimate_task_policy, reproduce_trajectory)
 from .simulator import (Dataset, NoiseSpec, add_noise, generate_arm_dataset,
                         generate_toy_dataset, simulate_trajectory, split_dataset)
-
-TOY_POLICIES = {
-    "linear": lambda: LinearPolicy(L=np.array([[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]])),
-    "limit_cycle": lambda: LimitCyclePolicy(rho0=0.75, omega=1.0),
-    "sinusoidal": lambda: SinusoidalPolicy(),
-}
 
 # Constrained task coordinates per named case; 1s pick rows of (x, y, theta).
 THREE_LINK_CASES = {
@@ -88,10 +81,6 @@ def _base_report(name: str, cfg: dict) -> dict:
     }
 
 
-def _pi_from_cfg(pi_cfg: dict) -> PointAttractor:
-    return PointAttractor(target=np.deg2rad(pi_cfg["target_deg"]), beta=pi_cfg.get("beta", 1.0))
-
-
 # --- toy system -------------------------------------------------------------------
 
 def _toy_trial(args):
@@ -99,7 +88,7 @@ def _toy_trial(args):
     seed = int(cfg.get("seed", 0))
     n_train = cfg.get("n_train", 150)
     n_test = cfg.get("n_test", 150)
-    policy = TOY_POLICIES[policy_name]()
+    policy = policy_from_config({"type": policy_name})
     ds = generate_toy_dataset(n_train + n_test, (seed, case_index, trial, 0), policy)
     train, test = split_dataset(ds, n_train)
     noise_cfg = cfg.get("noise")
@@ -183,7 +172,7 @@ def run_sweep(cfg: dict) -> dict:
 
 def _three_link_setup(cfg: dict):
     arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = _pi_from_cfg(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
+    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
     tr = cfg.get("target_ranges", THREE_LINK_DEFAULTS["target_ranges"])
     target_cfg = {"x_range": tuple(tr["x_range"]), "y_range": tuple(tr["y_range"]),
                   "theta_range_deg": tuple(tr["theta_range_deg"])}
@@ -363,7 +352,7 @@ def run_retarget_obstacle(cfg: dict) -> dict:
     task even through the aggressive null-space transient.
     """
     arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = _pi_from_cfg(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
+    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
     train, learned = _learn_xy_constraint(cfg, arm, pi)
     demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
                                                     diagonal_selection(THREE_LINK_CASES["xy"]))
@@ -372,7 +361,7 @@ def run_retarget_obstacle(cfg: dict) -> dict:
     region = ObstacleRegion(**{k: float(v) for k, v in obs_cfg.items()})
     pi_r_cfg = cfg.get("pi_robot", {"type": "point_attractor", "beta": 5.0,
                                     "target_deg": [-320.0, 100.0, 50.0]})
-    pi_r = _pi_from_cfg(pi_r_cfg)
+    pi_r = policy_from_config(pi_r_cfg)
     plan = RetargetPlan(constraint=learned.model,
                         task_source=AttractorSource(target=r_star, gain=1.0),
                         pi_robot=pi_r, demonstrator=arm)
@@ -416,7 +405,7 @@ def run_retarget_obstacle(cfg: dict) -> dict:
 def run_retarget_embodiment(cfg: dict) -> dict:
     """Replay the learned task on an arm with a different kinematic structure."""
     arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = _pi_from_cfg(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
+    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
     train, learned = _learn_xy_constraint(cfg, arm, pi)
     demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
                                                     diagonal_selection(THREE_LINK_CASES["xy"]))
@@ -424,7 +413,7 @@ def run_retarget_embodiment(cfg: dict) -> dict:
     imitator = PlanarArm(tuple(imit_cfg.get("links_m",
                                             [0.10, 0.05, 0.05, 0.05, 0.05, 0.05, 0.10])))
     q0_imit = np.deg2rad(imit_cfg.get("start_deg", [0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
-    pi_r = _pi_from_cfg(imit_cfg.get("pi_robot", {
+    pi_r = policy_from_config(imit_cfg.get("pi_robot", {
         "type": "point_attractor", "beta": 1.0, "target_deg": [-10.0] * imitator.n}))
     plan = RetargetPlan(constraint=learned.model,
                         task_source=AttractorSource(target=r_star, gain=1.0),
@@ -432,8 +421,8 @@ def run_retarget_embodiment(cfg: dict) -> dict:
                         row_correspondence=tuple(imit_cfg.get("row_correspondence", (0, 1, 2))))
     imitated = reproduce_trajectory(plan, q0_imit, dt, duration)
 
-    demo_xy = np.stack([forward_kinematics(arm, q).as_array()[:2] for q in demo.x])
-    imit_xy = np.stack([forward_kinematics(imitator, q).as_array()[:2] for q in imitated.x])
+    demo_xy = end_pose(arm, demo.x)[:, :2]
+    imit_xy = end_pose(imitator, imitated.x)[:, :2]
     steps = min(len(demo_xy), len(imit_xy))
     rmse = float(np.sqrt(np.mean(np.sum((demo_xy[:steps] - imit_xy[:steps]) ** 2, axis=1))))
 

@@ -4,8 +4,9 @@ Input is the common pose-estimator layout: one JSON object per frame with a
 ``people`` list, each person carrying a flat ``pose_keypoints_2d`` array of
 (x, y, confidence) triples in the 25-point body format. Optional
 ``hand_right_keypoints_2d`` / ``hand_left_keypoints_2d`` blocks supply a
-hand point (middle-finger knuckle) so the wrist angle can be measured; when
-the hand block is missing the wrist angle is reported as zero.
+hand point (middle-finger knuckle) so the wrist angle can be measured. A
+recording with no confident hand in any frame reports the wrist angle as
+zero; in a recording that has one, frames without it are dropped.
 
 Only the sagittal plane is modelled. The shoulder, elbow and wrist angles of
 the configured side are extracted per frame:
@@ -156,21 +157,25 @@ def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 
     """Per-frame (shoulder, elbow, wrist) angles in radians.
 
     Frames with any required point under the confidence floor are dropped.
-    Returns (angles, kept_indices); angles has one row per kept frame. At
-    least two frames must survive, otherwise velocities cannot be formed.
+    The hand is required as soon as one frame has it: a zero wrist amid
+    measured ones would invent wrist velocities. A recording with no
+    confident hand anywhere gets a zero wrist throughout. Returns
+    (angles, kept_indices); angles has one row per kept frame. At least two
+    frames must survive, otherwise velocities cannot be formed.
     """
+    need_hand = any(f is not None and f.valid(confidence_floor, need_hand=True)
+                    for f in rec.frames)
     angles = []
     kept = []
     for i, frame in enumerate(rec.frames):
-        if frame is None or not frame.valid(confidence_floor):
+        if frame is None or not frame.valid(confidence_floor, need_hand):
             continue
-        has_hand = frame.confidence("hand") >= confidence_floor
         down = _math_vec(frame.point("shoulder"), frame.point("hip"))
         upper = _math_vec(frame.point("shoulder"), frame.point("elbow"))
         fore = _math_vec(frame.point("elbow"), frame.point("wrist"))
         shoulder = _signed_angle(upper, down)
         elbow = _signed_angle(upper, fore)
-        if has_hand:
+        if need_hand:
             hand = _math_vec(frame.point("wrist"), frame.point("hand"))
             wrist = _signed_angle(fore, hand)
         else:

@@ -126,7 +126,8 @@ def policy_values(spec, X) -> np.ndarray:
     return out
 
 
-_TOY_POLICY_BUILDERS = {
+# Builders of the 2D toy priors by name, each taking its JSON form.
+TOY_POLICIES = {
     "linear": lambda cfg: LinearPolicy(L=np.asarray(cfg.get("L", [[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]]))),
     "limit_cycle": lambda cfg: LimitCyclePolicy(rho0=cfg.get("rho0", 0.75), omega=cfg.get("omega", 1.0)),
     "sinusoidal": lambda cfg: SinusoidalPolicy(),
@@ -136,8 +137,8 @@ _TOY_POLICY_BUILDERS = {
 def policy_from_config(cfg: dict):
     """Build a policy from its JSON form. Degree-valued keys end in _deg."""
     kind = cfg.get("type")
-    if kind in _TOY_POLICY_BUILDERS:
-        return _TOY_POLICY_BUILDERS[kind](cfg)
+    if kind in TOY_POLICIES:
+        return TOY_POLICIES[kind](cfg)
     if kind == "point_attractor":
         if "target_deg" in cfg:
             target = np.deg2rad(np.asarray(cfg["target_deg"], dtype=float))

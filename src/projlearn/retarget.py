@@ -126,23 +126,27 @@ class RetargetPlan:
         return null_projector(self.execution_model.A_at(x))
 
 
+def _step(plan: RetargetPlan, x: np.ndarray, step: int, rank_tol: float):
+    """The retargeted action at x and the projector it was formed with."""
+    proj = plan.projector_at(x)
+    ratio = float(proj.sigma_ratio)
+    if ratio < rank_tol:
+        raise RankCollapseError(step, ratio)
+    b = plan.task_source.rate(plan, x, step)
+    return proj.A_pinv @ b + proj.N @ np.asarray(plan.pi_robot(x), dtype=float), proj
+
+
 def retarget_step(plan: RetargetPlan, x, step: int = 0, rank_tol: float = 1e-10) -> np.ndarray:
     """One action of the retargeted controller: u = A^+ b + N pi_robot.
 
     Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
     rank_tol, the same scale-free test the data rollouts use.
     """
-    x = np.asarray(x, dtype=float)
-    proj = plan.projector_at(x)
-    ratio = float(proj.sigma_ratio)
-    if ratio < rank_tol:
-        raise RankCollapseError(step, ratio)
-    b = plan.task_source.rate(plan, x, step)
-    return proj.A_pinv @ b + proj.N @ np.asarray(plan.pi_robot(x), dtype=float)
+    return _step(plan, np.asarray(x, dtype=float), step, rank_tol)[0]
 
 
 def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> Trajectory:
-    """Euler rollout of the retargeted controller from x0."""
+    """Euler rollout of the retargeted controller from x0, one A(x) per step."""
     if dt <= 0.0 or duration <= 0.0:
         raise ValueError("dt and duration must be positive")
     steps = int(round(duration / dt))
@@ -151,10 +155,10 @@ def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> 
     U = np.empty((steps, x.size))
     B = None
     for t in range(steps):
-        u = retarget_step(plan, x, t)
+        u, proj = _step(plan, x, t, rank_tol=1e-10)
         X[t] = x
         U[t] = u
-        b = plan.execution_model.A_at(x) @ u
+        b = proj.A @ u
         if B is None:
             B = np.empty((steps, b.size))
         B[t] = b
@@ -186,56 +190,56 @@ class ObstacleRegion:
                          [self.x_max, self.y_max], [self.x_min, self.y_max]])
 
 
-def _segment_point_distance(p, q, pt) -> float:
+def _dot(a, b):
+    # matmul of (1, 2) by (2, 1) takes the same dot kernel as a scalar
+    # v @ v or np.linalg.norm, so every sum below rounds like the loop form.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _point_distance(p, q, pt):
+    """Distance from points pt to segments p-q, all (..., 2) and broadcast."""
     d = q - p
-    denom = float(d @ d)
-    t = 0.0 if denom == 0.0 else float(np.clip((pt - p) @ d / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p + t * d - pt))
+    denom = _dot(d, d)
+    num = _dot(pt - p, d)
+    t = np.clip(np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0), 0.0, 1.0)
+    r = p + t[..., None] * d - pt
+    return np.sqrt(_dot(r, r))
 
 
-def _segments_intersect(p1, q1, p2, q2) -> bool:
-    def orient(a, b, c):
-        val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(val) < 1e-15 else (1 if val > 0 else -1)
-
-    def on_segment(a, b, c):
-        return (min(a[0], b[0]) - 1e-15 <= c[0] <= max(a[0], b[0]) + 1e-15 and
-                min(a[1], b[1]) - 1e-15 <= c[1] <= max(a[1], b[1]) + 1e-15)
-
-    o1, o2 = orient(p1, q1, p2), orient(p1, q1, q2)
-    o3, o4 = orient(p2, q2, p1), orient(p2, q2, q1)
-    if o1 != o2 and o3 != o4:
-        return True
-    if o1 == 0 and on_segment(p1, q1, p2):
-        return True
-    if o2 == 0 and on_segment(p1, q1, q2):
-        return True
-    if o3 == 0 and on_segment(p2, q2, p1):
-        return True
-    return bool(o4 == 0 and on_segment(p2, q2, q1))
+def _orient(a, b, c):
+    val = (b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1]) - \
+        (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0])
+    return np.where(np.abs(val) < 1e-15, 0.0, np.sign(val))
 
 
-def _segment_segment_distance(p1, q1, p2, q2) -> float:
-    if _segments_intersect(p1, q1, p2, q2):
-        return 0.0
-    return min(_segment_point_distance(p1, q1, p2), _segment_point_distance(p1, q1, q2),
-               _segment_point_distance(p2, q2, p1), _segment_point_distance(p2, q2, q1))
+def _on_segment(a, b, c):
+    lo = np.minimum(a, b) - 1e-15
+    hi = np.maximum(a, b) + 1e-15
+    return np.all((lo <= c) & (c <= hi), axis=-1)
 
 
-def segment_rect_distance(p, q, region: ObstacleRegion) -> float:
-    """Distance from a segment to a rectangle; zero when they touch or overlap."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if region.contains(p) or region.contains(q):
-        return 0.0
-    corners = region.corners
-    dist = np.inf
-    for i in range(4):
-        a, b = corners[i], corners[(i + 1) % 4]
-        dist = min(dist, _segment_segment_distance(p, q, a, b))
-        if dist == 0.0:
-            break
-    return float(dist)
+def segment_rect_distance(p, q, region: ObstacleRegion):
+    """Distance from segments p-q to a rectangle; zero when they touch or overlap.
+
+    One segment (2,) gives a float, stacks (..., 2) give an array (...). An
+    endpoint inside, or a crossing of any edge (orientation test with 1e-15
+    tolerances), gives zero; otherwise the smallest endpoint-to-segment
+    distance over the four edges.
+    """
+    p = np.asarray(p, dtype=float)[..., None, :]
+    q = np.asarray(q, dtype=float)[..., None, :]
+    a = region.corners
+    b = np.roll(a, -1, axis=0)
+    o1, o2, o3, o4 = _orient(p, q, a), _orient(p, q, b), _orient(a, b, p), _orient(a, b, q)
+    # Corners 0 and 2 are the low and high ones: the last line tests containment.
+    touch = ((o1 != o2) & (o3 != o4)) | \
+        ((o1 == 0) & _on_segment(p, q, a)) | ((o2 == 0) & _on_segment(p, q, b)) | \
+        ((o3 == 0) & _on_segment(a, b, p)) | ((o4 == 0) & _on_segment(a, b, q)) | \
+        np.all((a[0] <= p) & (p <= a[2]), axis=-1) | np.all((a[0] <= q) & (q <= a[2]), axis=-1)
+    apart = np.minimum(np.minimum(_point_distance(p, q, a), _point_distance(p, q, b)),
+                       np.minimum(_point_distance(a, b, p), _point_distance(a, b, q)))
+    dist = np.where(touch, 0.0, apart).min(axis=-1)
+    return float(dist) if dist.ndim == 0 else dist
 
 
 @dataclass
@@ -247,15 +251,15 @@ class ClearanceReport:
 
 def check_obstacle_clearance(traj: Trajectory, arm: PlanarArm, region: ObstacleRegion,
                              violation_tol: float = 0.0) -> ClearanceReport:
-    """Check every link segment at every timestep against a forbidden rectangle."""
-    first = None
-    min_dist = np.inf
-    for t in range(traj.n_samples):
-        pts = joint_positions(arm, traj.x[t])
-        for link in range(arm.n):
-            d = segment_rect_distance(pts[link], pts[link + 1], region)
-            min_dist = min(min_dist, d)
-            if d <= violation_tol and first is None:
-                first = (t, link)
+    """Check every link segment at every timestep against a forbidden rectangle.
+
+    A segment at distance d violates when d <= violation_tol; first_violation
+    is the first violating (step, link) in row-major order, the earliest step
+    and within it the link nearest the base.
+    """
+    pts = joint_positions(arm, traj.x)
+    d = segment_rect_distance(pts[:, :-1], pts[:, 1:], region)
+    hits = np.argwhere(d <= violation_tol)
+    first = (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
     return ClearanceReport(clear=first is None, first_violation=first,
-                           min_distance=float(min_dist))
+                           min_distance=float(d.min(initial=np.inf)))

@@ -49,6 +49,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=r"policies\[0\]"):
             validate_config(tiny_toy_cfg(policies=["cubic"]), "toy")
 
+    def test_policy_block_needs_its_type(self):
+        cfg = json.loads((CONFIG_DIR / "retarget_obstacle.json").read_text())
+        del cfg["pi_robot"]["type"]
+        with pytest.raises(ConfigError, match=r"pi_robot\.type: missing"):
+            validate_config(cfg, "retarget-obstacle")
+
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(tiny_toy_cfg(seed=True), "toy")

@@ -246,6 +246,22 @@ class TestPipeline:
         assert np.max(np.abs(ds.stack("u")[:, [0, 2]])) < 1e-9
         assert np.max(np.abs(ds.stack("x") - Q[[0, 1, 2, 3, 6, 7, 8]])) < 1e-9
 
+    def test_frame_without_hand_splits_a_recording_with_hands(self):
+        # the wrist holds 0.3 rad; reading frame 5's missing hand as a zero
+        # wrist would report wrist rates of -9 and +9 rad/s around it
+        t = np.arange(10)
+        Q = np.column_stack([np.full(10, -1.2), 0.4 + t / 6.0, np.full(10, 0.3)])
+        payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
+        del payload[5]["people"][0]["hand_right_keypoints_2d"]
+        frames = parse_keypoint_json(json.dumps(payload))
+        _, kept = keypoints_to_joint_angles(recording(frames))
+        assert kept == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+        ds, _ = recording_to_dataset(recording(frames, fps=10.0))
+        assert [traj.n_samples for traj in ds.trajectories] == [4, 3]
+        assert np.max(np.abs(ds.stack("u")[:, 1] - 10.0 / 6.0)) < 1e-9
+        assert np.max(np.abs(ds.stack("u")[:, [0, 2]])) < 1e-9
+        assert np.max(np.abs(ds.stack("x") - Q[[0, 1, 2, 3, 6, 7, 8]])) < 1e-9
+
     def test_no_two_consecutive_frames_rejected(self):
         payload = synthesize_keypoint_frames(HUMAN_ARM, np.zeros((5, 3)))
         payload[1] = payload[3] = {"people": []}

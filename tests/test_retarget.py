@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import SelectionConstraint, diagonal_selection, null_projector
-from projlearn.kinematics import PlanarArm, jacobian
+from projlearn.kinematics import PlanarArm, jacobian, joint_positions
 from projlearn.policies import PointAttractor, ZeroPolicy
 from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion,
                                 ReplaySource, RetargetPlan, check_obstacle_clearance,
@@ -182,6 +182,46 @@ class TestCrossEmbodiment:
         assert np.max(np.abs(plan.execution_model.A_at(q) @ u - traj.b[0])) < 1e-10
 
 
+class TestReplayLoop:
+    """reproduce_trajectory against a step-by-step retarget_step rollout."""
+
+    SEVEN = TestCrossEmbodiment.SEVEN
+
+    def reference(self, plan, x0, dt, steps):
+        x = np.asarray(x0, dtype=float)
+        X, U, B = [], [], []
+        for t in range(steps):
+            u = retarget_step(plan, x, t)
+            X.append(x)
+            U.append(u)
+            B.append(plan.execution_model.A_at(x) @ u)
+            x = x + dt * u
+        return np.array(X), np.array(U), np.array(B)
+
+    def check(self, plan, x0, dt=0.02, duration=1.0):
+        out = reproduce_trajectory(plan, x0, dt, duration)
+        X, U, B = self.reference(plan, x0, dt, out.n_samples)
+        assert out.n_samples == int(round(duration / dt))
+        assert np.array_equal(out.x, X)
+        assert np.array_equal(out.u, U)
+        # B[t] is A_at(x_t) @ u_t, with x_t the rollout's own state
+        assert np.array_equal(out.b, B)
+
+    def test_same_arm_replay(self):
+        traj = demo_dataset(seed=12, points=50).trajectories[0]
+        plan = RetargetPlan(constraint=true_model(), task_source=ReplaySource(traj.b),
+                            pi_robot=PointAttractor(target=np.deg2rad([40.0, 0.0, -30.0])),
+                            demonstrator=ARM)
+        self.check(plan, traj.x[0])
+
+    def test_imitator_attractor(self):
+        plan = RetargetPlan(constraint=true_model(),
+                            task_source=AttractorSource(target=np.array([-0.09, 0.04, 0.0])),
+                            pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
+                            demonstrator=ARM, imitator=self.SEVEN)
+        self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
+
+
 class TestAttractorSource:
     def test_zero_rate_at_target(self):
         from projlearn.kinematics import forward_kinematics
@@ -270,3 +310,169 @@ class TestClearanceReport:
         assert report.clear and report.first_violation is None
         # tip sits at (0, 0.3); nearest rectangle corner is (1, 1)
         assert report.min_distance == pytest.approx(float(np.hypot(1.0, 0.7)), rel=1e-6)
+
+
+# --- scalar reference for the batched clearance kernel --------------------------------
+# The loop form the batched segment_rect_distance / check_obstacle_clearance
+# replaced. The fast path must match it exactly, not to a tolerance.
+
+def ref_segment_point_distance(p, q, pt) -> float:
+    d = q - p
+    denom = float(d @ d)
+    t = 0.0 if denom == 0.0 else float(np.clip((pt - p) @ d / denom, 0.0, 1.0))
+    return float(np.linalg.norm(p + t * d - pt))
+
+
+def ref_segments_intersect(p1, q1, p2, q2) -> bool:
+    def orient(a, b, c):
+        val = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(val) < 1e-15 else (1 if val > 0 else -1)
+
+    def on_segment(a, b, c):
+        return (min(a[0], b[0]) - 1e-15 <= c[0] <= max(a[0], b[0]) + 1e-15 and
+                min(a[1], b[1]) - 1e-15 <= c[1] <= max(a[1], b[1]) + 1e-15)
+
+    o1, o2 = orient(p1, q1, p2), orient(p1, q1, q2)
+    o3, o4 = orient(p2, q2, p1), orient(p2, q2, q1)
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_segment(p1, q1, p2):
+        return True
+    if o2 == 0 and on_segment(p1, q1, q2):
+        return True
+    if o3 == 0 and on_segment(p2, q2, p1):
+        return True
+    return bool(o4 == 0 and on_segment(p2, q2, q1))
+
+
+def ref_segment_segment_distance(p1, q1, p2, q2) -> float:
+    if ref_segments_intersect(p1, q1, p2, q2):
+        return 0.0
+    return min(ref_segment_point_distance(p1, q1, p2), ref_segment_point_distance(p1, q1, q2),
+               ref_segment_point_distance(p2, q2, p1), ref_segment_point_distance(p2, q2, q1))
+
+
+def ref_segment_rect_distance(p, q, region) -> float:
+    p = np.asarray(p, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if region.contains(p) or region.contains(q):
+        return 0.0
+    corners = region.corners
+    dist = np.inf
+    for i in range(4):
+        a, b = corners[i], corners[(i + 1) % 4]
+        dist = min(dist, ref_segment_segment_distance(p, q, a, b))
+        if dist == 0.0:
+            break
+    return float(dist)
+
+
+def ref_check_obstacle_clearance(traj, arm, region, violation_tol=0.0):
+    first = None
+    min_dist = np.inf
+    for t in range(traj.n_samples):
+        pts = joint_positions(arm, traj.x[t])
+        for link in range(arm.n):
+            d = ref_segment_rect_distance(pts[link], pts[link + 1], region)
+            min_dist = min(min_dist, d)
+            if d <= violation_tol and first is None:
+                first = (t, link)
+    return ClearanceReport(clear=first is None, first_violation=first,
+                           min_distance=float(min_dist))
+
+
+class TestBatchedClearanceMatchesReference:
+    region = ObstacleRegion(x_min=-0.5, x_max=0.5, y_min=1.0, y_max=2.0)
+
+    def special_segments(self):
+        r = self.region
+        c = r.corners
+        segs = [
+            (c[0], c[0]), (c[2], c[2]),                        # degenerate, on a corner
+            (np.array([3.0, 0.0]), np.array([3.0, 0.0])),      # degenerate, outside
+            (np.array([0.0, 1.5]), np.array([0.0, 1.5])),      # degenerate, inside
+            (np.array([-2.0, 1.0]), np.array([-1.0, 1.0])),    # collinear with bottom edge, apart
+            (np.array([-2.0, 1.0]), np.array([-0.5, 1.0])),    # collinear, reaching a corner
+            (np.array([-1.0, 1.0]), np.array([1.0, 1.0])),     # collinear, covering the edge
+            (np.array([0.5, -1.0]), np.array([0.5, 0.5])),     # collinear with right edge, apart
+            (np.array([-1.0, 0.5]), np.array([0.0, 1.0])),     # endpoint on an edge
+            (np.array([0.5, 2.5]), np.array([0.5, 3.5])),      # endpoint beyond a corner
+            (np.array([-1.0, 0.5]), np.array([0.0, 1.5])),     # crosses into the interior
+            (np.array([-1.0, 1.5]), np.array([-0.5, 2.0])),    # touches the top-left corner
+            (np.array([-1.0, 2.5]), np.array([0.0, 1.5])),     # cuts the top-left corner
+            (np.array([1.0, 0.5]), np.array([-0.5, 1.0 - 1e-16])),  # grazes a corner within 1e-15
+            (np.array([-0.25, 1.25]), np.array([0.25, 1.75])),  # fully inside
+            (np.array([-2.0, 3.0]), np.array([2.0, 3.0])),     # parallel above
+        ]
+        return segs
+
+    def random_segments(self, n=400, seed=21):
+        rng = np.random.default_rng(seed)
+        P = rng.uniform(-2.0, 2.0, size=(n, 2)) + np.array([0.0, 1.5])
+        Q = P + rng.normal(0.0, 0.8, size=(n, 2))
+        return list(zip(P, Q))
+
+    def test_single_segments_match_exactly(self):
+        for p, q in self.special_segments() + self.random_segments():
+            fast = segment_rect_distance(p, q, self.region)
+            assert isinstance(fast, float)
+            assert fast == ref_segment_rect_distance(p, q, self.region), (p, q)
+
+    def test_stacked_segments_match_exactly(self):
+        segs = self.special_segments() + self.random_segments(seed=22)
+        P = np.array([s[0] for s in segs])
+        Q = np.array([s[1] for s in segs])
+        d = segment_rect_distance(P, Q, self.region)
+        assert d.shape == (len(segs),)
+        assert np.array_equal(d, [ref_segment_rect_distance(p, q, self.region) for p, q in segs])
+        d2 = segment_rect_distance(P.reshape(-1, 4, 2)[:4], Q.reshape(-1, 4, 2)[:4], self.region)
+        assert np.array_equal(d2, d[:16].reshape(4, 4))
+
+    def test_tolerance_boundaries_match_exactly(self):
+        # Points exactly 1e-15 off an edge line or beyond an edge end: the
+        # orientation and on-segment tests sit on their tolerance here.
+        region = ObstacleRegion(x_min=0.0, x_max=1.0, y_min=-1.0, y_max=0.0)
+        segs = [(np.array([0.5, 1e-15]), np.array([0.5, 1.0])),
+                (np.array([-1e-15, 0.0]), np.array([-1e-15, 1.0])),
+                (np.array([1.0 + 1e-15, 0.0]), np.array([1.0 + 1e-15, 1.0]))]
+        d = [segment_rect_distance(p, q, region) for p, q in segs]
+        assert d == [ref_segment_rect_distance(p, q, region) for p, q in segs]
+        assert d == [1e-15, 0.0, 0.0]
+
+    def test_special_cases_cover_touch_and_apart(self):
+        d = [segment_rect_distance(p, q, self.region) for p, q in self.special_segments()]
+        assert sum(x == 0.0 for x in d) >= 8
+        assert sum(x > 0.0 for x in d) >= 4
+
+    @pytest.mark.parametrize("tol", [0.0, 0.02])
+    def test_arm_trajectories_match_exactly(self, tol):
+        rng = np.random.default_rng(23)
+        regions = [ObstacleRegion(x_min=-0.085, x_max=-0.055, y_min=0.085, y_max=0.115),
+                   ObstacleRegion(x_min=0.05, x_max=0.12, y_min=-0.03, y_max=0.04),
+                   ObstacleRegion(x_min=-0.3, x_max=0.3, y_min=0.25, y_max=0.4)]
+        seven = PlanarArm((0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.1))
+        outcomes = set()
+        for arm in (ARM, seven):
+            for _ in range(5):
+                steps = int(rng.integers(1, 60))
+                q0 = rng.uniform(-np.pi, np.pi, size=arm.n)
+                X = q0 + np.cumsum(rng.normal(0.0, 0.05, size=(steps, arm.n)), axis=0)
+                traj = Trajectory(dt=0.02, x=X, u=np.zeros_like(X))
+                for region in regions:
+                    fast = check_obstacle_clearance(traj, arm, region, violation_tol=tol)
+                    ref = ref_check_obstacle_clearance(traj, arm, region, violation_tol=tol)
+                    assert fast == ref
+                    outcomes.add(fast.clear)
+        assert outcomes == {True, False}
+
+    def test_demonstration_matches_exactly(self):
+        region = ObstacleRegion(x_min=-0.085, x_max=-0.055, y_min=0.085, y_max=0.115)
+        traj = demo_dataset(seed=24, points=200).trajectories[0]
+        for tol in (0.0, 0.01):
+            assert check_obstacle_clearance(traj, ARM, region, tol) == \
+                ref_check_obstacle_clearance(traj, ARM, region, tol)
+
+    def test_empty_trajectory_is_clear(self):
+        traj = Trajectory(dt=0.1, x=np.zeros((0, 3)), u=np.zeros((0, 3)))
+        report = check_obstacle_clearance(traj, ARM, self.region)
+        assert report == ClearanceReport(clear=True, first_violation=None, min_distance=np.inf)

@@ -1,16 +1,21 @@
 """Experiment protocols: everything the CLI runs lives here as plain functions.
 
-Each runner takes a config dict (already validated by the CLI layer, but
-they apply the same defaults themselves so tests can call them directly)
-and returns a report dict plus per-trial rows. All randomness derives from
-(master seed, case index, trial index, stream), so results are reproducible
-sample for sample no matter how trials are scheduled.
+Each runner takes a config dict and first passes it through `resolve`, which
+checks it against the experiment's schema below and fills in every default,
+so the CLI and tests calling a runner directly with a partial dict get the
+same run. The runner returns a report dict, which echoes the config as
+given, plus per-trial rows. All randomness derives from (master seed, case
+index, trial index, stream), so results are reproducible sample for sample
+no matter how trials are scheduled.
 """
 
+import copy
 import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +38,287 @@ THREE_LINK_CASES = {
     "xy": (1, 1, 0), "xtheta": (1, 0, 1), "ytheta": (0, 1, 1),
 }
 
-THREE_LINK_DEFAULTS = {
-    "links_m": [0.1, 0.1, 0.1],
-    "dt": 0.02,
-    "n_trajectories": 100,
-    "points_per_traj": 50,
-    "pi": {"type": "point_attractor", "beta": 1.0, "target_deg": [10.0, -10.0, 10.0]},
-    "target_ranges": {"x_range": [-0.01, 0.01], "y_range": [0.0, 0.02],
-                      "theta_range_deg": [0.0, 180.0]},
+
+# --- config schema -----------------------------------------------------------------
+
+class ConfigError(Exception):
+    pass
+
+
+REQUIRED = object()  # default of a key that must be present
+OPTIONAL = object()  # default of a key that may be absent and is not filled in
+
+
+@dataclass(frozen=True)
+class Key:
+    """One config key: its type, default and the values it may take.
+
+    `type` names an entry of _TYPES. A list checks each entry against
+    `item`; an object checks its keys against `table`. A default is filled
+    in, and checked like a given value, when the key is absent.
+    """
+
+    type: str
+    default: object = OPTIONAL
+    lo: float | None = None
+    hi: float | None = None
+    choices: tuple | None = None
+    length: int | None = None
+    nonempty: bool = False
+    item: "Key | None" = None
+    table: dict | None = None
+
+
+_TYPES = {
+    "int": ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "paths": ("a path or a non-empty list of paths",
+              lambda v: isinstance(v, str) or (isinstance(v, list) and v != []
+                                               and all(isinstance(p, str) for p in v))),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
 }
 
+
+class Schema(NamedTuple):
+    table: dict   # key -> Key
+    checks: tuple  # functions of the resolved config that raise ConfigError
+
+
+def _fail(path, msg):
+    raise ConfigError(f"{path}: {msg}")
+
+
+def _resolve_value(spec: Key, value, path: str):
+    desc, is_type = _TYPES[spec.type]
+    if not is_type(value):
+        _fail(path, f"expected {desc}, got {type(value).__name__}")
+    if spec.choices is not None and value not in spec.choices:
+        _fail(path, f"must be one of {list(spec.choices)}, got {value!r}")
+    if spec.lo is not None and value < spec.lo:
+        _fail(path, f"must be >= {spec.lo}, got {value}")
+    if spec.hi is not None and value > spec.hi:
+        _fail(path, f"must be <= {spec.hi}, got {value}")
+    if spec.length is not None and len(value) != spec.length:
+        _fail(path, f"expected {spec.length} entries, got {len(value)}")
+    if spec.nonempty and not value:
+        _fail(path, "must not be empty")
+    if spec.item is not None:
+        for i, entry in enumerate(value):
+            _resolve_value(spec.item, entry, f"{path}[{i}]")
+    if spec.table is not None:
+        return _resolve_table(value, spec.table, f"{path}.")
+    return value
+
+
+def _resolve_table(obj: dict, table: dict, prefix: str) -> dict:
+    for key in obj:
+        if key not in table:
+            _fail(f"{prefix}{key}", "unknown key")
+    out = dict(obj)  # keeps the given key order; defaults go after it
+    for key, spec in table.items():
+        if key in obj:
+            out[key] = _resolve_value(spec, obj[key], f"{prefix}{key}")
+        elif spec.default is REQUIRED:
+            _fail(f"{prefix}{key}", "missing required key")
+        elif spec.default is not OPTIONAL:
+            out[key] = _resolve_value(spec, copy.deepcopy(spec.default), f"{prefix}{key}")
+    return out
+
+
+def resolve(cfg: dict, experiment: str) -> dict:
+    """Check `cfg` against the experiment's schema and fill in every default.
+
+    Raises ConfigError naming the offending key path. Returns a new dict;
+    every value present in `cfg` passes through unchanged.
+    """
+    if not isinstance(cfg, dict):
+        _fail("(root)", f"expected a JSON object, got {type(cfg).__name__}")
+    if "experiment" in cfg and cfg["experiment"] != experiment:
+        _fail("experiment", f"config names {cfg['experiment']!r} but the "
+              f"{experiment!r} command was invoked")
+    schema = SCHEMAS[experiment]
+    out = _resolve_table(cfg, schema.table, "")
+    for check in schema.checks:
+        check(out)
+    return out
+
+
+def _ordered_ranges(cfg):
+    for key, (low, high) in cfg["target_ranges"].items():
+        if low > high:
+            _fail(f"target_ranges.{key}", f"low end {low} is above high end {high}")
+
+
+def _obstacle_bounds(cfg):
+    obs = cfg["obstacle"]
+    if obs["x_min"] >= obs["x_max"] or obs["y_min"] >= obs["y_max"]:
+        _fail("obstacle", "min bounds must be strictly below max bounds")
+
+
+def _imitator_joints(cfg):
+    imit = cfg["imitator"]
+    n = len(imit["links_m"])
+    for path, value in (("imitator.start_deg", imit["start_deg"]),
+                        ("imitator.pi_robot.target_deg", imit["pi_robot"]["target_deg"])):
+        if len(value) != n:
+            _fail(path, f"expected {n} entries, one per imitator.links_m entry, "
+                  f"got {len(value)}")
+    if len(set(imit["row_correspondence"])) != len(imit["row_correspondence"]):
+        _fail("imitator.row_correspondence", "row indices must be distinct")
+
+
+POSITIVE = 1e-9  # lower bound of quantities that must be strictly positive
+
+
+def _vector(default, length=None, lo=None):
+    return Key("list", default, item=Key("number", lo=lo), length=length)
+
+
+def _attractor(default, target_key="target_deg", length=3):
+    return Key("object", default, table={
+        "type": Key("string", REQUIRED, choices=("point_attractor",)),
+        "beta": Key("number", 1.0, lo=0.0),
+        target_key: _vector(REQUIRED, length),
+    })
+
+
+OPTIMIZER = {
+    "restarts": Key("int", OptimizerConfig.restarts, lo=1),
+    "max_iters": Key("int", OptimizerConfig.max_iters, lo=1),
+    "objective_tol": Key("number", OptimizerConfig.objective_tol, lo=0.0),
+    "param_tol": Key("number", OptimizerConfig.param_tol, lo=0.0),
+}
+
+# Thresholds check_acceptance applies; each experiment accepts the ones it reports.
+ACCEPTANCE = {
+    "max_mean_e_w": Key("number", lo=0.0),
+    "max_mean_e_n": Key("number", lo=0.0),
+    "max_final_task_error": Key("number", lo=0.0),
+    "max_trace_rmse": Key("number", lo=0.0),
+    "max_e_n": Key("number", lo=0.0),
+    "require_retargeted_clear": Key("bool"),
+    "require_direct_violation": Key("bool"),
+}
+
+
+def _schema(keys: dict, acceptance: tuple, checks=(), trials=OPTIONAL) -> Schema:
+    table = {
+        "experiment": Key("string"),
+        "seed": Key("int", 0, lo=0),
+        "trials": Key("int", trials, lo=1),
+        "workers": Key("int", lo=1),
+        "optimizer": Key("object", {}, table=OPTIMIZER),
+        "acceptance": Key("object", table={k: ACCEPTANCE[k] for k in acceptance}),
+        "out": Key("string"),
+    }
+    table.update(keys)
+    return Schema(table, tuple(checks))
+
+
+TOY_KEYS = {
+    "n_train": Key("int", 150, lo=1),
+    "n_test": Key("int", 150, lo=1),
+}
+
+# The demonstrator is the planar 3-link arm: its dataset starts are drawn in 3 joints.
+ARM_KEYS = {
+    "links_m": _vector([0.1, 0.1, 0.1], 3, lo=1e-12),
+    "dt": Key("number", 0.02, lo=POSITIVE),
+    "pi": _attractor({"type": "point_attractor", "beta": 1.0,
+                      "target_deg": [10.0, -10.0, 10.0]}),
+    "target_ranges": Key("object", {"x_range": [-0.01, 0.01], "y_range": [0.0, 0.02],
+                                    "theta_range_deg": [0.0, 180.0]},
+                         table={k: _vector(REQUIRED, 2)
+                                for k in ("x_range", "y_range", "theta_range_deg")}),
+}
+
+DEMO_KEYS = {
+    "train_trajectories": Key("int", 10, lo=1),
+    "points_per_traj": Key("int", 50, lo=2),
+    "demo_start_deg": _vector([8.67, 94.18, -2.32], 3),
+    "demo_target": _vector([-0.0912, 0.0389, 0.0], 3),
+    "demo_duration_s": Key("number", 4.0, lo=POSITIVE),
+}
+
+TRIAL_ACCEPTANCE = ("max_mean_e_w", "max_mean_e_n")
+
+SCHEMAS = {
+    "toy": _schema({
+        "policies": Key("list", list(TOY_POLICIES), nonempty=True,
+                        item=Key("string", choices=tuple(TOY_POLICIES))),
+        "noise": Key("object", table={
+            "epsilon": Key("number", REQUIRED, lo=0.0),
+            "target": Key("string", "actions", choices=("actions", "prior_policy")),
+        }),
+        **TOY_KEYS,
+    }, TRIAL_ACCEPTANCE, trials=50),
+    "sweep": _schema({
+        "policy": Key("string", "limit_cycle", choices=tuple(TOY_POLICIES)),
+        "axes": Key("object", REQUIRED, nonempty=True, table={
+            "data_size": Key("list", nonempty=True, item=Key("int", lo=2)),
+            "u_noise": Key("list", nonempty=True, item=Key("number", lo=0.0)),
+            "pi_noise": Key("list", nonempty=True, item=Key("number", lo=0.0)),
+        }),
+        **TOY_KEYS,
+    }, TRIAL_ACCEPTANCE, trials=50),
+    "three-link": _schema({
+        "cases": Key("list", list(THREE_LINK_CASES), nonempty=True,
+                     item=Key("string", choices=tuple(THREE_LINK_CASES))),
+        "n_trajectories": Key("int", 100, lo=2),
+        "points_per_traj": Key("int", 50, lo=2),
+        **ARM_KEYS,
+    }, TRIAL_ACCEPTANCE, [_ordered_ranges], trials=10),
+    "compare-baseline": _schema({
+        "case": Key("string", "xy", choices=tuple(THREE_LINK_CASES)),
+        "train_trajectories": Key("int", 1, lo=1),
+        "train_duration_s": Key("number", 2.0, lo=POSITIVE),
+        "gt_start_deg": _vector([90.0, 45.0, -20.0], 3),
+        "gt_target": _vector([0.15, 0.1, 0.7853981633974483], 3),
+        "task_gain": Key("number", 3.0, lo=POSITIVE),
+        "gt_duration_s": Key("number", 4.0, lo=POSITIVE),
+        **ARM_KEYS,
+    }, ("max_final_task_error",), [_ordered_ranges]),
+    "retarget-obstacle": _schema({
+        **ARM_KEYS, **DEMO_KEYS,
+        "obstacle": Key("object", {"x_min": -0.085, "x_max": -0.055,
+                                   "y_min": 0.085, "y_max": 0.115},
+                        table={k: Key("number", REQUIRED)
+                               for k in ("x_min", "x_max", "y_min", "y_max")}),
+        "pi_robot": _attractor({"type": "point_attractor", "beta": 5.0,
+                                "target_deg": [-320.0, 100.0, 50.0]}),
+    }, ("require_retargeted_clear", "require_direct_violation"),
+        [_ordered_ranges, _obstacle_bounds]),
+    "retarget-embodiment": _schema({
+        **ARM_KEYS, **DEMO_KEYS,
+        "imitator": Key("object", {}, table={
+            "links_m": Key("list", [0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.1], nonempty=True,
+                           item=Key("number", lo=1e-12)),
+            "start_deg": _vector([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]),
+            "pi_robot": _attractor({"type": "point_attractor", "beta": 1.0,
+                                    "target_deg": [-10.0] * 7}, length=None),
+            # One imitator Jacobian row per learned feature row (x, y, theta).
+            "row_correspondence": Key("list", [0, 1, 2], length=3,
+                                      item=Key("int", lo=0, hi=2)),
+        }),
+    }, ("max_trace_rmse",), [_ordered_ranges, _imitator_joints]),
+    "ingest-learn": _schema({
+        "inputs": Key("paths", REQUIRED),
+        "side": Key("string", "right", choices=("left", "right")),
+        "fps": Key("number", 30.0, lo=POSITIVE),
+        "scale": Key("number", 300.0, lo=POSITIVE),
+        "confidence_floor": Key("number", 0.3, lo=0.0, hi=1.0),
+        # The human arm has 3 joints; k = 3 would leave no null space to score.
+        "k": Key("int", 2, lo=1, hi=2),
+        "pi": _attractor({"type": "point_attractor", "beta": 1.0,
+                          "target_deg_human": [-90.0, 90.0, 0.0]}, "target_deg_human"),
+    }, ("max_e_n",)),
+}
+
+
+# --- shared helpers ------------------------------------------------------------------
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
@@ -50,17 +326,12 @@ def config_hash(cfg: dict) -> str:
 
 
 def _opt_config(cfg: dict, seed) -> OptimizerConfig:
-    oc = cfg.get("optimizer", {})
-    return OptimizerConfig(restarts=oc.get("restarts", 20),
-                           max_iters=oc.get("max_iters", 5000),
-                           objective_tol=oc.get("objective_tol", 1e-14),
-                           param_tol=oc.get("param_tol", 1e-12),
-                           seed=seed)
+    return OptimizerConfig(**cfg["optimizer"], seed=seed)
 
 
 def _workers(cfg: dict) -> int:
     if "workers" in cfg:
-        return max(1, int(cfg["workers"]))
+        return cfg["workers"]
     return max(1, int(os.environ.get("PROJLEARN_WORKERS", "1")))
 
 
@@ -71,13 +342,14 @@ def _map_trials(task, arg_list, workers: int):
         return list(pool.map(task, arg_list))
 
 
-def _base_report(name: str, cfg: dict) -> dict:
+def _base_report(name: str, raw: dict, cfg: dict) -> dict:
+    """Report header; it echoes and hashes the config as given, not as resolved."""
     return {
         "experiment": name,
         "version": __version__,
-        "config_hash": config_hash(cfg),
-        "master_seed": int(cfg.get("seed", 0)),
-        "config": cfg,
+        "config_hash": config_hash(raw),
+        "master_seed": cfg["seed"],
+        "config": raw,
     }
 
 
@@ -85,16 +357,13 @@ def _base_report(name: str, cfg: dict) -> dict:
 
 def _toy_trial(args):
     cfg, policy_name, case_index, trial = args
-    seed = int(cfg.get("seed", 0))
-    n_train = cfg.get("n_train", 150)
-    n_test = cfg.get("n_test", 150)
+    seed, n_train = cfg["seed"], cfg["n_train"]
     policy = policy_from_config({"type": policy_name})
-    ds = generate_toy_dataset(n_train + n_test, (seed, case_index, trial, 0), policy)
+    ds = generate_toy_dataset(n_train + cfg["n_test"], (seed, case_index, trial, 0), policy)
     train, test = split_dataset(ds, n_train)
-    noise_cfg = cfg.get("noise")
-    if noise_cfg and noise_cfg.get("epsilon", 0.0) > 0.0:
-        spec = NoiseSpec(epsilon=noise_cfg["epsilon"], target=noise_cfg.get("target", "actions"))
-        train = add_noise(train, spec, (seed, case_index, trial, 1))
+    noise = cfg.get("noise")
+    if noise and noise["epsilon"] > 0.0:
+        train = add_noise(train, NoiseSpec(**noise), (seed, case_index, trial, 1))
     learned = learn_constraint(train, k=1, representation="spherical",
                                opt=_opt_config(cfg, (seed, case_index, trial, 2)))
     ev = eval_learned_constraint(learned.model, test)
@@ -112,13 +381,13 @@ def _toy_trial(args):
 
 def run_toy(cfg: dict) -> dict:
     """Constraint recovery on the 2D toy system, one table row per policy."""
-    policies = cfg.get("policies", list(TOY_POLICIES))
-    trials = int(cfg.get("trials", 50))
+    raw, cfg = cfg, resolve(cfg, "toy")
+    policies = cfg["policies"]
     rows = []
     for case_index, name in enumerate(policies):
-        args = [(cfg, name, case_index, t) for t in range(trials)]
+        args = [(cfg, name, case_index, t) for t in range(cfg["trials"])]
         rows.extend(_map_trials(_toy_trial, args, _workers(cfg)))
-    report = _base_report("toy", cfg)
+    report = _base_report("toy", raw, cfg)
     report["cases"] = {
         name: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == name),
                "e_n": summarize(r["e_n"] for r in rows if r["case"] == name)}
@@ -130,26 +399,22 @@ def run_toy(cfg: dict) -> dict:
 
 def run_sweep(cfg: dict) -> dict:
     """Toy-system robustness sweeps: training-set size, action noise, prior noise."""
-    policy = cfg.get("policy", "limit_cycle")
-    trials = int(cfg.get("trials", 50))
-    axes = cfg.get("axes", {})
+    raw, cfg = cfg, resolve(cfg, "sweep")
+    policy = cfg["policy"]
     rows = []
     aggregates = []
     case_index = 0
-    for axis, values in axes.items():
-        if axis not in ("data_size", "u_noise", "pi_noise"):
-            raise ValueError(f"unknown sweep axis {axis!r}")
+    for axis, values in cfg["axes"].items():
         for value in values:
             point_cfg = dict(cfg)
-            point_cfg["policies"] = [policy]
             if axis == "data_size":
-                point_cfg["n_train"] = int(value)
+                point_cfg["n_train"] = value
             else:
                 point_cfg["noise"] = {
                     "epsilon": float(value),
                     "target": "actions" if axis == "u_noise" else "prior_policy",
                 }
-            args = [(point_cfg, policy, case_index, t) for t in range(trials)]
+            args = [(point_cfg, policy, case_index, t) for t in range(cfg["trials"])]
             point_rows = _map_trials(_toy_trial, args, _workers(cfg))
             for r in point_rows:
                 r["axis"] = axis
@@ -162,7 +427,7 @@ def run_sweep(cfg: dict) -> dict:
                 "e_n": summarize(r["e_n"] for r in point_rows),
             })
             case_index += 1
-    report = _base_report("sweep", cfg)
+    report = _base_report("sweep", raw, cfg)
     report["points"] = aggregates
     report["trial_seeds"] = [r["seed"] for r in rows]
     return {"report": report, "rows": rows}
@@ -171,9 +436,9 @@ def run_sweep(cfg: dict) -> dict:
 # --- three-link arm ----------------------------------------------------------------
 
 def _three_link_setup(cfg: dict):
-    arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
-    tr = cfg.get("target_ranges", THREE_LINK_DEFAULTS["target_ranges"])
+    arm = PlanarArm(tuple(cfg["links_m"]))
+    pi = policy_from_config(cfg["pi"])
+    tr = cfg["target_ranges"]
     target_cfg = {"x_range": tuple(tr["x_range"]), "y_range": tuple(tr["y_range"]),
                   "theta_range_deg": tuple(tr["theta_range_deg"])}
     return arm, pi, target_cfg
@@ -181,13 +446,10 @@ def _three_link_setup(cfg: dict):
 
 def _three_link_trial(args):
     cfg, case, case_index, trial = args
-    seed = int(cfg.get("seed", 0))
+    seed, n_traj = cfg["seed"], cfg["n_trajectories"]
     arm, pi, target_cfg = _three_link_setup(cfg)
     lam = diagonal_selection(THREE_LINK_CASES[case])
-    n_traj = int(cfg.get("n_trajectories", THREE_LINK_DEFAULTS["n_trajectories"]))
-    pts = int(cfg.get("points_per_traj", THREE_LINK_DEFAULTS["points_per_traj"]))
-    ds = generate_arm_dataset(arm, lam, pi, n_traj, pts,
-                              dt=cfg.get("dt", THREE_LINK_DEFAULTS["dt"]),
+    ds = generate_arm_dataset(arm, lam, pi, n_traj, cfg["points_per_traj"], dt=cfg["dt"],
                               seed=(seed, case_index, trial, 0),
                               target_cfg=target_cfg)
     train, test = split_dataset(ds, n_traj // 2)
@@ -209,15 +471,13 @@ def _three_link_trial(args):
 
 def run_three_link(cfg: dict) -> dict:
     """Selection-constraint recovery on the planar 3-link arm, per case."""
-    cases = cfg.get("cases", list(THREE_LINK_CASES))
-    trials = int(cfg.get("trials", 10))
+    raw, cfg = cfg, resolve(cfg, "three-link")
+    cases = cfg["cases"]
     rows = []
     for case_index, case in enumerate(cases):
-        if case not in THREE_LINK_CASES:
-            raise ValueError(f"unknown constraint case {case!r}")
-        args = [(cfg, case, case_index, t) for t in range(trials)]
+        args = [(cfg, case, case_index, t) for t in range(cfg["trials"])]
         rows.extend(_map_trials(_three_link_trial, args, _workers(cfg)))
-    report = _base_report("three-link", cfg)
+    report = _base_report("three-link", raw, cfg)
     report["cases"] = {
         case: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == case),
                "e_n": summarize(r["e_n"] for r in rows if r["case"] == case)}
@@ -236,22 +496,21 @@ def run_compare_baseline(cfg: dict) -> dict:
     the recorded task rates b_t = A-hat u_t from the ground-truth rollout
     and substitutes each learner's own null-space estimate.
     """
-    seed = int(cfg.get("seed", 0))
-    case = cfg.get("case", "xy")
+    raw, cfg = cfg, resolve(cfg, "compare-baseline")
+    seed, case, dt = cfg["seed"], cfg["case"], cfg["dt"]
     arm, pi, target_cfg = _three_link_setup(cfg)
     lam_true = diagonal_selection(THREE_LINK_CASES[case])
     k = lam_true.shape[0]
-    dt = cfg.get("dt", 0.02)
     rng = np.random.default_rng((seed, 0))
 
-    train = generate_arm_dataset(arm, lam_true, pi, cfg.get("train_trajectories", 1),
-                                 int(round(cfg.get("train_duration_s", 2.0) / dt)),
+    train = generate_arm_dataset(arm, lam_true, pi, cfg["train_trajectories"],
+                                 int(round(cfg["train_duration_s"] / dt)),
                                  dt=dt, seed=(seed, 1), target_cfg=target_cfg)
 
-    q0 = np.deg2rad(cfg.get("gt_start_deg", [90.0, 45.0, -20.0]))
-    target = np.asarray(cfg.get("gt_target", [0.15, 0.10, np.deg2rad(45.0)]), dtype=float)
-    gain = float(cfg.get("task_gain", 3.0))
-    duration = float(cfg.get("gt_duration_s", 4.0))
+    q0 = np.deg2rad(cfg["gt_start_deg"])
+    target = np.asarray(cfg["gt_target"], dtype=float)
+    gain = float(cfg["task_gain"])
+    duration = float(cfg["gt_duration_s"])
     truth = SelectionConstraint(lam=lam_true, feature=lambda q: jacobian(arm, q),
                                 meta={"feature": "jacobian", "links": list(arm.link_lengths)})
     gt = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=target, gain=gain),
@@ -285,7 +544,7 @@ def run_compare_baseline(cfg: dict) -> dict:
     def joint_rmse(traj):
         return float(np.sqrt(np.mean((traj.x - gt.x) ** 2)))
 
-    report = _base_report("compare-baseline", cfg)
+    report = _base_report("compare-baseline", raw, cfg)
     report["case"] = case
     report["proposed"] = {
         "final_task_error": task_error(proposed),
@@ -315,26 +574,22 @@ def run_compare_baseline(cfg: dict) -> dict:
 
 # --- retargeting scenarios -----------------------------------------------------------
 
-def _learn_xy_constraint(cfg: dict, arm: PlanarArm, pi) -> tuple:
-    """Training data and learned coefficients for the x-y constrained system."""
-    seed = int(cfg.get("seed", 0))
-    _, _, target_cfg = _three_link_setup(cfg)
+def _learn_xy_constraint(cfg: dict, arm: PlanarArm, pi, target_cfg: dict):
+    """Learned coefficients for the x-y constrained system."""
     lam = diagonal_selection(THREE_LINK_CASES["xy"])
-    train = generate_arm_dataset(arm, lam, pi, int(cfg.get("train_trajectories", 10)),
-                                 int(cfg.get("points_per_traj", 50)),
-                                 dt=cfg.get("dt", 0.02), seed=(seed, 0),
-                                 target_cfg=target_cfg)
-    learned = learn_constraint(train, k=2, representation="lambda",
-                               feature_fn=lambda q: jacobian(arm, q),
-                               opt=_opt_config(cfg, (seed, 2)))
-    return train, learned
+    train = generate_arm_dataset(arm, lam, pi, cfg["train_trajectories"],
+                                 cfg["points_per_traj"], dt=cfg["dt"],
+                                 seed=(cfg["seed"], 0), target_cfg=target_cfg)
+    return learn_constraint(train, k=2, representation="lambda",
+                            feature_fn=lambda q: jacobian(arm, q),
+                            opt=_opt_config(cfg, (cfg["seed"], 2)))
 
 
 def _demonstration(cfg: dict, arm: PlanarArm, pi, lam) -> tuple:
-    q0 = np.deg2rad(cfg.get("demo_start_deg", [8.67, 94.18, -2.32]))
-    r_star = np.asarray(cfg.get("demo_target", [-0.0912, 0.0389, 0.0]), dtype=float)
-    duration = float(cfg.get("demo_duration_s", 4.0))
-    dt = cfg.get("dt", 0.02)
+    q0 = np.deg2rad(cfg["demo_start_deg"])
+    r_star = np.asarray(cfg["demo_target"], dtype=float)
+    duration = float(cfg["demo_duration_s"])
+    dt = cfg["dt"]
     truth = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q),
                                 meta={"feature": "jacobian", "links": list(arm.link_lengths)})
     demo = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=r_star, gain=1.0),
@@ -351,17 +606,14 @@ def run_retarget_obstacle(cfg: dict) -> dict:
     the executing arm, which keeps the end-effector path on the demonstrated
     task even through the aggressive null-space transient.
     """
-    arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
-    train, learned = _learn_xy_constraint(cfg, arm, pi)
+    raw, cfg = cfg, resolve(cfg, "retarget-obstacle")
+    arm, pi, target_cfg = _three_link_setup(cfg)
+    learned = _learn_xy_constraint(cfg, arm, pi, target_cfg)
     demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
                                                     diagonal_selection(THREE_LINK_CASES["xy"]))
-    obs_cfg = cfg.get("obstacle", {"x_min": -0.085, "x_max": -0.055,
-                                   "y_min": 0.085, "y_max": 0.115})
+    obs_cfg = cfg["obstacle"]
     region = ObstacleRegion(**{k: float(v) for k, v in obs_cfg.items()})
-    pi_r_cfg = cfg.get("pi_robot", {"type": "point_attractor", "beta": 5.0,
-                                    "target_deg": [-320.0, 100.0, 50.0]})
-    pi_r = policy_from_config(pi_r_cfg)
+    pi_r = policy_from_config(cfg["pi_robot"])
     plan = RetargetPlan(constraint=learned.model,
                         task_source=AttractorSource(target=r_star, gain=1.0),
                         pi_robot=pi_r, demonstrator=arm)
@@ -374,7 +626,7 @@ def run_retarget_obstacle(cfg: dict) -> dict:
         pose = forward_kinematics(arm, traj.x[-1]).as_array()
         return float(np.linalg.norm(pose[:2] - r_star[:2]))
 
-    report = _base_report("retarget-obstacle", cfg)
+    report = _base_report("retarget-obstacle", raw, cfg)
     report["obstacle"] = obs_cfg
     report["learned_objective"] = learned.objective_value
     report["direct"] = {
@@ -390,10 +642,10 @@ def run_retarget_obstacle(cfg: dict) -> dict:
         "final_xy_error": final_xy_error(retargeted),
     }
     rows = [
-        {"trial": 0, "case": "direct", "seed": [cfg.get("seed", 0)],
+        {"trial": 0, "case": "direct", "seed": [cfg["seed"]],
          "e_w": report["direct"]["min_distance"], "e_n": report["direct"]["final_xy_error"],
          "objective": float(not direct_check.clear)},
-        {"trial": 1, "case": "retargeted", "seed": [cfg.get("seed", 0)],
+        {"trial": 1, "case": "retargeted", "seed": [cfg["seed"]],
          "e_w": report["retargeted"]["min_distance"],
          "e_n": report["retargeted"]["final_xy_error"],
          "objective": float(not retarget_check.clear)},
@@ -404,21 +656,18 @@ def run_retarget_obstacle(cfg: dict) -> dict:
 
 def run_retarget_embodiment(cfg: dict) -> dict:
     """Replay the learned task on an arm with a different kinematic structure."""
-    arm = PlanarArm(tuple(cfg.get("links_m", THREE_LINK_DEFAULTS["links_m"])))
-    pi = policy_from_config(cfg.get("pi", THREE_LINK_DEFAULTS["pi"]))
-    train, learned = _learn_xy_constraint(cfg, arm, pi)
+    raw, cfg = cfg, resolve(cfg, "retarget-embodiment")
+    arm, pi, target_cfg = _three_link_setup(cfg)
+    learned = _learn_xy_constraint(cfg, arm, pi, target_cfg)
     demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
                                                     diagonal_selection(THREE_LINK_CASES["xy"]))
-    imit_cfg = cfg.get("imitator", {})
-    imitator = PlanarArm(tuple(imit_cfg.get("links_m",
-                                            [0.10, 0.05, 0.05, 0.05, 0.05, 0.05, 0.10])))
-    q0_imit = np.deg2rad(imit_cfg.get("start_deg", [0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
-    pi_r = policy_from_config(imit_cfg.get("pi_robot", {
-        "type": "point_attractor", "beta": 1.0, "target_deg": [-10.0] * imitator.n}))
+    imit = cfg["imitator"]
+    imitator = PlanarArm(tuple(imit["links_m"]))
+    q0_imit = np.deg2rad(imit["start_deg"])
     plan = RetargetPlan(constraint=learned.model,
                         task_source=AttractorSource(target=r_star, gain=1.0),
-                        pi_robot=pi_r, demonstrator=arm, imitator=imitator,
-                        row_correspondence=tuple(imit_cfg.get("row_correspondence", (0, 1, 2))))
+                        pi_robot=policy_from_config(imit["pi_robot"]), demonstrator=arm,
+                        imitator=imitator, row_correspondence=tuple(imit["row_correspondence"]))
     imitated = reproduce_trajectory(plan, q0_imit, dt, duration)
 
     demo_xy = end_pose(arm, demo.x)[:, :2]
@@ -426,13 +675,13 @@ def run_retarget_embodiment(cfg: dict) -> dict:
     steps = min(len(demo_xy), len(imit_xy))
     rmse = float(np.sqrt(np.mean(np.sum((demo_xy[:steps] - imit_xy[:steps]) ** 2, axis=1))))
 
-    report = _base_report("retarget-embodiment", cfg)
+    report = _base_report("retarget-embodiment", raw, cfg)
     report["learned_objective"] = learned.objective_value
     report["trace_rmse"] = rmse
     report["start_offset"] = float(np.linalg.norm(demo_xy[0] - imit_xy[0]))
     report["final_xy_error_demo"] = float(np.linalg.norm(demo_xy[-1] - r_star[:2]))
     report["final_xy_error_imitator"] = float(np.linalg.norm(imit_xy[-1] - r_star[:2]))
-    rows = [{"trial": 0, "case": "embodiment", "seed": [cfg.get("seed", 0)],
+    rows = [{"trial": 0, "case": "embodiment", "seed": [cfg["seed"]],
              "e_w": rmse, "e_n": report["final_xy_error_imitator"],
              "objective": learned.objective_value}]
     return {"report": report, "rows": rows,
@@ -443,14 +692,14 @@ def run_retarget_embodiment(cfg: dict) -> dict:
 
 def run_ingest_learn(cfg: dict) -> dict:
     """Learn a constraint from pose-keypoint recordings with an ergonomic prior."""
+    raw, cfg = cfg, resolve(cfg, "ingest-learn")
     inputs = cfg["inputs"]
     if isinstance(inputs, str):
         inputs = [inputs]
-    side = cfg.get("side", "right")
-    fps = float(cfg.get("fps", 30.0))
-    scale = float(cfg.get("scale", 300.0))
-    floor = float(cfg.get("confidence_floor", 0.3))
-    k = int(cfg.get("k", 2))
+    side = cfg["side"]
+    fps = float(cfg["fps"])
+    scale = float(cfg["scale"])
+    floor = float(cfg["confidence_floor"])
 
     trajs = []
     lengths = []
@@ -461,19 +710,18 @@ def run_ingest_learn(cfg: dict) -> dict:
         lengths.append(arm_one.link_lengths)
     arm = PlanarArm(tuple(np.mean(np.array(lengths), axis=0)))
 
-    pi_cfg = cfg.get("pi", {"type": "point_attractor", "beta": 1.0,
-                            "target_deg_human": [-90.0, 90.0, 0.0]})
-    target_h = np.deg2rad(pi_cfg.get("target_deg_human", [-90.0, 90.0, 0.0]))
-    pi = PointAttractor(target=arm_angles_from_human(target_h), beta=pi_cfg.get("beta", 1.0))
+    pi_cfg = cfg["pi"]
+    target_h = np.deg2rad(pi_cfg["target_deg_human"])
+    pi = PointAttractor(target=arm_angles_from_human(target_h), beta=pi_cfg["beta"])
 
     ds = Dataset(trajectories=trajs, meta={"system": "human_arm", "noise": None,
                                            "links": list(arm.link_lengths)})
-    learned = learn_constraint(ds, prior_pi=pi, k=k, representation="lambda",
+    learned = learn_constraint(ds, prior_pi=pi, k=cfg["k"], representation="lambda",
                                feature_fn=lambda q: jacobian(arm, q),
-                               opt=_opt_config(cfg, (int(cfg.get("seed", 0)), 2)))
+                               opt=_opt_config(cfg, (cfg["seed"], 2)))
     e_n = consistency_error(learned.model, ds, prior_pi=pi)
 
-    report = _base_report("ingest-learn", cfg)
+    report = _base_report("ingest-learn", raw, cfg)
     report["n_samples"] = ds.n_samples
     report["n_trajectories"] = len(trajs)
     report["links"] = list(arm.link_lengths)
@@ -481,7 +729,7 @@ def run_ingest_learn(cfg: dict) -> dict:
     report["objective"] = learned.objective_value
     report["lam"] = np.asarray(learned.model.lam).round(12).tolist()
     report["diagnostics"] = learned.diagnostics
-    rows = [{"trial": 0, "case": "ingest", "seed": [cfg.get("seed", 0)],
+    rows = [{"trial": 0, "case": "ingest", "seed": [cfg["seed"]],
              "e_w": float("nan"), "e_n": e_n, "objective": learned.objective_value}]
     return {"report": report, "rows": rows}
 

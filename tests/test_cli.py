@@ -1,9 +1,13 @@
+import copy
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from projlearn.cli import ConfigError, main, validate_config
+from projlearn.experiments import (OPTIONAL, REQUIRED, RUNNERS, SCHEMAS, config_hash,
+                                   run_retarget_obstacle)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -58,6 +62,127 @@ class TestValidation:
     def test_bool_is_not_a_number(self):
         with pytest.raises(ConfigError, match="seed"):
             validate_config(tiny_toy_cfg(seed=True), "toy")
+
+
+# Small sizes keep each run short where a config gets past validation.
+SMALL = {
+    "toy": tiny_toy_cfg(),
+    "sweep": {"trials": 1, "n_test": 20, "optimizer": dict(TINY_OPT)},
+    "three-link": {"trials": 1, "cases": ["x"], "n_trajectories": 4, "points_per_traj": 10,
+                   "optimizer": dict(TINY_OPT)},
+    "retarget-obstacle": {"train_trajectories": 2, "points_per_traj": 20,
+                          "demo_duration_s": 0.5, "optimizer": dict(TINY_OPT)},
+    "retarget-embodiment": {"train_trajectories": 2, "points_per_traj": 20,
+                            "demo_duration_s": 0.5, "optimizer": dict(TINY_OPT)},
+    "ingest-learn": {"inputs": str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0"),
+                     "optimizer": dict(TINY_OPT)},
+}
+
+BAD_CONFIGS = [
+    ("three-link", {"links_m": [0.1, 0.1]}, "links_m"),
+    ("retarget-obstacle", {"links_m": [0.1, 0.1, 0.1, 0.1]}, "links_m"),
+    ("three-link", {"pi": {"type": "point_attractor", "target_deg": [10.0]}},
+     "pi.target_deg"),
+    ("retarget-obstacle", {"pi_robot": {"type": "point_attractor", "target_deg": [1.0, 2.0]}},
+     "pi_robot.target_deg"),
+    ("retarget-embodiment",
+     {"imitator": {"pi_robot": {"type": "point_attractor", "target_deg": [-10.0] * 3}}},
+     "imitator.pi_robot.target_deg"),
+    ("retarget-embodiment", {"imitator": {"row_correspondence": [0, 1, 5]}},
+     "imitator.row_correspondence[2]"),
+    ("retarget-embodiment", {"imitator": {"row_correspondence": [0, 1]}},
+     "imitator.row_correspondence"),
+    ("three-link", {"target_ranges": {"x_range": [0.01, -0.01], "y_range": [0.0, 0.02],
+                                      "theta_range_deg": [0.0, 180.0]}},
+     "target_ranges.x_range"),
+    ("ingest-learn", {"k": 5}, "k"),
+    ("ingest-learn", {"k": 3}, "k"),
+    ("sweep", {"axes": {"data_size": [2.7]}}, "axes.data_size[0]"),
+    ("toy", {"acceptance": {"max_e_n": 1e-40}}, "acceptance.max_e_n"),
+]
+
+
+@pytest.mark.parametrize("experiment,bad,key_path", BAD_CONFIGS,
+                         ids=[f"{e}:{p}" for e, _, p in BAD_CONFIGS])
+def test_bad_config_exits_2_with_key_path(tmp_path, capsys, experiment, bad, key_path):
+    cfg = dict(SMALL[experiment], experiment=experiment, **bad)
+    path = write_cfg(tmp_path, cfg)
+    assert main([experiment, path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {key_path}: " in err
+    assert "Traceback" not in err
+
+
+def test_report_echoes_config_as_given():
+    cfg = {"seed": 0, "train_trajectories": 2, "points_per_traj": 25, "demo_duration_s": 1.0,
+           "optimizer": {"restarts": 4, "max_iters": 600}}
+    given = copy.deepcopy(cfg)
+    report = run_retarget_obstacle(cfg)["report"]
+    assert cfg == given
+    assert report["config"] == given
+    assert report["config_hash"] == config_hash(given)
+
+
+class TestDocsMatchSchema:
+    """The key tables of docs/config.md name the schema's key paths and defaults."""
+
+    @staticmethod
+    def doc_default(cell):
+        # A cell that opens with a backticked JSON value gives that default.
+        m = re.match(r"`([^`]*)`", cell)
+        if m:
+            try:
+                return json.loads(m.group(1))
+            except json.JSONDecodeError:
+                pass
+        return REQUIRED if cell.startswith("required") else OPTIONAL
+
+    def doc_tables(self):
+        docs = {name: {} for name in RUNNERS}
+        section, header, applies = [], None, False
+        for line in (REPO / "docs" / "config.md").read_text().splitlines():
+            if line.startswith("## "):
+                name = line[3:].strip().strip("`")
+                section = [name] if name in docs else []
+            if line.startswith("Applies to:"):
+                applies = True
+                section = list(docs) if "every experiment" in line else []
+            if applies:
+                section += [n for n in re.findall(r"`([^`]+)`", line) if n in docs]
+                applies = line.strip() != ""
+            if not line.startswith("|"):
+                header = None
+                continue
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if header is None:
+                header = [c.lower() for c in cells]
+                continue
+            if set(line.strip()) <= set("|-: "):
+                continue
+            row = dict(zip(header, cells))
+            targets = (re.findall(r"`([^`]+)`", row["applies to"]) if "applies to" in row
+                       else section)
+            assert targets, f"no experiment for the table row {line!r}"
+            for name in targets:
+                docs[name][row["key"].strip("`")] = self.doc_default(row["default"])
+        return docs
+
+    @staticmethod
+    def schema_defaults(table, prefix=""):
+        out = {}
+        for key, spec in table.items():
+            out[prefix + key] = spec.default
+            if spec.table is not None:
+                out.update(TestDocsMatchSchema.schema_defaults(spec.table, f"{prefix}{key}."))
+        return out
+
+    @pytest.mark.parametrize("experiment", sorted(SCHEMAS))
+    def test_docs_list_every_key_with_its_default(self, experiment):
+        documented = self.doc_tables()[experiment]
+        schema = self.schema_defaults(SCHEMAS[experiment].table)
+        assert sorted(documented) == sorted(schema)
+        for path, default in schema.items():
+            assert documented[path] == default, path
 
 
 class TestMainExitCodes:

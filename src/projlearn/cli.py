@@ -13,7 +13,7 @@ import logging
 import sys
 from pathlib import Path
 
-from .experiments import RUNNERS, ConfigError, check_acceptance, config_hash
+from .experiments import RUNNERS, SCHEMAS, ConfigError, check_acceptance, config_hash
 from .experiments import resolve as validate_config
 from .metrics import MetricRecord
 from .simulator import save_trajectory_csv
@@ -117,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: from config, "
                                      "else results/<experiment>)")
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--trials", type=int, help="override the trial count")
+        if "trials" in SCHEMAS[name].table:  # multi-trial experiments only
+            p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--workers", type=int, help="parallel trial workers")
         p.add_argument("--gnuplot", action="store_true",
                        help="also write gnuplot scripts next to the CSVs")
@@ -177,13 +178,14 @@ def main(argv=None) -> int:
             return 0
         cfg = _apply_overrides(cfg, args)
         validate_config(cfg, args.command)
+        out_dir = Path(args.out or cfg.get("out") or f"results/{args.command}")
+        log.info("running %s (config hash %s)", args.command, config_hash(cfg))
+        # Runners raise ConfigError only on a bad PROJLEARN_WORKERS, before any trial.
+        result = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out or cfg.get("out") or f"results/{args.command}")
-    log.info("running %s (config hash %s)", args.command, config_hash(cfg))
-    result = RUNNERS[args.command](cfg)
     write_outputs(result, cfg, out_dir, args.gnuplot, args.command)
     log.info("wrote %s", out_dir / "report.json")
 

@@ -274,6 +274,32 @@ def null_space_apply(A, V) -> np.ndarray:
     return V - pinv_apply(A, np.einsum("skj,sj->sk", A, V))
 
 
+def split_action(A, B, PI):
+    """v_n = A_n^+ b_n, w_n = N_n pi_n and sigma_min/sigma_max of A_n: one rollout step.
+
+    Stacks A (S, k, n), B (S, k), PI (S, n). For k = 1 and 2 one Gram matrix
+    G = A A^T serves both solves and the ratio (1 for a nonzero row, sqrt(det
+    G) / lmax(G) for two); untrusted samples and k >= 3 take null_projector.
+    """
+    G = np.einsum("skj,slj->skl", A, A)
+    # Both right-hand sides in one call: per-call overhead dominates small stacks.
+    Z, ok = _gram_closed_form(np.concatenate([G, G]),
+                              np.concatenate([B, np.einsum("skj,sj->sk", A, PI)]))
+    AZ = np.einsum("skj,rsk->rsj", A, Z.reshape(2, len(A), -1))
+    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)]
+    ratio = ok.astype(float)
+    if A.shape[1] == 2:
+        g00, g01, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
+        lmax = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
+        ratio = np.sqrt(np.where(ok, g00 * g11 - g01 * g01, 0.0)) / np.where(ok, lmax, 1.0)
+    if not ok.all():
+        proj = null_projector(A[~ok])
+        V[~ok] = np.einsum("sjk,sk->sj", proj.A_pinv, B[~ok])
+        W[~ok] = np.einsum("sij,sj->si", proj.N, PI[~ok])
+        ratio[~ok] = proj.sigma_ratio
+    return V, W, ratio
+
+
 def feature_stack(feature, X) -> np.ndarray:
     """feature(X) for a stack of states X (S, n), checked to be (S, p, n).
 

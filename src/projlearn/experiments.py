@@ -158,6 +158,13 @@ def _obstacle_bounds(cfg):
         _fail("obstacle", "min bounds must be strictly below max bounds")
 
 
+def _inputs_exist(cfg):
+    single = isinstance(cfg["inputs"], str)
+    for i, path in enumerate([cfg["inputs"]] if single else cfg["inputs"]):
+        if not os.path.exists(path):
+            _fail("inputs" if single else f"inputs[{i}]", f"no such file or directory: {path!r}")
+
+
 def _imitator_joints(cfg):
     imit = cfg["imitator"]
     n = len(imit["links_m"])
@@ -204,11 +211,11 @@ ACCEPTANCE = {
 }
 
 
-def _schema(keys: dict, acceptance: tuple, checks=(), trials=OPTIONAL) -> Schema:
+def _schema(keys: dict, acceptance: tuple, checks=(), trials=None) -> Schema:
     table = {
         "experiment": Key("string"),
         "seed": Key("int", 0, lo=0),
-        "trials": Key("int", trials, lo=1),
+        **({} if trials is None else {"trials": Key("int", trials, lo=1)}),
         "workers": Key("int", lo=1),
         "optimizer": Key("object", {}, table=OPTIMIZER),
         "acceptance": Key("object", table={k: ACCEPTANCE[k] for k in acceptance}),
@@ -314,7 +321,7 @@ SCHEMAS = {
         "k": Key("int", 2, lo=1, hi=2),
         "pi": _attractor({"type": "point_attractor", "beta": 1.0,
                           "target_deg_human": [-90.0, 90.0, 0.0]}, "target_deg_human"),
-    }, ("max_e_n",)),
+    }, ("max_e_n",), [_inputs_exist]),
 }
 
 
@@ -332,7 +339,10 @@ def _opt_config(cfg: dict, seed) -> OptimizerConfig:
 def _workers(cfg: dict) -> int:
     if "workers" in cfg:
         return cfg["workers"]
-    return max(1, int(os.environ.get("PROJLEARN_WORKERS", "1")))
+    env = os.environ.get("PROJLEARN_WORKERS", "1")
+    if not env.strip().isdigit():
+        raise ConfigError(f"PROJLEARN_WORKERS: expected a positive integer, got {env!r}")
+    return max(1, int(env))
 
 
 def _map_trials(task, arg_list, workers: int):

@@ -14,11 +14,11 @@ for A = Lambda Phi with k = 1, and c c^T for k = p - 1, where c spans the
 complement of the rows of Lambda. The last right singular vector of the
 stacked conditions, rounded to the nearest constraint with an
 eigendecomposition, is exact on clean data and a least-squares fit on
-noisy data. One derivative-free simplex polish of the L1 score from there
-gives the answer. Lambda with 1 < k < p - 1 has no such lift and keeps a
-simplex search from screened random restarts. So do lambda learns on
-noisy data: the lambda lifts weight samples unevenly enough to start the
-polish in a wrong basin there.
+noisy data. An exact fit is the answer as it stands; otherwise one
+derivative-free simplex polish of the L1 score from there gives it.
+Lambda with 1 < k < p - 1 has no such lift and keeps a simplex search from
+screened random restarts. So do lambda learns on noisy data: the lambda
+lifts weight samples unevenly enough to start the polish in a wrong basin.
 
 The module also carries the two-stage approach from earlier work, used here
 as a comparison baseline: first separate a null-space component out of raw
@@ -359,13 +359,14 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     matrix applied to ``feature_fn(x)``, with the coefficient rows also kept
     orthonormal since only their span matters for the projection.
 
-    The search starts from the closed-form lift (``_lifted_start``) and
-    polishes the L1 score with one simplex run. Lambda with 1 < k < p - 1
-    has no lift and runs ``opt.restarts`` simplex searches from screened
-    random starts instead. So does a lambda learn whose lifted start is not
-    an exact fit (score above 1e-8 times the summed action norm, as on noisy
-    data). The diagnostics carry the lift's rank margin ``lift_sv_ratio``
-    and the score at its start, ``start_score``.
+    The closed-form lift (``_lifted_start``) is the answer when it is an
+    exact fit (score at most 1e-8 times the summed action norm, as on clean
+    data). Otherwise a spherical learn polishes it with one simplex run and
+    a lambda learn, like Lambda with 1 < k < p - 1 (no lift), runs
+    ``opt.restarts`` simplex searches from screened random starts. The
+    diagnostics carry the lift's rank margin ``lift_sv_ratio``, its score
+    ``start_score``, the ``learner_path`` ("closed_form", "polish" or
+    "restart_search") and the ``objective_evals`` spent.
 
     k is normally known per experiment. Passing k=None sweeps k upward and
     keeps the smallest value whose objective falls below 1e-8 times the
@@ -423,17 +424,22 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
     else:
         raise ValueError(f"unknown representation {representation!r}")
 
+    calls = []  # one entry per objective evaluation, for the diagnostics
+    counted = lambda theta: calls.append(None) or objective(theta)
     sv_ratio, start_score = None, None
     if lifted is not None:
         start, sv_ratio = lifted
-        start_score = objective(start)
-    # The lambda lifts weight each sample by lam^T G lam or c^T G^-1 c. On
-    # data with no exact fit that can put the start in a wrong basin, so
-    # such learns keep the screened restart search.
-    if lifted is None or (representation == "lambda" and start_score > _exact_fit_floor(U)):
-        res = _restart_search(objective, dim, opt)
+        start_score = counted(start)
+    if lifted is not None and start_score <= _exact_fit_floor(U):
+        # An exact fit already: a polish could only move it at rounding level.
+        path, res = "closed_form", OptimizeResult(start, start_score, 1, 0, [start_score])
+    elif lifted is None or representation == "lambda":
+        # The lambda lifts weight each sample by lam^T G lam or c^T G^-1 c. On
+        # data with no exact fit that can put the start in a wrong basin, so
+        # such learns keep the screened restart search.
+        path, res = "restart_search", _restart_search(counted, dim, opt)
     else:
-        res = optimize(objective, start, replace(opt, restarts=1))
+        path, res = "polish", optimize(counted, start, replace(opt, restarts=1))
     model = to_model(res.params)
     A_stack = model.A_stack(X) if representation == "spherical" else model.lam @ Phi
     diag = {
@@ -444,6 +450,8 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
         # no lift applies.
         "lift_sv_ratio": sv_ratio,
         "start_score": start_score,
+        "learner_path": path,
+        "objective_evals": len(calls),
     }
     if diag["degenerate_prior_fraction"] > 0.5:
         warnings.warn("secondary policy is (near) zero inside the learned null space "

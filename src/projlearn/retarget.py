@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import SelectionConstraint, null_projector, null_space_apply
+from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
 from .kinematics import PlanarArm, forward_kinematics, jacobian, joint_positions, wrap_angle
 from .policies import policy_values
 from .simulator import Dataset, RankCollapseError, Trajectory
@@ -127,13 +127,13 @@ class RetargetPlan:
 
 
 def _step(plan: RetargetPlan, x: np.ndarray, step: int, rank_tol: float):
-    """The retargeted action at x and the projector it was formed with."""
-    proj = plan.projector_at(x)
-    ratio = float(proj.sigma_ratio)
-    if ratio < rank_tol:
-        raise RankCollapseError(step, ratio)
-    b = plan.task_source.rate(plan, x, step)
-    return proj.A_pinv @ b + proj.N @ np.asarray(plan.pi_robot(x), dtype=float), proj
+    """The retargeted action at x and the constraint matrix A(x) it was formed with."""
+    A = plan.execution_model.A_at(x)
+    b = np.asarray(plan.task_source.rate(plan, x, step), dtype=float)
+    v, w, ratio = split_action(A[None], b[None], np.asarray(plan.pi_robot(x), dtype=float)[None])
+    if ratio[0] < rank_tol:
+        raise RankCollapseError(step, float(ratio[0]))
+    return v[0] + w[0], A
 
 
 def retarget_step(plan: RetargetPlan, x, step: int = 0, rank_tol: float = 1e-10) -> np.ndarray:
@@ -153,15 +153,12 @@ def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> 
     x = np.asarray(x0, dtype=float).copy()
     X = np.empty((steps, x.size))
     U = np.empty((steps, x.size))
-    B = None
+    B = np.empty((steps, plan.execution_model.k))
     for t in range(steps):
-        u, proj = _step(plan, x, t, rank_tol=1e-10)
+        u, A = _step(plan, x, t, rank_tol=1e-10)
         X[t] = x
         U[t] = u
-        b = proj.A @ u
-        if B is None:
-            B = np.empty((steps, b.size))
-        B[t] = b
+        B[t] = A @ u
         x = x + dt * u
     return Trajectory(dt=dt, x=X, u=U, b=B)
 

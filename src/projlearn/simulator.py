@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constraints import SelectionConstraint, SphericalConstraint, null_projector
+from .constraints import SelectionConstraint, SphericalConstraint, split_action
 from .kinematics import PlanarArm, jacobian
 from .policies import TaskPointAttractor, policy_values
 
@@ -180,10 +180,10 @@ def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: f
 
     Q0 holds the m start states, (m, n). task_rates(Q) gives the full
     task-space rates of every state, (m, p); the constraint selects the
-    coordinates it governs. Every step takes one batched SVD of the m
-    constraint matrices, for both the projector and the rank test, and
-    raises RankCollapseError with the worst sigma_min/sigma_max when one
-    falls below rank_tol. Returns one Trajectory per start.
+    coordinates it governs. Every step takes v, w and the rank test of the m
+    constraint matrices from one split_action call, and raises
+    RankCollapseError with the worst sigma_min/sigma_max when one falls
+    below rank_tol. Returns one Trajectory per start.
     """
     Q = np.array(Q0, dtype=float)
     m, n = Q.shape
@@ -191,14 +191,11 @@ def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: f
     X, U, V, W, PI = (np.empty((m, steps, n)) for _ in range(5))
     B = np.empty((m, steps, k))
     for t in range(steps):
-        proj = null_projector(constraint.A_stack(Q))
-        ratio = float(np.min(proj.sigma_ratio))
-        if ratio < rank_tol:
-            raise RankCollapseError(t, ratio)
         b = constraint.select_rates(task_rates(Q))
         pi = policy_values(null_policy, Q)
-        v = np.einsum("sjk,sk->sj", proj.A_pinv, b)
-        w = np.einsum("sij,sj->si", proj.N, pi)
+        v, w, ratio = split_action(constraint.A_stack(Q), b, pi)
+        if ratio.min() < rank_tol:
+            raise RankCollapseError(t, float(ratio.min()))
         X[:, t] = Q
         U[:, t] = v + w
         V[:, t] = v

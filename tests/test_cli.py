@@ -76,6 +76,8 @@ SMALL = {
                             "demo_duration_s": 0.5, "optimizer": dict(TINY_OPT)},
     "ingest-learn": {"inputs": str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0"),
                      "optimizer": dict(TINY_OPT)},
+    "compare-baseline": {"train_duration_s": 0.2, "gt_duration_s": 0.2,
+                         "optimizer": dict(TINY_OPT)},
 }
 
 BAD_CONFIGS = [
@@ -99,6 +101,14 @@ BAD_CONFIGS = [
     ("ingest-learn", {"k": 3}, "k"),
     ("sweep", {"axes": {"data_size": [2.7]}}, "axes.data_size[0]"),
     ("toy", {"acceptance": {"max_e_n": 1e-40}}, "acceptance.max_e_n"),
+    ("ingest-learn", {"inputs": "no/such/dir"}, "inputs"),
+    ("ingest-learn", {"inputs": [str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0"),
+                                 "no/such/dir"]}, "inputs[1]"),
+    # single-run experiments take no trial count
+    ("compare-baseline", {"trials": 3}, "trials"),
+    ("retarget-obstacle", {"trials": 3}, "trials"),
+    ("retarget-embodiment", {"trials": 3}, "trials"),
+    ("ingest-learn", {"trials": 3}, "trials"),
 ]
 
 
@@ -186,6 +196,24 @@ class TestDocsMatchSchema:
 
 
 class TestMainExitCodes:
+    @pytest.mark.parametrize("experiment", ["compare-baseline", "retarget-obstacle",
+                                            "retarget-embodiment", "ingest-learn"])
+    def test_single_run_commands_offer_no_trials_flag(self, tmp_path, capsys, experiment):
+        path = write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment))
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, path, "--trials", "3"])
+        assert exc.value.code == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_bad_workers_variable_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PROJLEARN_WORKERS", "abc")
+        path = write_cfg(tmp_path, tiny_toy_cfg())
+        assert main(["toy", path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: PROJLEARN_WORKERS: " in err and "'abc'" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["toy", str(tmp_path / "nope.json")]) == 2
         assert "config error" in capsys.readouterr().err
@@ -303,3 +331,15 @@ class TestIngestCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["e_n"] < 1e-10
         assert report["n_trajectories"] == 3
+
+    def test_report_shows_the_learner_path(self, tmp_path):
+        # clean recordings: the closed-form start is the answer; trials.csv
+        # keeps its fixed columns
+        path = write_cfg(tmp_path, dict(SMALL["ingest-learn"], experiment="ingest-learn"))
+        out = tmp_path / "out"
+        assert main(["ingest-learn", path, "--out", str(out)]) == 0
+        diag = json.loads((out / "report.json").read_text())["diagnostics"]
+        assert diag["learner_path"] == "closed_form"
+        assert diag["objective_evals"] == 1
+        lines = (out / "trials.csv").read_text().splitlines()
+        assert lines[0] == "trial,case,seed,e_w,e_n,objective"

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
-                                   _rows_unchecked, build_constraint_rows,
+                                   _gram_closed_form, _rows_unchecked, build_constraint_rows,
                                    constraint_angles, diagonal_selection,
                                    gram_solve, null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
-                                   spherical_param_count, spherical_to_unit)
+                                   spherical_param_count, spherical_to_unit, split_action)
 from projlearn.kinematics import PlanarArm, jacobian
 
 
@@ -282,6 +282,87 @@ class TestBatchedProjection:
         A = np.array([[1.0, 0.0, 0.0], [0.0, 0.19, 0.0]])
         assert null_projector(A).sigma_ratio == pytest.approx(0.19)
         assert null_projector(1e-10 * A).sigma_ratio == pytest.approx(0.19)
+
+
+class TestSplitAction:
+    """split_action against per-sample null_projector, the SVD path it replaces."""
+
+    ARM = PlanarArm((0.1, 0.1, 0.1))
+
+    def arm_stack(self, k, seed, size=300):
+        # random three-link states under random orthonormal Lambda rows
+        rng = np.random.default_rng(seed)
+        lam = build_constraint_rows(rng.uniform(-np.pi, np.pi, spherical_param_count(k, 3)), k, 3)
+        A = lam @ jacobian(self.ARM, rng.uniform(-np.pi, np.pi, size=(size, 3)))
+        return A, rng.normal(size=(size, k)), rng.normal(size=(size, 3))
+
+    @staticmethod
+    def hard_rows(seed):
+        # unequal row norms (g11/g00 down to 1e-20) and near-parallel rows
+        rng = np.random.default_rng(seed)
+        A = []
+        for scale in (1.0, 1e-3, 1e-6, 1e-8, 1e-10):
+            a, c = rng.normal(size=3), rng.normal(size=3)
+            c -= (c @ a) / (a @ a) * a
+            A.append([a, scale * c / np.linalg.norm(c) * np.linalg.norm(a)])
+            A.append([a, scale * (a + 0.3 * c)])
+        for delta in (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 0.0):
+            a, c = rng.normal(size=3), rng.normal(size=3)
+            A.append([a, 1.7 * a + delta * c])
+        A = np.array(A)
+        return A, rng.normal(size=(len(A), 2)), rng.normal(size=(len(A), 3))
+
+    @staticmethod
+    def check(A, B, PI):
+        V, W, ratio = split_action(A, B, PI)
+        for i in range(len(A)):
+            proj = null_projector(A[i])
+            assert ratio[i] == pytest.approx(proj.sigma_ratio, rel=1e-6, abs=1e-300), i
+            if proj.sigma_ratio < 1e-9:
+                # rollouts stop below 1e-10, where the SVD also drops the small
+                # singular value; v and w are compared only above both
+                continue
+            v_ref, w_ref = proj.A_pinv @ B[i], proj.N @ PI[i]
+            assert np.linalg.norm(V[i] - v_ref) <= 1e-9 * np.linalg.norm(v_ref), i
+            assert np.linalg.norm(W[i] - w_ref) <= 1e-9 * np.linalg.norm(PI[i]), i
+        return ratio
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_per_sample_projector_on_arm_states(self, k):
+        ratio = self.check(*self.arm_stack(k, seed=40 + k))
+        assert np.all(ratio > 0.0)
+
+    def test_unequal_norms_and_near_parallel_rows(self):
+        A, B, PI = self.hard_rows(seed=43)
+        ratio = self.check(A, B, PI)
+        # the 1e-10 row passes the determinant test, yet its ratio is tiny
+        assert _gram_closed_form(np.einsum("skj,slj->skl", A[8:9], A[8:9]), B[8:9])[1][0]
+        assert ratio[8] == pytest.approx(1e-10, rel=1e-6)
+        assert ratio[-1] < 1e-15
+
+    def test_zero_and_k1_rows(self):
+        A, B, PI = self.arm_stack(1, seed=44, size=20)
+        A[3] = 0.0
+        ratio = self.check(A, B, PI)
+        assert ratio[3] == 0.0
+        assert np.all(np.delete(ratio, 3) == 1.0)
+
+    @pytest.mark.parametrize("seed", [45, 46])
+    def test_untrusted_samples_take_the_batched_svd_unchanged(self, seed):
+        A, B, PI = self.hard_rows(seed)
+        ok = _gram_closed_form(np.einsum("skj,slj->skl", A, A), B)[1]
+        assert ok.any() and not ok.all()
+        V, W, ratio = split_action(A, B, PI)
+        proj = null_projector(A[~ok])
+        assert np.array_equal(V[~ok], np.einsum("sjk,sk->sj", proj.A_pinv, B[~ok]))
+        assert np.array_equal(W[~ok], np.einsum("sij,sj->si", proj.N, PI[~ok]))
+        assert np.array_equal(ratio[~ok], proj.sigma_ratio)
+
+    def test_three_rows_take_the_svd(self):
+        rng = np.random.default_rng(47)
+        A = rng.normal(size=(10, 3, 4))
+        B, PI = rng.normal(size=(10, 3)), rng.normal(size=(10, 4))
+        self.check(A, B, PI)
 
 
 class TestSphericalConstraint:

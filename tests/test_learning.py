@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,11 @@ from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConf
                                 baseline_objective, baseline_separate_nullspace,
                                 consistency_objective, learn_constraint,
                                 learn_selection_matrix, optimize)
+from projlearn.metrics import eval_learned_constraint, nmse_w
 from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
                                SinusoidalPolicy, ZeroPolicy)
 from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
-                                 generate_arm_dataset, generate_toy_dataset)
+                                 generate_arm_dataset, generate_toy_dataset, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TOY_OPT = OptimizerConfig(restarts=8, max_iters=600, objective_tol=1e-13,
@@ -301,6 +304,78 @@ class TestLiftedStart:
         assert learned.diagnostics["lift_sv_ratio"] is None
         assert learned.restarts_used + learned.diagnostics["failures"] == 4
         assert learned.objective_value <= 1e-8 * action_norm_sum(ds)
+
+
+def polished_from_start(ds, k, representation, opt):
+    """The learner before the exact-fit skip: one simplex polish from the lifted start."""
+    X, U, PI = ds.stack("x"), ds.stack("u"), ds.stack("pi")
+    if representation == "spherical":
+        objective = learning._spherical_objective(PI, U - PI, k, X.shape[1])
+        start = learning._lifted_start(PI, U - PI, k)[0]
+    else:
+        Phi = jacobian(ARM, X)
+        objective = learning._lambda_objective(Phi, PI, U - PI, k)
+        start = learning._lifted_start(PI, U - PI, k, Phi)[0]
+    theta = optimize(objective, start, replace(opt, restarts=1)).params
+    if representation == "spherical":
+        return SphericalConstraint(theta=tuple(np.mod(theta, 2.0 * np.pi)), k=k, n=X.shape[1])
+    return SelectionConstraint(lam=build_constraint_rows(theta, k, 3),
+                               feature=lambda q: jacobian(ARM, q))
+
+
+class TestExactFitSkip:
+    """Clean learns return the lifted start with no polish, and lose nothing by it."""
+
+    @staticmethod
+    def assert_matches_polish(ds, n_train, k, representation, opt):
+        train, test = split_dataset(ds, n_train)
+        learned = learn_constraint(train, k=k, representation=representation, opt=opt,
+                                   feature_fn=lambda q: jacobian(ARM, q))
+        assert learned.diagnostics["learner_path"] == "closed_form"
+        assert learned.diagnostics["objective_evals"] == 1
+        assert learned.objective_value == learned.diagnostics["start_score"]
+        assert learned.restarts_used == 1 and learned.diagnostics["failures"] == 0
+        polished = polished_from_start(train, k, representation, opt)
+        # Rounding level: w to about 1e-12 relative. On these small training
+        # sets the xy start reads 2.1e-25 where its polish reads 5.6e-26.
+        assert eval_learned_constraint(learned.model, test)["e_w"] <= 1e-24
+        assert eval_learned_constraint(polished, test)["e_w"] <= 1e-24
+        X, PI = test.stack("x"), test.stack("pi")
+        w_skip = learning.null_space_apply(learned.model.A_stack(X), PI)
+        w_polish = learning.null_space_apply(polished.A_stack(X), PI)
+        assert nmse_w(w_polish, w_skip, np.std(test.stack("u"), axis=0)) <= 1e-24
+
+    @pytest.mark.parametrize("prior", sorted(TOY_PRIORS))
+    def test_toy(self, prior):
+        for seed in range(3):
+            ds = generate_toy_dataset(300, seed=(seed, 41), null_policy=TOY_PRIORS[prior])
+            self.assert_matches_polish(ds, 150, 1, "spherical", TOY_OPT)
+
+    @pytest.mark.parametrize("pattern", [(1, 0, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)])
+    def test_arm(self, pattern):
+        ds = arm_dataset(seed=42, lam_pattern=pattern, n_traj=6, points=30)
+        self.assert_matches_polish(ds, 3, sum(pattern), "lambda", ARM_OPT)
+
+    @pytest.mark.parametrize("representation,path", [("spherical", "polish"),
+                                                     ("lambda", "restart_search")])
+    def test_noisy_data_still_searches(self, monkeypatch, representation, path):
+        # every objective call is counted, the start's own score included
+        calls = []
+        for name in ("_spherical_objective", "_lambda_objective"):
+            build = getattr(learning, name)
+
+            def counting(*args, build=build):
+                objective = build(*args)
+                return lambda theta: calls.append(1) or objective(theta)
+            monkeypatch.setattr(learning, name, counting)
+        if representation == "spherical":
+            ds = add_noise(toy(seed=43), ACTION_NOISE, 44)
+        else:
+            ds = add_noise(arm_dataset(seed=43, lam_pattern=(0, 1, 0)), ACTION_NOISE, 44)
+        learned = learn_constraint(ds, k=1, representation=representation, opt=ARM_OPT,
+                                   feature_fn=lambda q: jacobian(ARM, q))
+        assert learned.diagnostics["learner_path"] == path
+        assert learned.diagnostics["objective_evals"] == len(calls) > 50
 
 
 class TestLearnSelectionMatrix:

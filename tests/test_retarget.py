@@ -222,6 +222,53 @@ class TestReplayLoop:
         self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
 
 
+class TestReplayAgainstSvdReference:
+    """reproduce_trajectory (split_action per step) against a null_projector loop."""
+
+    @staticmethod
+    def reference(plan, x0, dt, steps):
+        x = np.asarray(x0, dtype=float)
+        X, U, B = [], [], []
+        for t in range(steps):
+            proj = null_projector(plan.execution_model.A_at(x))
+            u = proj.A_pinv @ plan.task_source.rate(plan, x, t) + proj.N @ plan.pi_robot(x)
+            X.append(x)
+            U.append(u)
+            B.append(proj.A @ u)
+            x = x + dt * u
+        return np.array(X), np.array(U), np.array(B)
+
+    def check(self, plan, x0, dt=0.02, duration=2.0):
+        out = reproduce_trajectory(plan, x0, dt, duration)
+        for name, ref in zip(("x", "u", "b"), self.reference(plan, x0, dt, out.n_samples)):
+            np.testing.assert_allclose(getattr(out, name), ref, rtol=0.0, atol=1e-9,
+                                       err_msg=name)
+
+    def test_same_arm_replay(self):
+        traj = demo_dataset(seed=13, points=100).trajectories[0]
+        plan = RetargetPlan(constraint=true_model(pattern=(0, 1, 1)),
+                            task_source=ReplaySource(traj.b),
+                            pi_robot=PointAttractor(target=np.deg2rad([40.0, 0.0, -30.0])),
+                            demonstrator=ARM)
+        self.check(plan, traj.x[0])
+
+    def test_obstacle_attractor(self):
+        # the shipped avoidance policy: a fast null-space transient
+        plan = RetargetPlan(constraint=true_model(),
+                            task_source=AttractorSource(target=np.array([-0.0912, 0.0389, 0.0])),
+                            pi_robot=PointAttractor(target=np.deg2rad([-320.0, 100.0, 50.0]),
+                                                    beta=5.0),
+                            demonstrator=ARM)
+        self.check(plan, np.deg2rad([8.67, 94.18, -2.32]), duration=4.0)
+
+    def test_imitator_attractor(self):
+        plan = RetargetPlan(constraint=true_model(pattern=(1, 0, 0)),
+                            task_source=AttractorSource(target=np.array([-0.09, 0.04, 0.0])),
+                            pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
+                            demonstrator=ARM, imitator=TestCrossEmbodiment.SEVEN)
+        self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
+
+
 class TestAttractorSource:
     def test_zero_rate_at_target(self):
         from projlearn.kinematics import forward_kinematics

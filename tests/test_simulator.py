@@ -193,6 +193,72 @@ class TestLockstepRollout:
         assert err.value.sigma_ratio < 1e-10
 
 
+def svd_rollout(constraint, task_rates, null_policy, Q0, dt, steps, rank_tol):
+    """The lockstep rollout with one null_projector SVD per step, the slow reference."""
+    Q = np.array(Q0, dtype=float)
+    X, U, V, W = [], [], [], []
+    for t in range(steps):
+        proj = null_projector(constraint.A_stack(Q))
+        ratio = float(np.min(proj.sigma_ratio))
+        if ratio < rank_tol:
+            raise RankCollapseError(t, ratio)
+        v = np.einsum("sjk,sk->sj", proj.A_pinv, constraint.select_rates(task_rates(Q)))
+        w = np.einsum("sij,sj->si", proj.N, null_policy(Q))
+        X.append(Q)
+        V.append(v)
+        W.append(w)
+        U.append(v + w)
+        Q = Q + dt * U[-1]
+    return [np.swapaxes(np.array(a), 0, 1) for a in (X, U, V, W)]
+
+
+class TestRolloutAgainstSvdReference:
+    """simulator._rollout (split_action per step) against per-step null_projector."""
+
+    @pytest.mark.parametrize("pattern", [(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)])
+    def test_random_three_link_states(self, pattern):
+        rng = np.random.default_rng(sum(pattern) * 10 + pattern[0])
+        model = SelectionConstraint(lam=diagonal_selection(pattern),
+                                    feature=lambda q: jacobian(ARM, q))
+        task = TaskPointAttractor(arm=ARM, target=np.array([[0.0, 0.15, 0.3]] * 8), gain=2.0)
+        pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
+        Q0 = rng.uniform(-np.pi, np.pi, size=(8, 3))
+        trajs = simulator._rollout(model, task, pi, Q0, 0.02, 40, 1e-10)
+        for name, ref in zip(("x", "u", "v", "w"),
+                             svd_rollout(model, task, pi, Q0, 0.02, 40, 1e-10)):
+            got = np.array([getattr(t, name) for t in trajs])
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9, err_msg=name)
+
+    @staticmethod
+    def decaying_row_model(parallel: bool):
+        # rows (1, 0, 0) and (1, q_3, 0), or (0, q_3^2, 0): the pi attractor
+        # halves q_3 every step, so sigma_min/sigma_max falls through rank_tol
+        # after a few steps. Near-parallel rows collapse on the SVD path,
+        # orthogonal rows of unequal norm on the Gram closed form.
+        def feature(q):
+            q = np.asarray(q, dtype=float)
+            Phi = np.zeros(q.shape[:-1] + (2, 3))
+            Phi[..., 0, 0] = 1.0
+            Phi[..., 1, 0] = 1.0 if parallel else 0.0
+            Phi[..., 1, 1] = q[..., 2] if parallel else q[..., 2] ** 2
+            return Phi
+        return SelectionConstraint(lam=np.eye(2), feature=feature)
+
+    @pytest.mark.parametrize("parallel", [False, True])
+    def test_rank_collapse_at_the_same_step_and_ratio(self, parallel):
+        model = self.decaying_row_model(parallel)
+        pi = PointAttractor(target=np.zeros(3), beta=25.0)
+        Q0 = np.array([[0.2, 0.1, 0.3], [0.0, 0.0, 0.05]])
+        rates = lambda Q: np.tile([0.3, -0.2], (len(Q), 1))
+        with pytest.raises(RankCollapseError) as ref:
+            svd_rollout(model, rates, pi, Q0, 0.02, 60, 1e-6)
+        with pytest.raises(RankCollapseError) as got:
+            simulator._rollout(model, rates, pi, Q0, 0.02, 60, 1e-6)
+        assert ref.value.step > 3
+        assert got.value.step == ref.value.step
+        assert got.value.sigma_ratio == pytest.approx(ref.value.sigma_ratio, rel=1e-6)
+
+
 class TestSplitDataset:
     def test_single_trajectory_splits_samples(self):
         ds = generate_toy_dataset(100, seed=14, null_policy=LimitCyclePolicy())

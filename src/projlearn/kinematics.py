@@ -55,7 +55,7 @@ def _check_states(arm: PlanarArm, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != arm.n:
         raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise ValueError("joint angles must be finite")
     return q
 
@@ -72,11 +72,12 @@ def joint_positions(arm: PlanarArm, q) -> np.ndarray:
         the base at the origin, row i is the far end of link i.
     """
     q = _check_states(arm, q)
-    angles = np.cumsum(q, axis=-1)
+    # Method calls, not np.cumsum: a single state is all per-call overhead.
+    angles = q.cumsum(-1)
     lengths = np.asarray(arm.link_lengths)
     pts = np.zeros(q.shape[:-1] + (arm.n + 1, 2))
-    pts[..., 1:, 0] = np.cumsum(lengths * np.cos(angles), axis=-1)
-    pts[..., 1:, 1] = np.cumsum(lengths * np.sin(angles), axis=-1)
+    pts[..., 1:, 0] = (lengths * np.cos(angles)).cumsum(-1)
+    pts[..., 1:, 1] = (lengths * np.sin(angles)).cumsum(-1)
     return pts
 
 
@@ -117,14 +118,14 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
     directly to the end-effector orientation.
     """
     q = _check_states(arm, q)
-    angles = np.cumsum(q, axis=-1)
+    angles = q.cumsum(-1)
     lengths = np.asarray(arm.link_lengths)
     sins = lengths * np.sin(angles)
     coss = lengths * np.cos(angles)
     J = np.ones(q.shape[:-1] + (3, arm.n))
     # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); reverse cumsum keeps it O(n).
-    J[..., 0, :] = -np.cumsum(sins[..., ::-1], axis=-1)[..., ::-1]
-    J[..., 1, :] = np.cumsum(coss[..., ::-1], axis=-1)[..., ::-1]
+    J[..., 0, :] = -sins[..., ::-1].cumsum(-1)[..., ::-1]
+    J[..., 1, :] = coss[..., ::-1].cumsum(-1)[..., ::-1]
     return J
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
-from .kinematics import PlanarArm, forward_kinematics, jacobian, joint_positions, wrap_angle
+from .kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
 from .policies import policy_values
 from .simulator import Dataset, RankCollapseError, Trajectory
 
@@ -77,8 +77,7 @@ class AttractorSource:
         object.__setattr__(self, "target", target)
 
     def rate(self, plan, x, step: int) -> np.ndarray:
-        pose = forward_kinematics(plan.arm, x).as_array()
-        err = self.target - pose
+        err = self.target - end_pose(plan.arm, x)
         err[2] = wrap_angle(err[2])
         return plan.execution_model.lam @ (self.gain * err)
 

@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         if "trials" in SCHEMAS[name].table:  # multi-trial experiments only
             p.add_argument("--trials", type=int, help="override the trial count")
-        p.add_argument("--workers", type=int, help="parallel trial workers")
+            p.add_argument("--workers", type=int, help="parallel trial workers")
         p.add_argument("--gnuplot", action="store_true",
                        help="also write gnuplot scripts next to the CSVs")
         return p

@@ -215,8 +215,9 @@ def _schema(keys: dict, acceptance: tuple, checks=(), trials=None) -> Schema:
     table = {
         "experiment": Key("string"),
         "seed": Key("int", 0, lo=0),
-        **({} if trials is None else {"trials": Key("int", trials, lo=1)}),
-        "workers": Key("int", lo=1),
+        # Only multi-trial experiments have trials to spread over workers.
+        **({} if trials is None else {"trials": Key("int", trials, lo=1),
+                                      "workers": Key("int", lo=1)}),
         "optimizer": Key("object", {}, table=OPTIMIZER),
         "acceptance": Key("object", table={k: ACCEPTANCE[k] for k in acceptance}),
         "out": Key("string"),

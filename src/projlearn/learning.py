@@ -6,19 +6,16 @@ N-hat pi gives a score
 
     sum_n | pi_n^T N-hat(x_n) (u_n - pi_n) |
 
-that vanishes for the true projection and needs no access to b or w. The
-learner minimises it over a parameterised constraint family in two steps.
-Each sample's condition pi_n^T N(x_n) d_n = 0 (d = u - pi) is linear in a
-lifted symmetric matrix: N itself for a constant constraint, lam lam^T
-for A = Lambda Phi with k = 1, and c c^T for k = p - 1, where c spans the
-complement of the rows of Lambda. The last right singular vector of the
-stacked conditions, rounded to the nearest constraint with an
-eigendecomposition, is exact on clean data and a least-squares fit on
-noisy data. An exact fit is the answer as it stands; otherwise one
-derivative-free simplex polish of the L1 score from there gives it.
-Lambda with 1 < k < p - 1 has no such lift and keeps a simplex search from
-screened random restarts. So do lambda learns on noisy data: the lambda
-lifts weight samples unevenly enough to start the polish in a wrong basin.
+that vanishes for the true projection and needs no access to b or w. It is
+the score every learned model reports. The learner itself uses the stronger
+identity behind it: d = u - pi = A^+ (b - A pi) lies in the row space of
+A(x), so N(x) d = 0. For a constant constraint the rows of A therefore span
+the top k eigenvectors of sum d d^T, and for A = Lambda Phi the rows of
+Lambda span the top k eigenvectors of sum z z^T with z = (Phi Phi^T)^-1 Phi d.
+That start is exact on clean data for every k and is then the answer. On
+data with no exact fit a constant constraint takes one derivative-free
+simplex polish of the score from the start, and a Lambda learn one
+Levenberg-Marquardt fit of the residuals N(x_n) d_n.
 
 The module also carries the two-stage approach from earlier work, used here
 as a comparison baseline: first separate a null-space component out of raw
@@ -29,12 +26,12 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 from .constraints import (GRAM_DET_TOL, SelectionConstraint, SphericalConstraint,
                           _rows_unchecked, build_constraint_rows, constraint_angles,
-                          diagonal_selection, feature_stack, gram_solve, null_space_apply,
-                          pinv_apply, spherical_param_count)
+                          diagonal_selection, feature_stack, null_space_apply, pinv_apply,
+                          spherical_param_count)
 from .policies import policy_values
 from .simulator import Dataset
 
@@ -150,6 +147,11 @@ def _stacked(dataset: Dataset, prior_pi):
     return X, U, PI
 
 
+def _l1_score(PI, D, A_stack) -> float:
+    """sum_n |pi_n . N(x_n) d_n| for a stack of constraint matrices A (S, k, n)."""
+    return float(np.sum(np.abs(np.einsum("ni,ni->n", PI, null_space_apply(A_stack, D)))))
+
+
 def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     """Sum over samples of |pi^T N(x) (u - pi)| for a candidate constraint.
 
@@ -162,9 +164,8 @@ def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
     D = U - PI
     if isinstance(model, SphericalConstraint):
         terms = np.einsum("ni,ij,nj->n", PI, model.projector_at(None).N, D)
-    else:
-        terms = np.einsum("ni,ni->n", PI, null_space_apply(model.A_stack(X), D))
-    return float(np.sum(np.abs(terms)))
+        return float(np.sum(np.abs(terms)))
+    return _l1_score(PI, D, model.A_stack(X))
 
 
 def _spherical_objective(PI, D, k: int, n: int):
@@ -183,127 +184,50 @@ def _spherical_objective(PI, D, k: int, n: int):
     return objective
 
 
-def _lambda_objective(Phi, PI, D, k: int):
-    """The consistency score as a function of the angles of Lambda, for fixed data.
+# --- closed-form start and least-squares fit ---------------------------------------
 
-    The feature moments Phi pi, Phi d, Phi Phi^T and pi . d are computed
-    once, so an evaluation costs two (S x p)(p x k) products and one
-    (S x p^2)(p^2 x k^2) product instead of rebuilding Lambda Phi per sample.
+def _row_space_start(D, k: int, Phi=None):
+    """Eigenvectors (columns) and eigenvalues, largest first, of the row-space scatter.
+
+    Every d_n = u_n - pi_n lies in the row space of A(x_n). For a constant
+    A the scatter is D^T D, whose top k eigenvectors span the rows of A.
+    For A = Lambda Phi it is Z^T Z with z_n = G_n^-1 Phi_n d_n and
+    G_n = Phi_n Phi_n^T: z_n lies in the row space of Lambda, so the top k
+    eigenvectors span the rows of Lambda. Samples whose G_n fails the
+    GRAM_DET_TOL trust test are left out. On clean data the eigenvalues
+    past the k-th vanish to rounding, for every k.
     """
-    S, p = Phi.shape[:2]
-    Fp = np.einsum("spj,sj->sp", Phi, PI)
-    Fd = np.einsum("spj,sj->sp", Phi, D)
-    M = np.einsum("spj,sqj->spq", Phi, Phi).reshape(S, p * p)
-    direct = np.einsum("sj,sj->s", PI, D)
-
-    def objective(theta):
-        lam = _rows_unchecked(theta, k, p)
-        # (lam kron lam)[(a, b), (p, q)] = lam[a, p] lam[b, q], built by broadcasting.
-        kron = (lam[:, None, :, None] * lam[None, :, None, :]).reshape(k * k, p * p)
-        G = (M @ kron.T).reshape(S, k, k)
-        corr = np.einsum("sk,sk->s", Fp @ lam.T, gram_solve(G, Fd @ lam.T))
-        return float(np.sum(np.abs(direct - corr)))
-
-    return objective
-
-
-# --- closed-form start ------------------------------------------------------------
-
-def _sym_vec(M) -> np.ndarray:
-    """Upper triangles of symmetric matrices (..., m, m), off-diagonals times sqrt 2.
-
-    The scaling makes vec(X) . vec(M) = <X, M> and |vec(X)| = |X|_F.
-    """
-    i, j = np.triu_indices(M.shape[-1])
-    return M[..., i, j] * np.where(i == j, 1.0, np.sqrt(2.0))
-
-
-def _sym_unvec(x, m: int) -> np.ndarray:
-    i, j = np.triu_indices(m)
-    X = np.zeros((m, m))
-    X[i, j] = x / np.where(i == j, 1.0, np.sqrt(2.0))
-    return X + np.triu(X, 1).T
-
-
-def _sym_outer(a, b) -> np.ndarray:
-    """sym(a_n b_n^T) for stacks of vectors (S, m)."""
-    ab = a[:, :, None] * b[:, None, :]
-    return 0.5 * (ab + np.swapaxes(ab, 1, 2))
-
-
-def _lifted_start(PI, D, k: int, Phi=None):
-    """Start angles from one linear solve, and the rank margin of that solve.
-
-    Every sample contributes one linear condition <X, M_n> = 0 on a
-    symmetric matrix X:
-
-    * constant constraint (Phi None): X = N, M_n = sym(pi_n d_n^T);
-    * Lambda Phi with k = 1: X = lam lam^T,
-      M_n = (pi.d) G_n - sym(a_n b_n^T), with G = Phi Phi^T, a = Phi pi,
-      b = Phi d (the score times lam^T G lam);
-    * Lambda Phi with k = p - 1: X = c c^T for the unit c orthogonal to the
-      rows of Lambda, M_n = r0_n G_n^-1 + sym(G_n^-1 a_n (G_n^-1 b_n)^T)
-      with r0 = pi.d - a^T G^-1 b (the score times c^T G^-1 c). Samples
-      whose Gram fails the GRAM_DET_TOL trust test are left out.
-
-    X is the last right singular vector of the stacked conditions. For a
-    constant constraint with k < n - 1 every N S N solves them, so the last
-    r = (n-k)(n-k+1)/2 vectors span the solutions; the sum of their squares
-    is positive semi-definite and vanishes exactly on the rows of A. The
-    rounding reads eigenvectors of that sum (X^2 when r = 1), which needs no
-    sign convention: the k smallest are the rows of A, the top one is lam or
-    c, and the others span the rows of Lambda for k = p - 1.
-
-    Returns (angles, rank margin), the margin being the largest singular
-    value inside the solution space over the smallest outside it; or None
-    when no lift applies (1 < k < p - 1, or no trusted sample).
-    """
-    if Phi is None:
-        M = _sym_outer(PI, D)
-        # k = n has no null space; any one vector then gives all n rows.
-        r = max(1, (PI.shape[1] - k) * (PI.shape[1] - k + 1) // 2)
-    else:
-        p = Phi.shape[1]
+    if Phi is not None:
         G = np.einsum("spj,sqj->spq", Phi, Phi)
-        a = np.einsum("spj,sj->sp", Phi, PI)
-        b = np.einsum("spj,sj->sp", Phi, D)
-        direct = np.einsum("sj,sj->s", PI, D)
-        r = 1
-        if k == 1:
-            M = direct[:, None, None] * G - _sym_outer(a, b)
-        elif k == p - 1:
-            # det <= prod(diag) for a Gram matrix, so this is a scale-free test.
-            diag_prod = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
-            ok = np.linalg.det(G) > GRAM_DET_TOL * diag_prod
-            if not ok.any():
-                return None
-            G_inv = np.linalg.inv(G[ok])
-            ga = np.einsum("spq,sq->sp", G_inv, a[ok])
-            gb = np.einsum("spq,sq->sp", G_inv, b[ok])
-            r0 = direct[ok] - np.einsum("sp,sp->s", a[ok], gb)
-            M = r0[:, None, None] * G_inv + _sym_outer(ga, gb)
-        else:
-            return None
-    m = M.shape[-1]
-    rows = _sym_vec(M)
-    if rows.shape[0] < rows.shape[1]:
-        # Too few samples to fix X: pad so the SVD still returns null vectors.
-        rows = np.vstack([rows, np.zeros((rows.shape[1] - rows.shape[0], rows.shape[1]))])
-    _, s, Vt = np.linalg.svd(rows, full_matrices=False)
-    Y = np.zeros((m, m))
-    for x in Vt[len(s) - r:]:
-        X = _sym_unvec(x, m)
-        Y += X @ X
-    vecs = np.linalg.eigh(Y)[1]  # columns in ascending eigenvalue order
-    if Phi is None:
-        basis = vecs[:, :k]
-    elif k == 1:
-        basis = vecs[:, -1:]
-    else:
-        basis = vecs[:, :-1]
-    inside, outside = s[len(s) - r], (s[len(s) - r - 1] if len(s) > r else 0.0)
-    margin = inside / outside if outside > 0.0 else 1.0
-    return constraint_angles(basis.T), float(margin)
+        # det <= prod(diag) for a Gram matrix, so this is a scale-free test.
+        ok = np.linalg.det(G) > GRAM_DET_TOL * np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+        if not ok.any():
+            raise ValueError("no sample has a well-conditioned Phi(x) Phi(x)^T; the lambda "
+                             "representation needs Phi(x) of full row rank")
+        Fd = np.einsum("spj,sj->sp", Phi[ok], D[ok])
+        D = np.linalg.solve(G[ok], Fd[:, :, None])[:, :, 0]
+    vals, vecs = np.linalg.eigh(D.T @ D)
+    return vecs[:, ::-1], vals[::-1]
+
+
+def _fit_row_span(Phi, D, basis, k: int):
+    """Orthonormal rows of Lambda minimising sum_n |N(x_n) d_n|^2, and LM's nfev.
+
+    With isotropic action noise this is the maximum-likelihood fit: the task
+    part of each action is free inside the row space. Levenberg-Marquardt
+    works in the k(p-k) Grassmann chart Lambda = L0 + B Q around the start,
+    L0 the top k eigenvectors of the scatter and Q the rest (Absil, Mahony
+    & Sepulchre 2008). The spherical angles would not do: at k = 2 their
+    Jacobian is singular at the optimum. The rows are orthonormalised once,
+    at the end.
+    """
+    L0, Q = basis[:, :k].T, basis[:, k:].T
+
+    def residual(b):
+        return null_space_apply((L0 + b.reshape(k, -1) @ Q) @ Phi, D).ravel()
+
+    res = least_squares(residual, np.zeros(k * len(Q)), method="lm")
+    return np.linalg.svd(L0 + res.x.reshape(k, -1) @ Q, full_matrices=False)[2], res.nfev
 
 
 # --- learning the constraint when the prior is known ------------------------------
@@ -349,116 +273,83 @@ def _degenerate_prior_fraction(A_stack, PI, rel: float = 1e-9) -> float:
     return float(np.mean(norms < floor))
 
 
-def learn_constraint(dataset: Dataset, prior_pi=None, k: int | None = 1,
+def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
                      representation: str = "spherical", opt: OptimizerConfig | None = None,
                      feature_fn=None) -> LearnedConstraint:
     """Recover the constraint from (x, u) data given the secondary policy.
 
-    representation "spherical" searches directly over a constant matrix with
-    k orthonormal rows. representation "lambda" searches over a coefficient
-    matrix applied to ``feature_fn(x)``, with the coefficient rows also kept
-    orthonormal since only their span matters for the projection.
+    representation "spherical" learns a constant matrix with k orthonormal
+    rows. representation "lambda" learns a coefficient matrix applied to
+    ``feature_fn(x)``, with the coefficient rows also kept orthonormal since
+    only their span matters for the projection.
 
-    The closed-form lift (``_lifted_start``) is the answer when it is an
-    exact fit (score at most 1e-8 times the summed action norm, as on clean
-    data). Otherwise a spherical learn polishes it with one simplex run and
-    a lambda learn, like Lambda with 1 < k < p - 1 (no lift), runs
-    ``opt.restarts`` simplex searches from screened random starts. The
-    diagnostics carry the lift's rank margin ``lift_sv_ratio``, its score
-    ``start_score``, the ``learner_path`` ("closed_form", "polish" or
-    "restart_search") and the ``objective_evals`` spent.
-
-    k is normally known per experiment. Passing k=None sweeps k upward and
-    keeps the smallest value whose objective falls below 1e-8 times the
-    summed action norm; the per-k objectives land in the diagnostics.
+    Both start from the top k eigenvectors of the row-space scatter
+    (``_row_space_start``). The start is the answer when it is an exact fit
+    (score at most 1e-8 times the summed action norm, as on clean data).
+    Otherwise a spherical learn polishes it with one simplex run of the
+    score, which reads ``opt``, and a lambda learn runs one
+    Levenberg-Marquardt fit of the residuals N(x_n) d_n, which reads none
+    of ``opt``. ``objective_value`` is the score of the returned model. The
+    diagnostics carry the scatter eigenvalues ``spectrum`` (descending), the
+    start's score ``start_score``, the ``learner_path`` ("closed_form",
+    "polish" or "least_squares") and the ``objective_evals`` spent, which
+    on the least-squares path count its residual evaluations too.
     """
     opt = opt or OptimizerConfig()
-    if k is None:
-        U = dataset.stack("u")
-        floor = _exact_fit_floor(U)
-        # k = n leaves no null space and zeroes the objective for free, so
-        # the sweep stays below it.
-        k_max = U.shape[1] - 1
-        if representation == "lambda":
-            if feature_fn is None:
-                raise ValueError("representation 'lambda' needs a feature_fn")
-            k_max = min(k_max, feature_stack(feature_fn, dataset.stack("x")).shape[1])
-        sweep = {}
-        best = None
-        for kk in range(1, k_max + 1):
-            cand = learn_constraint(dataset, prior_pi, kk, representation, opt, feature_fn)
-            sweep[kk] = cand.objective_value
-            if best is None or cand.objective_value < best.objective_value:
-                best = cand
-            if cand.objective_value < floor:
-                best = cand
-                break
-        best.diagnostics["k_sweep"] = sweep
-        best.diagnostics["k_sweep_floor"] = floor
-        return best
     X, U, PI = _stacked(dataset, prior_pi)
     D = U - PI
     n = X.shape[1]
+    floor = _exact_fit_floor(U)
+    calls = []  # one entry per score evaluation, for the diagnostics
 
     if representation == "spherical":
-        dim = spherical_param_count(k, n)
+        basis, spectrum = _row_space_start(D, k)
         objective = _spherical_objective(PI, D, k, n)
-        lifted = _lifted_start(PI, D, k)
-
-        def to_model(theta):
-            return SphericalConstraint(theta=tuple(np.mod(theta, 2.0 * np.pi)), k=k, n=n)
+        counted = lambda theta: calls.append(None) or objective(theta)
+        start = constraint_angles(basis[:, :k].T)
+        start_score = counted(start)
+        path, res = "closed_form", OptimizeResult(start, start_score, 1, 0, [])
+        if start_score > floor:
+            path, res = "polish", optimize(counted, start, replace(opt, restarts=1))
+        model = SphericalConstraint(theta=tuple(np.mod(res.params, 2.0 * np.pi)), k=k, n=n)
+        value, restarts, failures, nfev = res.value, res.restarts_used, res.failures, 0
+        A_stack = model.A_stack(X)
 
     elif representation == "lambda":
         if feature_fn is None:
             raise ValueError("representation 'lambda' needs a feature_fn")
         Phi = feature_stack(feature_fn, X)
         p = Phi.shape[1]
-        dim = spherical_param_count(k, p)
-        objective = _lambda_objective(Phi, PI, D, k)
-        lifted = _lifted_start(PI, D, k, Phi)
-
-        def to_model(theta):
-            return SelectionConstraint(lam=build_constraint_rows(theta, k, p),
-                                       feature=feature_fn)
+        spherical_param_count(k, p)  # validates k
+        basis, spectrum = _row_space_start(D, k, Phi)
+        score = lambda lam: calls.append(None) or _l1_score(PI, D, lam @ Phi)
+        lam = basis[:, :k].T
+        start_score = value = score(lam)
+        path, nfev = "closed_form", 0
+        if start_score > floor:
+            lam, nfev = _fit_row_span(Phi, D, basis, k)
+            path, value = "least_squares", score(lam)
+        model = SelectionConstraint(lam=lam, feature=feature_fn)
+        A_stack, restarts, failures = lam @ Phi, 1, 0
 
     else:
         raise ValueError(f"unknown representation {representation!r}")
 
-    calls = []  # one entry per objective evaluation, for the diagnostics
-    counted = lambda theta: calls.append(None) or objective(theta)
-    sv_ratio, start_score = None, None
-    if lifted is not None:
-        start, sv_ratio = lifted
-        start_score = counted(start)
-    if lifted is not None and start_score <= _exact_fit_floor(U):
-        # An exact fit already: a polish could only move it at rounding level.
-        path, res = "closed_form", OptimizeResult(start, start_score, 1, 0, [start_score])
-    elif lifted is None or representation == "lambda":
-        # The lambda lifts weight each sample by lam^T G lam or c^T G^-1 c. On
-        # data with no exact fit that can put the start in a wrong basin, so
-        # such learns keep the screened restart search.
-        path, res = "restart_search", _restart_search(counted, dim, opt)
-    else:
-        path, res = "polish", optimize(counted, start, replace(opt, restarts=1))
-    model = to_model(res.params)
-    A_stack = model.A_stack(X) if representation == "spherical" else model.lam @ Phi
     diag = {
         "degenerate_prior_fraction": _degenerate_prior_fraction(A_stack, PI),
-        "failures": res.failures,
+        "failures": failures,
         "prior_norm_median": float(np.median(np.linalg.norm(PI, axis=1))),
-        # The lift's rank margin and the L1 score at its start; None when
-        # no lift applies.
-        "lift_sv_ratio": sv_ratio,
+        "spectrum": [float(v) for v in spectrum],
         "start_score": start_score,
         "learner_path": path,
-        "objective_evals": len(calls),
+        "objective_evals": len(calls) + nfev,
     }
     if diag["degenerate_prior_fraction"] > 0.5:
         warnings.warn("secondary policy is (near) zero inside the learned null space "
                       "for most samples; the objective cannot identify the constraint there",
                       stacklevel=2)
-    return LearnedConstraint(model=model, objective_value=res.value,
-                             restarts_used=res.restarts_used, seed=opt.seed, diagnostics=diag)
+    return LearnedConstraint(model=model, objective_value=value, restarts_used=restarts,
+                             seed=opt.seed, diagnostics=diag)
 
 
 # --- baseline: learn the selection matrix from an estimated w ---------------------

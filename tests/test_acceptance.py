@@ -5,6 +5,7 @@ prints a single PASS or FAIL line with the measured numbers and elapsed
 time. Budgets are wall-clock on a single worker.
 """
 
+import json
 import time
 from pathlib import Path
 
@@ -20,11 +21,12 @@ from projlearn.ingest import (HumanArmRecording, arm_angles_from_human,
                               recording_to_dataset, synthesize_keypoint_frames)
 from projlearn.kinematics import PlanarArm, forward_kinematics, jacobian, wrap_angle
 from projlearn.learning import OptimizerConfig, consistency_objective, learn_constraint
-from projlearn.metrics import projector_distance
+from projlearn.metrics import eval_learned_constraint, projector_distance
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
-from projlearn.simulator import (generate_arm_dataset, generate_toy_dataset,
-                                 simulate_trajectory)
-from projlearn.experiments import (run_compare_baseline, run_retarget_embodiment,
+from projlearn.simulator import (NoiseSpec, add_noise, generate_arm_dataset,
+                                 generate_toy_dataset, simulate_trajectory, split_dataset)
+from projlearn.experiments import (THREE_LINK_CASES, _three_link_setup, resolve,
+                                   run_compare_baseline, run_retarget_embodiment,
                                    run_retarget_obstacle, run_sweep, run_three_link,
                                    run_toy)
 
@@ -109,6 +111,45 @@ def test_criterion_4_three_link_recovery():
                 elapsed, budget)
     assert worst_w <= 1e-8
     assert worst_n <= 1e-5
+    assert elapsed <= budget
+
+
+def test_noisy_three_link_recovery():
+    # The shipped three-link config at action noise 0.01 and 0.1, trials 0-2,
+    # with the runner's seed tuples: trained on the noisy training half,
+    # evaluated on the clean test half. The threshold is the toy noise gate's.
+    budget = 120.0
+    t0 = time.monotonic()
+    cfg = resolve(json.loads((REPO / "configs" / "three_link.json").read_text()), "three-link")
+    arm, pi, target_cfg = _three_link_setup(cfg)
+    seed, n_traj = cfg["seed"], cfg["n_trajectories"]
+    means = {}
+    for case_index, case in enumerate(cfg["cases"]):
+        lam = diagonal_selection(THREE_LINK_CASES[case])
+        e_w = {0.01: [], 0.1: []}
+        for trial in range(3):
+            ds = generate_arm_dataset(arm, lam, pi, n_traj, cfg["points_per_traj"],
+                                      dt=cfg["dt"], seed=(seed, case_index, trial, 0),
+                                      target_cfg=target_cfg)
+            train, test = split_dataset(ds, n_traj // 2)
+            for eps, errors in e_w.items():
+                noisy = add_noise(train, NoiseSpec(epsilon=eps, target="actions"),
+                                  (seed, case_index, trial, 1))
+                learned = learn_constraint(
+                    noisy, k=lam.shape[0], representation="lambda",
+                    feature_fn=lambda q: jacobian(arm, q),
+                    opt=OptimizerConfig(**cfg["optimizer"], seed=(seed, case_index, trial, 2)))
+                errors.append(eval_learned_constraint(learned.model, test)["e_w"])
+        for eps, errors in e_w.items():
+            means[f"{case}@{eps}"] = float(np.mean(errors))
+    elapsed = time.monotonic() - t0
+    worst = max(means, key=means.get)
+    failing = sorted(k for k, v in means.items() if v > 0.1)
+    ok = not failing and elapsed <= budget
+    report_line("3b", "noisy three-link recovery", ok,
+                f"worst mean e_w {means[worst]:.2e} ({worst}) <= 0.1 over 6 cases x "
+                f"2 noise levels; failing: {failing or 'none'}", elapsed, budget)
+    assert not failing, {k: means[k] for k in failing}
     assert elapsed <= budget
 
 

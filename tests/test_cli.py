@@ -109,6 +109,11 @@ BAD_CONFIGS = [
     ("retarget-obstacle", {"trials": 3}, "trials"),
     ("retarget-embodiment", {"trials": 3}, "trials"),
     ("ingest-learn", {"trials": 3}, "trials"),
+    # nor a worker count
+    ("compare-baseline", {"workers": 2}, "workers"),
+    ("retarget-obstacle", {"workers": 2}, "workers"),
+    ("retarget-embodiment", {"workers": 2}, "workers"),
+    ("ingest-learn", {"workers": 2}, "workers"),
 ]
 
 
@@ -204,6 +209,15 @@ class TestMainExitCodes:
             main([experiment, path, "--trials", "3"])
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["compare-baseline", "retarget-obstacle",
+                                            "retarget-embodiment", "ingest-learn"])
+    def test_single_run_commands_offer_no_workers_flag(self, tmp_path, capsys, experiment):
+        path = write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment))
+        with pytest.raises(SystemExit) as exc:
+            main([experiment, path, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_bad_workers_variable_exits_2(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PROJLEARN_WORKERS", "abc")
@@ -333,13 +347,16 @@ class TestIngestCommand:
         assert report["n_trajectories"] == 3
 
     def test_report_shows_the_learner_path(self, tmp_path):
-        # clean recordings: the closed-form start is the answer; trials.csv
-        # keeps its fixed columns
+        # clean recordings: the closed-form start is the answer, and the
+        # scatter spectrum shows k = 2; trials.csv keeps its fixed columns
         path = write_cfg(tmp_path, dict(SMALL["ingest-learn"], experiment="ingest-learn"))
         out = tmp_path / "out"
         assert main(["ingest-learn", path, "--out", str(out)]) == 0
         diag = json.loads((out / "report.json").read_text())["diagnostics"]
         assert diag["learner_path"] == "closed_form"
         assert diag["objective_evals"] == 1
+        spectrum = diag["spectrum"]
+        assert len(spectrum) == 3 and spectrum == sorted(spectrum, reverse=True)
+        assert spectrum[2] < 1e-12 * spectrum[1]
         lines = (out / "trials.csv").read_text().splitlines()
         assert lines[0] == "trial,case,seed,e_w,e_n,objective"

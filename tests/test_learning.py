@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
-                                   build_constraint_rows, diagonal_selection,
-                                   null_projector, spherical_param_count)
+                                   build_constraint_rows, constraint_angles,
+                                   diagonal_selection, null_projector, spherical_param_count)
 from projlearn import learning
+from projlearn.experiments import THREE_LINK_CASES
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConfig,
                                 baseline_objective, baseline_separate_nullspace,
@@ -95,32 +96,6 @@ class TestConsistencyObjective:
             cand = SphericalConstraint(theta=(theta,), k=1, n=2)
             assert consistency_objective(cand, ds) == 0.0
 
-
-def angle_gap_mod_pi(a, b) -> float:
-    d = abs(a - b) % np.pi
-    return min(d, np.pi - d)
-
-
-class TestLambdaMomentObjective:
-    """The learner's moment forms of the score against consistency_objective."""
-
-    @staticmethod
-    def _check(ds, k, thetas):
-        X, U, PI = ds.stack("x"), ds.stack("u"), ds.stack("pi")
-        objective = learning._lambda_objective(jacobian(ARM, X), PI, U - PI, k)
-        for theta in thetas:
-            model = SelectionConstraint(lam=build_constraint_rows(theta, k, 3),
-                                        feature=lambda q: jacobian(ARM, q))
-            ref = consistency_objective(model, ds)
-            assert objective(theta) == pytest.approx(ref, rel=1e-10, abs=1e-14)
-
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_matches_reference(self, k):
-        ds = arm_dataset(seed=3, lam_pattern=(1, 1, 0) if k == 2 else (0, 1, 0), n_traj=3)
-        rng = np.random.default_rng(k)
-        dim = 2 if k == 1 else 3
-        self._check(ds, k, [rng.uniform(-np.pi, np.pi, dim) for _ in range(6)])
-
     def test_spherical_moment_form_matches_reference(self):
         ds = toy(seed=6)
         PI = ds.stack("pi")
@@ -129,17 +104,10 @@ class TestLambdaMomentObjective:
             ref = consistency_objective(SphericalConstraint(theta=(theta,), k=1, n=2), ds)
             assert objective(np.array([theta])) == pytest.approx(ref, rel=1e-10, abs=1e-14)
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_singular_sample_falls_back(self, k):
-        # a straight-arm state zeroes the Jacobian's x row, so Lambda = (x) or
-        # (x, y) at zero angles gives that sample an exactly singular Gram matrix
-        ds = arm_dataset(seed=4, n_traj=1, points=10)
-        traj = ds.trajectories[0]
-        x = traj.x.copy()
-        x[3] = 0.0
-        ds = Dataset(trajectories=[Trajectory(dt=traj.dt, x=x, u=traj.u, pi=traj.pi)])
-        thetas = [np.zeros(2)] if k == 1 else [np.array([0.0, 0.0, 0.0])]
-        self._check(ds, k, thetas)
+
+def angle_gap_mod_pi(a, b) -> float:
+    d = abs(a - b) % np.pi
+    return min(d, np.pi - d)
 
 
 class TestLearnToyConstraint:
@@ -177,13 +145,6 @@ class TestLearnToyConstraint:
         assert learned.diagnostics["degenerate_prior_fraction"] > 0.5
         assert learned.objective_value == 0.0
 
-    def test_k_sweep_on_toy_stops_at_one(self):
-        ds = toy(seed=9)
-        learned = learn_constraint(ds, k=None, opt=TOY_OPT)
-        assert learned.model.k == 1
-        assert list(learned.diagnostics["k_sweep"]) == [1]
-        assert learned.objective_value < learned.diagnostics["k_sweep_floor"]
-
 
 class TestLearnArmConstraint:
     def test_lambda_representation_recovers_projector(self):
@@ -209,8 +170,6 @@ class TestLearnArmConstraint:
         with pytest.raises(ValueError, match="broadcast"):
             learn_constraint(ds, k=1, representation="lambda", feature_fn=feature)
         with pytest.raises(ValueError, match="broadcast"):
-            learn_constraint(ds, k=None, representation="lambda", feature_fn=feature)
-        with pytest.raises(ValueError, match="broadcast"):
             learn_selection_matrix(ds, ds.stack("w"), feature, k=1, mode="diagonal")
 
     def test_unknown_representation(self):
@@ -224,7 +183,12 @@ ACTION_NOISE = NoiseSpec(epsilon=0.1, target="actions")
 
 
 class TestLiftedStart:
-    """The closed-form start plus one polish against the screened-restart search."""
+    """The closed-form start: the top eigenvectors of the row-space scatter of d = u - pi.
+
+    On clean data the start, returned as it is, must score no worse than the
+    screened-restart search of the L1 score; on noisy data its polish (toy)
+    or least-squares fit (arm) is checked against that search.
+    """
 
     @staticmethod
     def reference_score(objective, k, n, opt):
@@ -253,43 +217,51 @@ class TestLiftedStart:
         k = sum(pattern)
         ds = arm_dataset(seed=seed, lam_pattern=pattern)
         if noisy:
-            # no exact fit, so the learner runs the restart search instead
             ds = add_noise(ds, ACTION_NOISE, (seed, 22))
         X, PI = ds.stack("x"), ds.stack("pi")
-        objective = learning._lambda_objective(jacobian(ARM, X), PI, ds.stack("u") - PI, k)
-        ref = self.reference_score(objective, k, 3, ARM_OPT)
+        D, Phi = ds.stack("u") - PI, jacobian(ARM, X)
+        rows = lambda theta: build_constraint_rows(theta, k, 3)
+        searched = learning._restart_search(
+            lambda theta: learning._l1_score(PI, D, rows(theta) @ Phi),
+            spherical_param_count(k, 3), ARM_OPT)
         learned = learn_constraint(ds, k=k, representation="lambda", opt=ARM_OPT,
                                    feature_fn=lambda q: jacobian(ARM, q))
-        self.assert_no_worse(learned.objective_value, ref)
-        searched = learned.restarts_used + learned.diagnostics["failures"] > 1
-        assert searched == noisy
+        if noisy:
+            # the learner fits the squared residuals N d, not the L1 score, and
+            # must fit them at least as well as the search's answer does
+            assert learned.diagnostics["learner_path"] == "least_squares"
+            assert residual(learned.model.lam, Phi, D) <= residual(rows(searched.params), Phi, D)
+        else:
+            assert learned.diagnostics["learner_path"] == "closed_form"
+            self.assert_no_worse(learned.objective_value, searched.value)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_start_is_exact_on_clean_constant_data(self, k):
-        # k < n - 1 leaves a family N S N of lifted solutions; the start must
-        # still land on the true rows
         rng = np.random.default_rng(k)
-        n = 4
-        A = build_constraint_rows(rng.uniform(-3.0, 3.0, spherical_param_count(k, n)), k, n)
-        X = rng.uniform(-1.0, 1.0, size=(60, n))
-        PI = X @ rng.normal(size=(n, n)).T + 0.3
-        U = rng.normal(size=(60, k)) @ A + PI @ (np.eye(n) - A.T @ A)
-        angles, margin = learning._lifted_start(PI, U - PI, k)
-        A0 = build_constraint_rows(angles, k, n)
-        assert np.max(np.abs(A0.T @ A0 - A.T @ A)) < 1e-12
-        assert margin < 1e-10
+        for n in range(k + 1, 6):
+            A = build_constraint_rows(rng.uniform(-3.0, 3.0, spherical_param_count(k, n)), k, n)
+            X = rng.uniform(-1.0, 1.0, size=(60, n))
+            PI = X @ rng.normal(size=(n, n)).T + 0.3
+            U = rng.normal(size=(60, k)) @ A + PI @ (np.eye(n) - A.T @ A)
+            basis, spectrum = learning._row_space_start(U - PI, k)
+            A0 = basis[:, :k].T
+            assert np.max(np.abs(A0.T @ A0 - A.T @ A)) < 1e-12, n
+            assert np.all(np.diff(spectrum) <= 0.0)
+            assert spectrum[k] < 1e-12 * spectrum[k - 1], n
 
     def test_diagnostics_report_the_start(self):
         ds = arm_dataset(seed=23)
         learned = learn_constraint(ds, k=2, representation="lambda", opt=ARM_OPT,
                                    feature_fn=lambda q: jacobian(ARM, q))
         diag = learned.diagnostics
-        assert diag["lift_sv_ratio"] < 1e-10
-        assert learned.objective_value <= diag["start_score"] <= 1e-8 * action_norm_sum(ds)
+        spectrum = diag["spectrum"]
+        assert len(spectrum) == 3 and spectrum == sorted(spectrum, reverse=True)
+        assert spectrum[2] < 1e-12 * spectrum[1]
+        assert learned.objective_value == diag["start_score"] <= 1e-8 * action_norm_sum(ds)
         assert learned.restarts_used == 1
 
-    def test_middle_k_falls_back_to_restart_search(self):
-        # p = 4 features with k = 2 rows has no lift
+    def test_middle_k_takes_closed_form(self):
+        # p = 4 features with k = 2 rows: neither k = 1 nor k = p - 1
         rng = np.random.default_rng(24)
         A = build_constraint_rows(rng.uniform(-3.0, 3.0, 5), 2, 4)
         X = rng.uniform(-1.0, 1.0, size=(80, 4))
@@ -297,25 +269,67 @@ class TestLiftedStart:
         U = rng.normal(size=(80, 2)) @ A + PI @ (np.eye(4) - A.T @ A)
         ds = Dataset(trajectories=[Trajectory(dt=1.0, x=X, u=U, pi=PI)])
         identity = lambda x: np.broadcast_to(np.eye(4), (len(x), 4, 4))
-        opt = OptimizerConfig(restarts=4, max_iters=2000, objective_tol=1e-13,
-                              param_tol=1e-11, seed=0)
-        learned = learn_constraint(ds, k=2, representation="lambda", opt=opt,
-                                   feature_fn=identity)
-        assert learned.diagnostics["lift_sv_ratio"] is None
-        assert learned.restarts_used + learned.diagnostics["failures"] == 4
+        learned = learn_constraint(ds, k=2, representation="lambda", feature_fn=identity)
+        assert learned.diagnostics["learner_path"] == "closed_form"
+        assert learned.diagnostics["objective_evals"] == 1
         assert learned.objective_value <= 1e-8 * action_norm_sum(ds)
+        lam = learned.model.lam
+        assert np.max(np.abs(lam.T @ lam - A.T @ A)) < 1e-12
+
+    def test_singular_feature_sample_is_left_out(self):
+        # a straight-arm state zeroes the Jacobian's x row: its Gram matrix is
+        # exactly singular, so that sample drops out of the scatter
+        ds = arm_dataset(seed=4, lam_pattern=(0, 1, 0), n_traj=1, points=10)
+        X = ds.stack("x")
+        X[3] = 0.0
+        D = ds.stack("u") - ds.stack("pi")
+        Phi = jacobian(ARM, X)
+        assert np.linalg.det(Phi[3] @ Phi[3].T) == 0.0
+        basis, spectrum = learning._row_space_start(D, 1, Phi)
+        keep = np.arange(len(X)) != 3
+        assert np.array_equal(spectrum, learning._row_space_start(D[keep], 1, Phi[keep])[1])
+        assert np.all(np.isfinite(basis))
+
+    def test_feature_without_full_row_rank_is_rejected(self):
+        ds = arm_dataset(seed=5, n_traj=1, points=10)
+        flat = lambda q: np.broadcast_to(np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+                                         (len(q), 2, 3))
+        with pytest.raises(ValueError, match="full row rank"):
+            learn_constraint(ds, k=1, representation="lambda", feature_fn=flat)
+
+
+def residual(lam, Phi, D) -> float:
+    """sum_n |N(x_n) d_n|^2, the criterion of the least-squares fit."""
+    return float(np.sum(learning.null_space_apply(lam @ Phi, D) ** 2))
+
+
+class TestLeastSquaresFit:
+    @pytest.mark.parametrize("case", list(THREE_LINK_CASES))
+    def test_no_worse_than_truth(self, case):
+        pattern = THREE_LINK_CASES[case]
+        ds = add_noise(arm_dataset(seed=45, lam_pattern=pattern, n_traj=4), ACTION_NOISE, 46)
+        X, PI = ds.stack("x"), ds.stack("pi")
+        D, Phi = ds.stack("u") - PI, jacobian(ARM, X)
+        learned = learn_constraint(ds, k=sum(pattern), representation="lambda",
+                                   feature_fn=lambda q: jacobian(ARM, q))
+        assert learned.diagnostics["learner_path"] == "least_squares"
+        truth = residual(diagonal_selection(pattern), Phi, D)
+        assert residual(learned.model.lam, Phi, D) <= truth * (1.0 + 1e-9)
 
 
 def polished_from_start(ds, k, representation, opt):
-    """The learner before the exact-fit skip: one simplex polish from the lifted start."""
+    """The learner before the exact-fit skip: one simplex polish from the closed-form start."""
     X, U, PI = ds.stack("x"), ds.stack("u"), ds.stack("pi")
+    D = U - PI
     if representation == "spherical":
-        objective = learning._spherical_objective(PI, U - PI, k, X.shape[1])
-        start = learning._lifted_start(PI, U - PI, k)[0]
+        objective = learning._spherical_objective(PI, D, k, X.shape[1])
+        basis = learning._row_space_start(D, k)[0]
     else:
         Phi = jacobian(ARM, X)
-        objective = learning._lambda_objective(Phi, PI, U - PI, k)
-        start = learning._lifted_start(PI, U - PI, k, Phi)[0]
+        rows = lambda theta: build_constraint_rows(theta, k, 3)
+        objective = lambda theta: learning._l1_score(PI, D, rows(theta) @ Phi)
+        basis = learning._row_space_start(D, k, Phi)[0]
+    start = constraint_angles(basis[:, :k].T)
     theta = optimize(objective, start, replace(opt, restarts=1)).params
     if representation == "spherical":
         return SphericalConstraint(theta=tuple(np.mod(theta, 2.0 * np.pi)), k=k, n=X.shape[1])
@@ -324,7 +338,7 @@ def polished_from_start(ds, k, representation, opt):
 
 
 class TestExactFitSkip:
-    """Clean learns return the lifted start with no polish, and lose nothing by it."""
+    """Clean learns return the closed-form start with no polish, and lose nothing by it."""
 
     @staticmethod
     def assert_matches_polish(ds, n_train, k, representation, opt):
@@ -357,17 +371,25 @@ class TestExactFitSkip:
         self.assert_matches_polish(ds, 3, sum(pattern), "lambda", ARM_OPT)
 
     @pytest.mark.parametrize("representation,path", [("spherical", "polish"),
-                                                     ("lambda", "restart_search")])
+                                                     ("lambda", "least_squares")])
     def test_noisy_data_still_searches(self, monkeypatch, representation, path):
-        # every objective call is counted, the start's own score included
+        # every evaluation is counted: the score's, the start's own included,
+        # and the least-squares fit's residual evaluations
         calls = []
-        for name in ("_spherical_objective", "_lambda_objective"):
-            build = getattr(learning, name)
+        build, score, fit = learning._spherical_objective, learning._l1_score, \
+            learning.least_squares
 
-            def counting(*args, build=build):
-                objective = build(*args)
-                return lambda theta: calls.append(1) or objective(theta)
-            monkeypatch.setattr(learning, name, counting)
+        def counting_build(*args):
+            objective = build(*args)
+            return lambda theta: calls.append(1) or objective(theta)
+
+        def counting_fit(*args, **kwargs):
+            res = fit(*args, **kwargs)
+            calls.extend([1] * res.nfev)
+            return res
+        monkeypatch.setattr(learning, "_spherical_objective", counting_build)
+        monkeypatch.setattr(learning, "_l1_score", lambda *a: calls.append(1) or score(*a))
+        monkeypatch.setattr(learning, "least_squares", counting_fit)
         if representation == "spherical":
             ds = add_noise(toy(seed=43), ACTION_NOISE, 44)
         else:
@@ -375,7 +397,7 @@ class TestExactFitSkip:
         learned = learn_constraint(ds, k=1, representation=representation, opt=ARM_OPT,
                                    feature_fn=lambda q: jacobian(ARM, q))
         assert learned.diagnostics["learner_path"] == path
-        assert learned.diagnostics["objective_evals"] == len(calls) > 50
+        assert learned.diagnostics["objective_evals"] == len(calls) > 2
 
 
 class TestLearnSelectionMatrix:

@@ -303,6 +303,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     calls = []  # one entry per score evaluation, for the diagnostics
 
     if representation == "spherical":
+        spherical_param_count(k, n)  # validates k
         basis, spectrum = _row_space_start(D, k)
         objective = _spherical_objective(PI, D, k, n)
         counted = lambda theta: calls.append(None) or objective(theta)

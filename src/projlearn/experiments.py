@@ -375,8 +375,7 @@ def _toy_trial(args):
     noise = cfg.get("noise")
     if noise and noise["epsilon"] > 0.0:
         train = add_noise(train, NoiseSpec(**noise), (seed, case_index, trial, 1))
-    learned = learn_constraint(train, k=1, representation="spherical",
-                               opt=_opt_config(cfg, (seed, case_index, trial, 2)))
+    learned = learn_constraint(train, k=1, representation="spherical")
     ev = eval_learned_constraint(learned.model, test)
     return {
         "trial": trial,
@@ -466,8 +465,7 @@ def _three_link_trial(args):
     train, test = split_dataset(ds, n_traj // 2)
     k = lam.shape[0]
     learned = learn_constraint(train, k=k, representation="lambda",
-                               feature_fn=lambda q: jacobian(arm, q),
-                               opt=_opt_config(cfg, (seed, case_index, trial, 2)))
+                               feature_fn=lambda q: jacobian(arm, q))
     ev = eval_learned_constraint(learned.model, test)
     return {
         "trial": trial,
@@ -528,8 +526,7 @@ def run_compare_baseline(cfg: dict) -> dict:
                              pi, q0, dt=dt, duration=duration)
 
     feature_fn = lambda q: jacobian(arm, q)
-    learned = learn_constraint(train, k=k, representation="lambda", feature_fn=feature_fn,
-                               opt=_opt_config(cfg, (seed, 2)))
+    learned = learn_constraint(train, k=k, representation="lambda", feature_fn=feature_fn)
     proposed_b = estimate_task_policy(learned.model, gt.x, gt.u)
     proposed_plan = RetargetPlan(constraint=learned.model, task_source=ReplaySource(proposed_b),
                                  pi_robot=pi, demonstrator=arm)
@@ -592,8 +589,7 @@ def _learn_xy_constraint(cfg: dict, arm: PlanarArm, pi, target_cfg: dict):
                                  cfg["points_per_traj"], dt=cfg["dt"],
                                  seed=(cfg["seed"], 0), target_cfg=target_cfg)
     return learn_constraint(train, k=2, representation="lambda",
-                            feature_fn=lambda q: jacobian(arm, q),
-                            opt=_opt_config(cfg, (cfg["seed"], 2)))
+                            feature_fn=lambda q: jacobian(arm, q))
 
 
 def _demonstration(cfg: dict, arm: PlanarArm, pi, lam) -> tuple:
@@ -728,8 +724,7 @@ def run_ingest_learn(cfg: dict) -> dict:
     ds = Dataset(trajectories=trajs, meta={"system": "human_arm", "noise": None,
                                            "links": list(arm.link_lengths)})
     learned = learn_constraint(ds, prior_pi=pi, k=cfg["k"], representation="lambda",
-                               feature_fn=lambda q: jacobian(arm, q),
-                               opt=_opt_config(cfg, (cfg["seed"], 2)))
+                               feature_fn=lambda q: jacobian(arm, q))
     e_n = consistency_error(learned.model, ds, prior_pi=pi)
 
     report = _base_report("ingest-learn", raw, cfg)

@@ -94,6 +94,27 @@ def test_criterion_3_noise_robustness():
     assert elapsed <= budget
 
 
+def test_noisy_toy_recovery_every_prior():
+    # Criterion 3's protocol for the two priors it leaves out, same threshold.
+    budget = 300.0
+    t0 = time.monotonic()
+    means = {}
+    for policy in ("linear", "sinusoidal"):
+        cfg = {"seed": 0, "trials": 50, "policy": policy, "n_train": 150, "n_test": 150,
+               "axes": {"u_noise": [0.10], "pi_noise": [0.04]}, "optimizer": TOY_OPT}
+        for p in run_sweep(cfg)["report"]["points"]:
+            means[f"{policy}@{p['axis']}"] = p["e_w"]["mean"]
+    elapsed = time.monotonic() - t0
+    worst = max(means, key=means.get)
+    failing = sorted(k for k, v in means.items() if v > 0.1)
+    ok = not failing and elapsed <= budget
+    report_line("3c", "noisy toy recovery, every prior", ok,
+                f"worst mean e_w {means[worst]:.2e} ({worst}) <= 0.1 at action noise 0.10 "
+                f"and prior noise 0.04; failing: {failing or 'none'}", elapsed, budget)
+    assert not failing, {k: means[k] for k in failing}
+    assert elapsed <= budget
+
+
 def test_criterion_4_three_link_recovery():
     budget = 900.0
     t0 = time.monotonic()

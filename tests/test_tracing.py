@@ -2,7 +2,8 @@
 
 The tracer patches projlearn functions by name from outside the package, so
 renaming or removing one of them breaks only traced benchmark runs. This
-installs it, runs one learn of each kind under it, and uninstalls it.
+installs it, runs one learn of each kind and one selection-matrix fit under
+it, and uninstalls it.
 """
 
 import importlib.util
@@ -48,12 +49,16 @@ def test_tracer_installs_and_uninstalls():
                                   n_trajectories=2, points_per_traj=20, dt=0.02, seed=3)
         learning.learn_constraint(add_noise(ds, noise, 4), k=2, representation="lambda",
                                   feature_fn=lambda q: jacobian(arm, q))
+        learning.learn_selection_matrix(ds, ds.stack("w"), lambda q: jacobian(arm, q), k=2,
+                                        opt=learning.OptimizerConfig(restarts=2, max_iters=50),
+                                        mode="continuous")
     finally:
         tracer.uninstall()
 
     for owner, attr in patched:
         assert getattr(owner, attr) is originals[(owner, attr)], attr
     assert tracer.spans["learning.learn_constraint"][0] == 2
-    # the toy learn polishes with Nelder-Mead, seen through optimize and minimize
+    # the selection-matrix fit searches with Nelder-Mead, seen through optimize,
+    # _screened_sampler and minimize
     assert tracer.counts["learning.nm_runs"] >= 1
     assert tracer.counts["learning.objective_evals"] > 1

@@ -29,18 +29,21 @@ REACHES = [
 ]
 
 
-def main():
-    out_root = Path(__file__).resolve().parent.parent / "configs" / "data" / "keypoints_demo"
+def reach_frames(reach: dict) -> list:
+    """Pose-estimator frames of one entry of REACHES, as main() writes them."""
     model = SelectionConstraint(lam=diagonal_selection((1, 1, 0)),
                                 feature=lambda q: jacobian(ARM, q))
     pi = PointAttractor(target=arm_angles_from_human(np.deg2rad([-90.0, 90.0, 0.0])))
+    q0 = arm_angles_from_human(np.deg2rad(reach["start_deg_human"]))
+    task = TaskPointAttractor(arm=ARM, target=np.asarray(reach["target"]), gain=1.0)
+    traj = simulate_trajectory(ARM, model, task, pi, q0, dt=1.0 / FPS, duration=FRAMES / FPS)
+    return synthesize_keypoint_frames(ARM, traj.x)
+
+
+def main():
+    out_root = Path(__file__).resolve().parent.parent / "configs" / "data" / "keypoints_demo"
     for i, reach in enumerate(REACHES):
-        q0 = arm_angles_from_human(np.deg2rad(reach["start_deg_human"]))
-        task = TaskPointAttractor(arm=ARM, target=np.asarray(reach["target"]), gain=1.0)
-        traj = simulate_trajectory(ARM, model, task, pi, q0,
-                                   dt=1.0 / FPS, duration=FRAMES / FPS)
-        frames = synthesize_keypoint_frames(ARM, traj.x)
-        paths = write_keypoint_files(frames, out_root / f"traj_{i}", prefix="demo")
+        paths = write_keypoint_files(reach_frames(reach), out_root / f"traj_{i}", prefix="demo")
         print(f"traj_{i}: {len(paths)} frames -> {paths[0].parent}")
 
 

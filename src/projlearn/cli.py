@@ -3,8 +3,9 @@
 Every experiment is driven by a JSON config file. The CLI validates the
 config (exit code 2 on any problem, with the offending key path in the
 message), runs the named experiment, and writes a report plus per-trial
-CSV into the output directory. Acceptance thresholds embedded in the
-config are checked after the run; violations exit with code 1.
+CSV into the output directory. Every check the runner returns is logged
+and compared with the acceptance thresholds embedded in the config;
+violations exit with code 1.
 """
 
 import argparse
@@ -189,27 +190,8 @@ def main(argv=None) -> int:
     write_outputs(result, cfg, out_dir, args.gnuplot, args.command)
     log.info("wrote %s", out_dir / "report.json")
 
-    report = result["report"]
-    if "cases" in report:
-        for case, stats in report["cases"].items():
-            log.info("%-14s mean e_w %.3e  mean e_n %.3e", case,
-                     stats["e_w"]["mean"], stats["e_n"]["mean"])
-    if "points" in report:
-        for point in report["points"]:
-            log.info("%s=%-8g mean e_w %.3e  mean e_n %.3e", point["axis"],
-                     point["value"], point["e_w"]["mean"], point["e_n"]["mean"])
-    if args.command == "compare-baseline":
-        log.info("final task error: proposed %.3e, baseline %.3e",
-                 report["proposed"]["final_task_error"],
-                 report["baseline"]["final_task_error"])
-    if args.command == "retarget-obstacle":
-        log.info("direct clear=%s, retargeted clear=%s",
-                 report["direct"]["clear"], report["retargeted"]["clear"])
-    if args.command == "retarget-embodiment":
-        log.info("task trace RMSE %.3e", report["trace_rmse"])
-    if args.command == "ingest-learn":
-        log.info("consistency error %.3e over %d samples",
-                 report["e_n"], report["n_samples"])
+    for label, _, value in result["checks"]:
+        log.info("%s = %s", label, value if isinstance(value, bool) else f"{value:.3e}")
 
     violations = check_acceptance(cfg, result)
     for v in violations:

@@ -6,6 +6,9 @@ the representation the learner searches over when nothing is known about the
 structure of A. A *selection* constraint is A(x) = Lambda Phi(x) for a fixed
 coefficient matrix Lambda and a state-dependent feature matrix Phi, typically
 the arm Jacobian.
+
+Every many-sample path, the learner's start included, solves its Gram
+systems A A^T z = b through _gram_solve, with one trust test.
 """
 
 import math
@@ -213,53 +216,51 @@ def null_projector(A, rel_tol: float = 1e-10) -> Projector:
 
 
 # The k = 2 closed form loses about eps * g00 g11 / det of relative accuracy,
-# so Gram systems whose det / (g00 g11) is below this go to the SVD instead.
+# so Gram systems whose det / prod(diag) is below this go to the SVD instead.
 GRAM_DET_TOL = 1e-6
 
 
-def _gram_closed_form(G, B):
-    """z = G^-1 b for a stack of k = 1 or k = 2 Gram systems (S, k, k), (S, k).
+def _gram_solve(G, B):
+    """z = G^-1 b for a stack of Gram systems (S, k, k), (S, k), and the trusted mask.
 
-    Returns z and the mask of samples the closed form can be trusted on:
-    nonzero rows for k = 1, a determinant above GRAM_DET_TOL times g00 g11
-    for k = 2 (rows more than about 1e-3 rad from parallel). Larger k trusts
-    no sample. The closed forms keep the optimizer's inner loop off LAPACK's
-    per-matrix overhead.
+    A sample is trusted when det G > GRAM_DET_TOL * prod(diag G), a
+    scale-free test since det <= prod(diag) for a Gram matrix: for k = 1 a
+    nonzero row, for k = 2 rows more than about 1e-3 rad from parallel.
+    Closed forms for k <= 2 keep the inner loops off LAPACK's per-matrix
+    overhead; larger k solve the trusted samples in one call. Untrusted
+    samples get z = 0.
     """
-    S, k = B.shape
+    k = B.shape[1]
+    # prod(diag G) spelled out for k <= 2: per-call overhead dominates one-state steps.
     if k == 1:
-        ok = G[:, 0, 0] > 0.0
-        return B / np.where(ok, G[:, 0, 0], 1.0)[:, None], ok
-    if k != 2:
-        return np.zeros(B.shape), np.zeros(S, dtype=bool)
-    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
-    ok = det > GRAM_DET_TOL * G[:, 0, 0] * G[:, 1, 1]
+        det = diag = G[:, 0, 0]
+    elif k == 2:
+        diag = G[:, 0, 0] * G[:, 1, 1]
+        det = diag - G[:, 0, 1] * G[:, 1, 0]
+    else:
+        det, diag = np.linalg.det(G), np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+    ok = det > GRAM_DET_TOL * diag
+    if k > 2:
+        Z = np.zeros(B.shape)
+        Z[ok] = np.linalg.solve(G[ok], B[ok][:, :, None])[:, :, 0]
+        return Z, ok
     det = np.where(ok, det, 1.0)
+    if k == 1:
+        return B / det[:, None], ok
     Z = np.empty(B.shape)
     Z[:, 0] = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
     Z[:, 1] = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
     return Z, ok
 
 
-def gram_solve(G, B) -> np.ndarray:
-    """Batched solve of small Gram systems G z = B, shapes (S, k, k) and (S, k).
-
-    Samples the closed form does not trust get z = G^+ B from a batched SVD.
-    """
-    Z, ok = _gram_closed_form(G, B)
-    if not ok.all():
-        Z[~ok] = np.einsum("skl,sl->sk", pseudo_inverse(G[~ok]), B[~ok])
-    return Z
-
-
 def pinv_apply(A, B) -> np.ndarray:
     """A_n^+ b_n for a stack of wide matrices A (S, k, n) and rates B (S, k).
 
-    Well-conditioned samples go through the Gram closed form; the rest get
+    Well-conditioned samples go through the Gram solve; the rest get
     the SVD pseudo-inverse of A_n itself, which is accurate to about
     eps / (sigma_min/sigma_max) where the Gram form would square that.
     """
-    Z, ok = _gram_closed_form(np.einsum("skj,slj->skl", A, A), B)
+    Z, ok = _gram_solve(np.einsum("skj,slj->skl", A, A), B)
     out = np.einsum("skj,sk->sj", A, Z)
     if not ok.all():
         out[~ok] = np.einsum("sjk,sk->sj", pseudo_inverse(A[~ok]), B[~ok])
@@ -279,14 +280,15 @@ def split_action(A, B, PI):
 
     Stacks A (S, k, n), B (S, k), PI (S, n). For k = 1 and 2 one Gram matrix
     G = A A^T serves both solves and the ratio (1 for a nonzero row, sqrt(det
-    G) / lmax(G) for two); untrusted samples and k >= 3 take null_projector.
+    G) / lmax(G) for two); untrusted samples and k >= 3, for which no closed
+    form of the ratio is coded, take null_projector.
     """
     G = np.einsum("skj,slj->skl", A, A)
     # Both right-hand sides in one call: per-call overhead dominates small stacks.
-    Z, ok = _gram_closed_form(np.concatenate([G, G]),
-                              np.concatenate([B, np.einsum("skj,sj->sk", A, PI)]))
+    Z, ok = _gram_solve(np.concatenate([G, G]),
+                        np.concatenate([B, np.einsum("skj,sj->sk", A, PI)]))
     AZ = np.einsum("skj,rsk->rsj", A, Z.reshape(2, len(A), -1))
-    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)]
+    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)] & (A.shape[1] <= 2)
     ratio = ok.astype(float)
     if A.shape[1] == 2:
         g00, g01, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]

@@ -4,9 +4,10 @@ Each runner takes a config dict and first passes it through `resolve`, which
 checks it against the experiment's schema below and fills in every default,
 so the CLI and tests calling a runner directly with a partial dict get the
 same run. The runner returns a report dict, which echoes the config as
-given, plus per-trial rows. All randomness derives from (master seed, case
-index, trial index, stream), so results are reproducible sample for sample
-no matter how trials are scheduled.
+given, per-trial rows and its own acceptance checks, (label, acceptance
+key, value) triples for check_acceptance. All randomness derives from
+(master seed, case index, trial index, stream), so results are
+reproducible sample for sample no matter how trials are scheduled.
 """
 
 import copy
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
-from .kinematics import PlanarArm, end_pose, forward_kinematics, jacobian
+from .kinematics import PlanarArm, end_pose, jacobian
 from .learning import (BaselineConfig, OptimizerConfig, baseline_separate_nullspace,
                        learn_constraint, learn_selection_matrix)
 from .metrics import consistency_error, eval_learned_constraint, summarize
@@ -199,7 +200,7 @@ OPTIMIZER = {
     "param_tol": Key("number", OptimizerConfig.param_tol, lo=0.0),
 }
 
-# Thresholds check_acceptance applies; each experiment accepts the ones it reports.
+# Thresholds check_acceptance applies; each experiment accepts the ones its checks name.
 ACCEPTANCE = {
     "max_mean_e_w": Key("number", lo=0.0),
     "max_mean_e_n": Key("number", lo=0.0),
@@ -353,6 +354,12 @@ def _map_trials(task, arg_list, workers: int):
         return list(pool.map(task, arg_list))
 
 
+def _mean_checks(groups) -> list:
+    """Checks on the mean e_w and e_n of each (label, stats) case or sweep point."""
+    return [(f"{label}: mean {m}", f"max_mean_{m}", stats[m]["mean"])
+            for label, stats in groups for m in ("e_w", "e_n")]
+
+
 def _base_report(name: str, raw: dict, cfg: dict) -> dict:
     """Report header; it echoes and hashes the config as given, not as resolved."""
     return {
@@ -404,7 +411,7 @@ def run_toy(cfg: dict) -> dict:
         for name in policies
     }
     report["trial_seeds"] = [r["seed"] for r in rows]
-    return {"report": report, "rows": rows}
+    return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
 
 
 def run_sweep(cfg: dict) -> dict:
@@ -440,7 +447,8 @@ def run_sweep(cfg: dict) -> dict:
     report = _base_report("sweep", raw, cfg)
     report["points"] = aggregates
     report["trial_seeds"] = [r["seed"] for r in rows]
-    return {"report": report, "rows": rows}
+    checks = _mean_checks((f"{p['axis']}={p['value']}", p) for p in aggregates)
+    return {"report": report, "rows": rows, "checks": checks}
 
 
 # --- three-link arm ----------------------------------------------------------------
@@ -493,7 +501,7 @@ def run_three_link(cfg: dict) -> dict:
         for case in cases
     }
     report["trial_seeds"] = [r["seed"] for r in rows]
-    return {"report": report, "rows": rows}
+    return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
 
 
 # --- head-to-head against the prior-free pipeline -----------------------------------
@@ -544,8 +552,7 @@ def run_compare_baseline(cfg: dict) -> dict:
     sel = [i for i, v in enumerate(THREE_LINK_CASES[case]) if v]
 
     def task_error(traj):
-        pose = forward_kinematics(arm, traj.x[-1]).as_array()
-        err = target - pose
+        err = target - end_pose(arm, traj.x[-1])
         err[2] = float(np.arctan2(np.sin(err[2]), np.cos(err[2])))
         return float(np.linalg.norm(err[sel]))
 
@@ -576,7 +583,9 @@ def run_compare_baseline(cfg: dict) -> dict:
          "e_w": report["baseline"]["joint_rmse_vs_gt"],
          "e_n": report["baseline"]["final_task_error"], "objective": base_obj},
     ]
-    return {"report": report, "rows": rows,
+    checks = [("proposed final task error", "max_final_task_error",
+               report["proposed"]["final_task_error"])]
+    return {"report": report, "rows": rows, "checks": checks,
             "trajectories": {"ground_truth": gt, "proposed": proposed, "baseline": baseline}}
 
 
@@ -630,8 +639,7 @@ def run_retarget_obstacle(cfg: dict) -> dict:
     retarget_check = check_obstacle_clearance(retargeted, arm, region)
 
     def final_xy_error(traj):
-        pose = forward_kinematics(arm, traj.x[-1]).as_array()
-        return float(np.linalg.norm(pose[:2] - r_star[:2]))
+        return float(np.linalg.norm(end_pose(arm, traj.x[-1])[:2] - r_star[:2]))
 
     report = _base_report("retarget-obstacle", raw, cfg)
     report["obstacle"] = obs_cfg
@@ -657,7 +665,11 @@ def run_retarget_obstacle(cfg: dict) -> dict:
          "e_n": report["retargeted"]["final_xy_error"],
          "objective": float(not retarget_check.clear)},
     ]
-    return {"report": report, "rows": rows,
+    checks = [("retargeted trajectory violates the obstacle region", "require_retargeted_clear",
+               not retarget_check.clear),
+              ("direct imitation unexpectedly clears the obstacle region",
+               "require_direct_violation", direct_check.clear)]
+    return {"report": report, "rows": rows, "checks": checks,
             "trajectories": {"demonstration": demo, "retargeted": retargeted}}
 
 
@@ -691,7 +703,8 @@ def run_retarget_embodiment(cfg: dict) -> dict:
     rows = [{"trial": 0, "case": "embodiment", "seed": [cfg["seed"]],
              "e_w": rmse, "e_n": report["final_xy_error_imitator"],
              "objective": learned.objective_value}]
-    return {"report": report, "rows": rows,
+    checks = [("task trace RMSE", "max_trace_rmse", rmse)]
+    return {"report": report, "rows": rows, "checks": checks,
             "trajectories": {"demonstration": demo, "imitator": imitated}}
 
 
@@ -737,47 +750,25 @@ def run_ingest_learn(cfg: dict) -> dict:
     report["diagnostics"] = learned.diagnostics
     rows = [{"trial": 0, "case": "ingest", "seed": [cfg["seed"]],
              "e_w": float("nan"), "e_n": e_n, "objective": learned.objective_value}]
-    return {"report": report, "rows": rows}
+    return {"report": report, "rows": rows, "checks": [("consistency error", "max_e_n", e_n)]}
 
 
 # --- acceptance thresholds embedded in configs ------------------------------------------
 
 def check_acceptance(cfg: dict, result: dict) -> list:
-    """Compare a finished report against thresholds from the config, if any.
+    """Compare a finished run's checks against thresholds from the config, if any.
 
+    A max_* check fails when its value exceeds the threshold; a require_*
+    check, when the key is true and its value, the violation flag, is true.
     Returns human-readable violation strings; empty means all good.
     """
-    spec = cfg.get("acceptance")
-    if not spec:
-        return []
-    report = result["report"]
+    spec = cfg.get("acceptance") or {}
     violations = []
-
-    def check_max(value, key, label):
-        if key in spec and value > spec[key]:
+    for label, key, value in result["checks"]:
+        if key.startswith("max_") and key in spec and value > spec[key]:
             violations.append(f"{label} = {value:.3e} exceeds {key} = {spec[key]:.3e}")
-
-    if "cases" in report:
-        for case, stats in report["cases"].items():
-            check_max(stats["e_w"]["mean"], "max_mean_e_w", f"{case}: mean e_w")
-            check_max(stats["e_n"]["mean"], "max_mean_e_n", f"{case}: mean e_n")
-    if "points" in report:
-        for point in report["points"]:
-            label = f"{point['axis']}={point['value']}"
-            check_max(point["e_w"]["mean"], "max_mean_e_w", f"{label}: mean e_w")
-            check_max(point["e_n"]["mean"], "max_mean_e_n", f"{label}: mean e_n")
-    if report["experiment"] == "compare-baseline":
-        check_max(report["proposed"]["final_task_error"], "max_final_task_error",
-                  "proposed final task error")
-    if report["experiment"] == "retarget-obstacle":
-        if spec.get("require_retargeted_clear") and not report["retargeted"]["clear"]:
-            violations.append("retargeted trajectory violates the obstacle region")
-        if spec.get("require_direct_violation") and report["direct"]["clear"]:
-            violations.append("direct imitation unexpectedly clears the obstacle region")
-    if report["experiment"] == "retarget-embodiment":
-        check_max(report["trace_rmse"], "max_trace_rmse", "task trace RMSE")
-    if report["experiment"] == "ingest-learn":
-        check_max(report["e_n"], "max_e_n", "consistency error")
+        elif key.startswith("require_") and spec.get(key) and value:
+            violations.append(label)
     return violations
 
 

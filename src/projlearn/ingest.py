@@ -17,6 +17,9 @@ the configured side are extracted per frame:
   * elbow: forearm against the upper-arm continuation; a straight arm is 0.
   * wrist: hand against the forearm continuation.
 
+The chain convention differs only in the shoulder, measured from the +x
+axis; arm_angles_from_human converts either way.
+
 Image y grows downward, so vertical components are flipped before any
 angle arithmetic. Pixel link lengths are averaged over confident frames and
 divided by a configurable scale to give arm link lengths, and velocities
@@ -188,17 +191,13 @@ def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 
 
 
 # Shoulder angles are measured from the body-down reference, chain angles
-# from the +x axis; the two conventions differ by an affine map.
+# from the +x axis; the two conventions differ by the affine map
+# q0 -> -pi/2 - q0, which is its own inverse, so this one function converts
+# either way.
 def arm_angles_from_human(q_human) -> np.ndarray:
     q = np.atleast_2d(np.asarray(q_human, dtype=float)).copy()
     q[:, 0] = -np.pi / 2.0 - q[:, 0]
     return q if np.ndim(q_human) > 1 else q[0]
-
-
-def human_angles_from_arm(q_arm) -> np.ndarray:
-    q = np.atleast_2d(np.asarray(q_arm, dtype=float)).copy()
-    q[:, 0] = -np.pi / 2.0 - q[:, 0]
-    return q if np.ndim(q_arm) > 1 else q[0]
 
 
 def estimate_link_lengths(rec: HumanArmRecording, scale: float = 300.0,

@@ -1,4 +1,7 @@
-"""Planar revolute-chain kinematics and manipulability helpers."""
+"""Planar revolute-chain kinematics and manipulability helpers.
+
+joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of states.
+"""
 
 from dataclasses import dataclass
 
@@ -36,21 +39,6 @@ class PlanarArm:
         return len(self.link_lengths)
 
 
-@dataclass(frozen=True)
-class TaskPose:
-    """End-effector pose (x, y, theta) with theta normalised to (-pi, pi]."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", float(wrap_angle(self.theta)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta], dtype=float)
-
-
 def _check_states(arm: PlanarArm, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != arm.n:
@@ -82,9 +70,11 @@ def joint_positions(arm: PlanarArm, q) -> np.ndarray:
 
 
 def end_pose(arm: PlanarArm, q) -> np.ndarray:
-    """End-effector (x, y, theta) as an array; broadcasts like joint_positions.
+    """End-effector pose (x, y, theta) of a planar chain; broadcasts like joint_positions.
 
-    q of shape (..., n) gives (..., 3), theta wrapped to (-pi, pi].
+    x = sum_i l_i cos(q_1 + ... + q_i), same with sin for y, and the
+    orientation is the plain angle sum wrapped to (-pi, pi]. q of shape
+    (..., n) gives (..., 3).
     """
     pts = joint_positions(arm, q)
     pose = np.empty(pts.shape[:-2] + (3,))
@@ -93,27 +83,13 @@ def end_pose(arm: PlanarArm, q) -> np.ndarray:
     return pose
 
 
-def forward_kinematics(arm: PlanarArm, q) -> TaskPose:
-    """End-effector pose of a single state (n,) of a planar chain.
-
-    x = sum_i l_i cos(q_1 + ... + q_i), same with sin for y, and the
-    orientation is the plain angle sum wrapped to (-pi, pi]. end_pose is the
-    same pose for a stack of states.
-    """
-    pts = joint_positions(arm, q)
-    if pts.ndim != 2:
-        raise ValueError(f"expected {arm.n} joint angles, got shape {np.shape(q)}")
-    return TaskPose(x=pts[-1, 0], y=pts[-1, 1], theta=float(np.sum(q)))
-
-
 def jacobian(arm: PlanarArm, q) -> np.ndarray:
     """Task Jacobian of (x, y, theta) with respect to the joint angles.
 
     Broadcasts over leading axes: a single state (n,) gives a (3, n)
     matrix, a stack of states (..., n) gives (..., 3, n) whose slices equal
     the single-state calls. The last axis must still hold exactly n finite
-    angles. joint_positions and end_pose broadcast the same way;
-    forward_kinematics, which returns one TaskPose, stays single-state. The
+    angles. joint_positions and end_pose broadcast the same way. The
     orientation row is all ones: every revolute joint contributes its rate
     directly to the end-effector orientation.
     """

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from .constraints import (GRAM_DET_TOL, SelectionConstraint, SphericalConstraint,
+from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
                           _rows_unchecked, build_constraint_rows, constraint_angles,
                           diagonal_selection, feature_stack, null_space_apply, pinv_apply,
                           spherical_param_count)
@@ -171,17 +171,14 @@ def _row_space_start(D, Phi):
     so z_n = G_n^-1 Phi_n d_n with G_n = Phi_n Phi_n^T lies in the row
     space of Lambda, and the top k eigenvectors of Z^T Z span its rows. For
     a constant A (Phi = I) the scatter is D^T D. Samples whose G_n fails
-    the GRAM_DET_TOL trust test are left out. On clean data the eigenvalues
-    past the k-th vanish to rounding, for every k.
+    the Gram trust test of _gram_solve are left out. On clean data the
+    eigenvalues past the k-th vanish to rounding, for every k.
     """
-    G = np.einsum("spj,sqj->spq", Phi, Phi)
-    # det <= prod(diag) for a Gram matrix, so this is a scale-free test.
-    ok = np.linalg.det(G) > GRAM_DET_TOL * np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+    Z, ok = _gram_solve(np.einsum("spj,sqj->spq", Phi, Phi), np.einsum("spj,sj->sp", Phi, D))
     if not ok.any():
         raise ValueError("no sample has a well-conditioned Phi(x) Phi(x)^T; the lambda "
                          "representation needs Phi(x) of full row rank")
-    Fd = np.einsum("spj,sj->sp", Phi[ok], D[ok])
-    Z = np.linalg.solve(G[ok], Fd[:, :, None])[:, :, 0]
+    Z = Z[ok]
     vals, vecs = np.linalg.eigh(Z.T @ Z)
     return vecs[:, ::-1], vals[::-1]
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
 from .kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
-from .policies import policy_values
+from .learning import _stacked
 from .simulator import Dataset, RankCollapseError, Trajectory
 
 
@@ -22,15 +22,10 @@ def estimate_components(dataset: Dataset, model, prior_pi=None):
     """Split observed actions into estimated null-space and task parts.
 
     w-hat = N(x) pi and v-hat = u - w-hat. Returns (w_hat, v_hat) arrays.
+    The prior resolves as in learn_constraint: None reads the recorded pi, an
+    array must match the action array's shape, anything else is a policy.
     """
-    X = dataset.stack("x")
-    U = dataset.stack("u")
-    if prior_pi is None:
-        PI = dataset.stack("pi")
-    elif isinstance(prior_pi, np.ndarray):
-        PI = prior_pi
-    else:
-        PI = policy_values(prior_pi, X)
+    X, U, PI = _stacked(dataset, prior_pi)
     w_hat = null_space_apply(model.A_stack(X), PI)
     return w_hat, U - w_hat
 

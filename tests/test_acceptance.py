@@ -19,7 +19,7 @@ from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
 from projlearn.ingest import (HumanArmRecording, arm_angles_from_human,
                               keypoints_to_joint_angles, parse_keypoint_json,
                               recording_to_dataset, synthesize_keypoint_frames)
-from projlearn.kinematics import PlanarArm, forward_kinematics, jacobian, wrap_angle
+from projlearn.kinematics import PlanarArm, end_pose, jacobian, wrap_angle
 from projlearn.learning import OptimizerConfig, consistency_objective, learn_constraint
 from projlearn.metrics import eval_learned_constraint, projector_distance
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
@@ -302,8 +302,8 @@ def _property_jacobian_fd():
         for j in range(3):
             dq = np.zeros(3)
             dq[j] = h
-            hi = forward_kinematics(arm, q + dq).as_array()
-            lo = forward_kinematics(arm, q - dq).as_array()
+            hi = end_pose(arm, q + dq)
+            lo = end_pose(arm, q - dq)
             diff = hi - lo
             diff[2] = wrap_angle(diff[2])
             fd[:, j] = diff / (2.0 * h)

@@ -6,8 +6,8 @@ from pathlib import Path
 import pytest
 
 from projlearn.cli import ConfigError, main, validate_config
-from projlearn.experiments import (OPTIONAL, REQUIRED, RUNNERS, SCHEMAS, config_hash,
-                                   run_retarget_obstacle)
+from projlearn.experiments import (ACCEPTANCE, OPTIONAL, REQUIRED, RUNNERS, SCHEMAS,
+                                   check_acceptance, config_hash, run_retarget_obstacle)
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO / "configs"
@@ -126,6 +126,93 @@ def test_bad_config_exits_2_with_key_path(tmp_path, capsys, experiment, bad, key
     err = capsys.readouterr().err
     assert f"config error: {key_path}: " in err
     assert "Traceback" not in err
+
+
+def shipped(name):
+    return json.loads((CONFIG_DIR / name).read_text())
+
+
+class TestAcceptanceChecks:
+    """Every acceptance key, for each experiment that accepts it, on that runner's real checks."""
+
+    # Small runs; the retarget scenarios are cheap at their shipped size.
+    RUNS = {
+        "toy": tiny_toy_cfg(),
+        "sweep": dict(SMALL["sweep"], axes={"data_size": [10]}),
+        "three-link": SMALL["three-link"],
+        "compare-baseline": dict(shipped("compare_baseline.json"), train_duration_s=0.2,
+                                 optimizer=dict(TINY_OPT)),
+        "retarget-obstacle": shipped("retarget_obstacle.json"),
+        "retarget-embodiment": shipped("retarget_embodiment.json"),
+        "ingest-learn": SMALL["ingest-learn"],
+    }
+
+    # (experiment, key, shipped config holding the threshold, label of the one gated check).
+    # No sweep config gates e_n; the sweep runs the toy trial, so the toy gate applies.
+    MAX_KEYS = [
+        ("toy", "max_mean_e_w", "toy.json", "limit_cycle: mean e_w"),
+        ("toy", "max_mean_e_n", "toy.json", "limit_cycle: mean e_n"),
+        ("sweep", "max_mean_e_w", "noise_sweep.json", "data_size=10: mean e_w"),
+        ("sweep", "max_mean_e_n", "toy.json", "data_size=10: mean e_n"),
+        ("three-link", "max_mean_e_w", "three_link.json", "x: mean e_w"),
+        ("three-link", "max_mean_e_n", "three_link.json", "x: mean e_n"),
+        ("compare-baseline", "max_final_task_error", "compare_baseline.json",
+         "proposed final task error"),
+        ("retarget-embodiment", "max_trace_rmse", "retarget_embodiment.json", "task trace RMSE"),
+        ("ingest-learn", "max_e_n", "ingest_learn.json", "consistency error"),
+    ]
+
+    # Obstacles that flip one flag of the shipped scenario: one far from the
+    # reach, so the direct replay clears it, and one around the reach's target,
+    # which the retargeted run must also reach.
+    FLIPS = [
+        ("require_direct_violation", {"x_min": 0.5, "x_max": 0.6, "y_min": 0.5, "y_max": 0.6},
+         "direct imitation unexpectedly clears the obstacle region"),
+        ("require_retargeted_clear",
+         {"x_min": -0.1, "x_max": -0.08, "y_min": 0.03, "y_max": 0.05},
+         "retargeted trajectory violates the obstacle region"),
+    ]
+
+    @pytest.fixture(scope="class")
+    def checks(self):
+        done = {}
+
+        def run(experiment):
+            if experiment not in done:
+                cfg = copy.deepcopy(self.RUNS[experiment])
+                done[experiment] = RUNNERS[experiment](cfg)["checks"]
+            return done[experiment]
+        return run
+
+    def test_every_key_is_covered(self):
+        covered = {(e, k) for e, k, _, _ in self.MAX_KEYS} | {
+            ("retarget-obstacle", k) for k, _, _ in self.FLIPS}
+        accepted = {(e, k) for e, schema in SCHEMAS.items()
+                    for k in schema.table["acceptance"].table}
+        assert covered == accepted
+        assert {k for _, k in covered} == set(ACCEPTANCE)
+
+    @pytest.mark.parametrize("experiment,key,config,label", MAX_KEYS,
+                             ids=[f"{e}:{k}" for e, k, _, _ in MAX_KEYS])
+    def test_max_key(self, checks, experiment, key, config, label):
+        result = {"checks": checks(experiment)}
+        gated = [(lab, value) for lab, k, value in result["checks"] if k == key]
+        assert [lab for lab, _ in gated] == [label]
+        value = gated[0][1]
+        own = shipped(config)["acceptance"][key]
+        assert check_acceptance({"acceptance": {key: own}}, result) == []
+        tight = 0.5 * value
+        assert check_acceptance({"acceptance": {key: tight}}, result) == [
+            f"{label} = {value:.3e} exceeds {key} = {tight:.3e}"]
+
+    @pytest.mark.parametrize("key,obstacle,violation", FLIPS, ids=[k for k, _, _ in FLIPS])
+    def test_require_key(self, checks, key, obstacle, violation):
+        cfg = self.RUNS["retarget-obstacle"]
+        assert check_acceptance(cfg, {"checks": checks("retarget-obstacle")}) == []
+        flipped = dict(cfg, obstacle=obstacle)
+        result = run_retarget_obstacle(flipped)
+        assert check_acceptance(flipped, result) == [violation]
+        assert check_acceptance({"acceptance": {key: False}}, result) == []
 
 
 def test_report_echoes_config_as_given():

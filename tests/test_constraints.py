@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
-                                   _gram_closed_form, _rows_unchecked, build_constraint_rows,
+                                   _gram_solve, _rows_unchecked, build_constraint_rows,
                                    constraint_angles, diagonal_selection,
-                                   gram_solve, null_projector, null_space_apply,
+                                   null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
                                    spherical_param_count, spherical_to_unit, split_action)
 from projlearn.kinematics import PlanarArm, jacobian
@@ -207,7 +207,7 @@ class TestBatchedProjection:
             A[11, 1] = 2.0 * A[11, 0]
         return A, rng.normal(size=(40, n)), rng.normal(size=(40, k))
 
-    @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     def test_matches_per_sample_reference(self, k, n):
         A, V, B = self._stack(k, n, seed=10 * k + n)
         NV = null_space_apply(A, V)
@@ -236,12 +236,14 @@ class TestBatchedProjection:
             assert np.linalg.norm(AB[i] - ref) <= 1e-6 * np.linalg.norm(ref)
             assert np.allclose(NV[i], proj.N @ V[i], rtol=0.0, atol=1e-6)
 
-    def test_gram_solve_matches_pseudo_inverse(self):
-        A, _, B = self._stack(2, 3, seed=4)
-        A[7, 1] = A[7, 0] + 1e-9 * A[7, 1]
+    def test_gram_solve_masks_rank_deficient_k3_systems(self):
+        A, _, B = self._stack(3, 4, seed=4)
+        A[7, 2] = A[7, 0] - 0.5 * A[7, 1]  # rank 2: an exactly singular Gram matrix
         G = np.einsum("skj,slj->skl", A, A)
-        Z = gram_solve(G, B)
-        for i in range(A.shape[0]):
+        Z, ok = _gram_solve(G, B)
+        assert np.array_equal(np.flatnonzero(~ok), [5, 7, 11])
+        assert np.array_equal(Z[~ok], np.zeros((3, 3)))
+        for i in np.flatnonzero(ok):
             ref = pseudo_inverse(G[i]) @ B[i]
             assert np.linalg.norm(Z[i] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
 
@@ -336,7 +338,7 @@ class TestSplitAction:
         A, B, PI = self.hard_rows(seed=43)
         ratio = self.check(A, B, PI)
         # the 1e-10 row passes the determinant test, yet its ratio is tiny
-        assert _gram_closed_form(np.einsum("skj,slj->skl", A[8:9], A[8:9]), B[8:9])[1][0]
+        assert _gram_solve(np.einsum("skj,slj->skl", A[8:9], A[8:9]), B[8:9])[1][0]
         assert ratio[8] == pytest.approx(1e-10, rel=1e-6)
         assert ratio[-1] < 1e-15
 
@@ -350,7 +352,7 @@ class TestSplitAction:
     @pytest.mark.parametrize("seed", [45, 46])
     def test_untrusted_samples_take_the_batched_svd_unchanged(self, seed):
         A, B, PI = self.hard_rows(seed)
-        ok = _gram_closed_form(np.einsum("skj,slj->skl", A, A), B)[1]
+        ok = _gram_solve(np.einsum("skj,slj->skl", A, A), B)[1]
         assert ok.any() and not ok.all()
         V, W, ratio = split_action(A, B, PI)
         proj = null_projector(A[~ok])

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +8,7 @@ import pytest
 from projlearn.constraints import diagonal_selection, null_projector
 from projlearn.ingest import (HumanArmRecording, KeypointFrame, arm_angles_from_human,
                               estimate_link_lengths, finite_difference_velocities,
-                              human_angles_from_arm, keypoints_to_joint_angles,
-                              parse_keypoint_json, read_keypoint_dir,
+                              keypoints_to_joint_angles, parse_keypoint_json, read_keypoint_dir,
                               recording_to_dataset, synthesize_keypoint_frames,
                               write_keypoint_files)
 from projlearn.kinematics import PlanarArm, jacobian
@@ -15,6 +16,7 @@ from projlearn.learning import OptimizerConfig, learn_constraint
 from projlearn.policies import PointAttractor, TaskPointAttractor
 from projlearn.simulator import SelectionConstraint, simulate_trajectory
 
+REPO = Path(__file__).resolve().parent.parent
 HUMAN_ARM = PlanarArm((0.3, 0.25, 0.1))
 
 
@@ -90,11 +92,12 @@ class TestConventionMaps:
         assert arm_angles_from_human(np.zeros(3))[0] == pytest.approx(-np.pi / 2)
         assert np.allclose(arm_angles_from_human(np.zeros(3))[1:], 0.0)
 
-    def test_maps_invert_each_other(self):
+    def test_map_is_its_own_inverse(self):
+        # one function converts both ways; a single state and a stack alike
         rng = np.random.default_rng(0)
         Q = rng.uniform(-np.pi, np.pi, size=(10, 3))
-        assert np.allclose(human_angles_from_arm(arm_angles_from_human(Q)), Q)
-        assert np.allclose(arm_angles_from_human(human_angles_from_arm(Q)), Q)
+        assert np.allclose(arm_angles_from_human(arm_angles_from_human(Q)), Q)
+        assert np.allclose(arm_angles_from_human(arm_angles_from_human(Q[0])), Q[0])
 
 
 class TestParser:
@@ -288,3 +291,29 @@ class TestPipeline:
             N_hat = learned.model.projector_at(q).N
             worst = max(worst, float(np.max(np.abs(N_hat - N_true))))
         assert worst < 1e-4
+
+
+class TestBundledRecordings:
+    """scripts/make_demo_keypoints.py regenerates configs/data/keypoints_demo.
+
+    Not bit for bit: the shipped files differ from what the script writes
+    today by up to about 2e-13 px, so the pixel values are compared to 1e-9.
+    """
+
+    def test_regenerated_frames_match_the_shipped_files(self):
+        spec = importlib.util.spec_from_file_location(
+            "make_demo_keypoints", REPO / "scripts" / "make_demo_keypoints.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        for i, reach in enumerate(script.REACHES):
+            files = sorted((REPO / "configs" / "data" / "keypoints_demo" / f"traj_{i}").glob(
+                "demo_*_keypoints.json"))
+            frames = script.reach_frames(reach)
+            assert len(files) == len(frames) == script.FRAMES
+            for path, frame in zip(files, frames):
+                (person,) = json.loads(path.read_text())["people"]
+                (made,) = frame["people"]
+                assert person.keys() == made.keys()
+                for key in person:
+                    np.testing.assert_allclose(made[key], person[key], rtol=0.0, atol=1e-9,
+                                               err_msg=f"{path.name} {key}")

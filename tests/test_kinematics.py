@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import diagonal_selection
-from projlearn.kinematics import (PlanarArm, TaskPose, end_pose, forward_kinematics, jacobian,
-                                  manipulability, manipulability_gradient,
-                                  joint_positions, wrap_angle)
+from projlearn.kinematics import (PlanarArm, end_pose, jacobian, manipulability,
+                                  manipulability_gradient, joint_positions, wrap_angle)
 
 ARM3 = PlanarArm((0.1, 0.1, 0.1))
 
@@ -22,40 +21,38 @@ def fk_oracle(lengths, q):
 
 
 class TestForwardKinematics:
+    """end_pose, the end-effector pose (x, y, theta)."""
+
     def test_straight_arm_along_x(self):
-        pose = forward_kinematics(ARM3, np.zeros(3))
-        assert pose.x == pytest.approx(0.3)
-        assert pose.y == pytest.approx(0.0, abs=1e-15)
-        assert pose.theta == pytest.approx(0.0, abs=1e-15)
+        x, y, theta = end_pose(ARM3, np.zeros(3))
+        assert x == pytest.approx(0.3)
+        assert y == pytest.approx(0.0, abs=1e-15)
+        assert theta == pytest.approx(0.0, abs=1e-15)
 
     def test_quarter_turn(self):
-        pose = forward_kinematics(ARM3, np.array([np.pi / 2, 0.0, 0.0]))
-        assert pose.x == pytest.approx(0.0, abs=1e-15)
-        assert pose.y == pytest.approx(0.3)
-        assert pose.theta == pytest.approx(np.pi / 2)
+        x, y, theta = end_pose(ARM3, np.array([np.pi / 2, 0.0, 0.0]))
+        assert x == pytest.approx(0.0, abs=1e-15)
+        assert y == pytest.approx(0.3)
+        assert theta == pytest.approx(np.pi / 2)
 
     def test_matches_summation_oracle(self):
         q = np.array([0.1, 0.2, 0.3])
-        ox, oy, otheta = fk_oracle(ARM3.link_lengths, q)
-        pose = forward_kinematics(ARM3, q)
-        assert pose.x == pytest.approx(ox, abs=1e-14)
-        assert pose.y == pytest.approx(oy, abs=1e-14)
-        assert pose.theta == pytest.approx(otheta, abs=1e-14)
+        np.testing.assert_allclose(end_pose(ARM3, q), fk_oracle(ARM3.link_lengths, q),
+                                   rtol=0.0, atol=1e-14)
 
     def test_periodic_in_each_joint(self):
         rng = np.random.default_rng(3)
         q = rng.uniform(-np.pi, np.pi, 3)
-        base = forward_kinematics(ARM3, q)
+        base = end_pose(ARM3, q)
         for j in range(3):
             shifted = q.copy()
             shifted[j] += 2.0 * np.pi
-            pose = forward_kinematics(ARM3, shifted)
-            assert pose.x == pytest.approx(base.x, abs=1e-12)
-            assert pose.y == pytest.approx(base.y, abs=1e-12)
+            np.testing.assert_allclose(end_pose(ARM3, shifted)[:2], base[:2],
+                                       rtol=0.0, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            forward_kinematics(ARM3, np.zeros(4))
+            end_pose(ARM3, np.zeros(4))
 
     def test_joint_positions_chain(self):
         pts = joint_positions(ARM3, np.zeros(3))
@@ -71,16 +68,18 @@ class TestForwardKinematics:
         assert pts.shape == (4, 5, 4, 2) and pose.shape == (4, 5, 3)
         for idx in np.ndindex(4, 5):
             assert np.array_equal(pts[idx], joint_positions(arm, Q[idx]))
-            np.testing.assert_allclose(pose[idx], forward_kinematics(arm, Q[idx]).as_array(),
-                                       rtol=0.0, atol=1e-15)
-        with pytest.raises(ValueError):
-            forward_kinematics(arm, Q[0])
+            assert np.array_equal(pose[idx], end_pose(arm, Q[idx]))
+            x, y, theta = fk_oracle(arm.link_lengths, Q[idx])
+            np.testing.assert_allclose(pose[idx], [x, y, wrap_angle(theta)], rtol=0.0, atol=1e-14)
 
 
 class TestTaskPose:
+    """The orientation end_pose reports is wrapped to (-pi, pi]."""
+
     def test_theta_normalized(self):
-        assert TaskPose(0.0, 0.0, 3.0 * np.pi).theta == pytest.approx(np.pi)
-        assert TaskPose(0.0, 0.0, -np.pi).theta == pytest.approx(np.pi)
+        one_link = PlanarArm((1.0,))
+        assert end_pose(one_link, np.array([3.0 * np.pi]))[2] == pytest.approx(np.pi)
+        assert end_pose(one_link, np.array([-np.pi]))[2] == pytest.approx(np.pi)
 
     def test_wrap_angle_range(self):
         for a in np.linspace(-20.0, 20.0, 401):
@@ -104,7 +103,7 @@ class TestJacobian:
             assert np.array_equal(J[2], np.ones(3))
 
     def test_finite_difference_oracle(self):
-        # central differences of forward_kinematics, h = 1e-6
+        # central differences of end_pose, h = 1e-6
         rng = np.random.default_rng(5)
         h = 1e-6
         for _ in range(10):
@@ -115,12 +114,9 @@ class TestJacobian:
                 qp, qm = q.copy(), q.copy()
                 qp[j] += h
                 qm[j] -= h
-                pp = forward_kinematics(ARM3, qp)
-                pm = forward_kinematics(ARM3, qm)
-                fd[0, j] = (pp.x - pm.x) / (2 * h)
-                fd[1, j] = (pp.y - pm.y) / (2 * h)
-                dtheta = wrap_angle(pp.theta - pm.theta)
-                fd[2, j] = dtheta / (2 * h)
+                pp, pm = end_pose(ARM3, qp), end_pose(ARM3, qm)
+                fd[:2, j] = (pp[:2] - pm[:2]) / (2 * h)
+                fd[2, j] = wrap_angle(pp[2] - pm[2]) / (2 * h)
             assert np.max(np.abs(J - fd)) < 1e-6
 
 

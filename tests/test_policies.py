@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projlearn.kinematics import PlanarArm, forward_kinematics
+from projlearn.kinematics import PlanarArm, end_pose
 from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
                                 SinusoidalPolicy, TaskPointAttractor, ZeroPolicy,
                                 policy_from_config, policy_values)
@@ -87,13 +87,13 @@ class TestTaskPointAttractor:
 
     def test_zero_at_target_pose(self):
         q = np.array([0.4, -0.3, 0.9])
-        target = forward_kinematics(self.arm, q).as_array()
+        target = end_pose(self.arm, q)
         pi = TaskPointAttractor(arm=self.arm, target=target, gain=3.0)
         assert np.allclose(pi(q), 0.0, atol=1e-14)
 
     def test_orientation_error_wraps(self):
         q = np.array([-np.pi + 0.1, 0.0, 0.0])
-        pose = forward_kinematics(self.arm, q).as_array()
+        pose = end_pose(self.arm, q)
         target = pose.copy()
         target[2] = np.pi - 0.1
         pi = TaskPointAttractor(arm=self.arm, target=target, gain=1.0)

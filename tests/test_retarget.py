@@ -46,6 +46,13 @@ class TestEstimateComponents:
         w_b, _ = estimate_components(ds, true_model())
         assert np.array_equal(w_a, w_b)
 
+    @pytest.mark.parametrize("rows", [slice(0, 1), 0], ids=["one_row", "flat"])
+    def test_wrong_shaped_prior_array_rejected(self, rows):
+        # a (1, n) array would broadcast to every sample; an (n,) one fail inside einsum
+        ds = demo_dataset(seed=3, points=20)
+        with pytest.raises(ValueError, match="must match the action array shape"):
+            estimate_components(ds, true_model(), prior_pi=ds.stack("pi")[rows])
+
 
 class TestEstimateTaskPolicy:
     def test_recovers_recorded_rates(self):
@@ -271,10 +278,10 @@ class TestReplayAgainstSvdReference:
 
 class TestAttractorSource:
     def test_zero_rate_at_target(self):
-        from projlearn.kinematics import forward_kinematics
+        from projlearn.kinematics import end_pose
 
         q = np.deg2rad([20.0, 40.0, -10.0])
-        target = forward_kinematics(ARM, q).as_array()
+        target = end_pose(ARM, q)
         plan = RetargetPlan(constraint=true_model(),
                             task_source=AttractorSource(target=target, gain=2.0),
                             pi_robot=ZeroPolicy(dim=3), demonstrator=ARM)

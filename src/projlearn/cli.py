@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .experiments import RUNNERS, SCHEMAS, ConfigError, check_acceptance, config_hash
 from .experiments import resolve as validate_config
-from .metrics import MetricRecord
 from .simulator import save_trajectory_csv
 
 log = logging.getLogger("projlearn")
@@ -25,11 +24,11 @@ log = logging.getLogger("projlearn")
 # --- output writers ----------------------------------------------------------------
 
 def write_trials_csv(rows, path: Path):
-    lines = [",".join(MetricRecord.CSV_FIELDS)]
+    lines = ["trial,case,seed,e_w,e_n,objective"]
     for r in rows:
-        rec = MetricRecord(trial=r["trial"], case=r["case"], seed=tuple(r["seed"]),
-                           e_w=r["e_w"], e_n=r["e_n"], objective=r["objective"])
-        lines.append(",".join(rec.csv_row()))
+        lines.append(",".join([str(r["trial"]), r["case"], "/".join(str(s) for s in r["seed"]),
+                               repr(float(r["e_w"])), repr(float(r["e_n"])),
+                               repr(float(r["objective"]))]))
     path.write_text("\n".join(lines) + "\n")
 
 

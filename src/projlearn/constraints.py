@@ -26,30 +26,14 @@ def spherical_param_count(k: int, n: int) -> int:
     return k * (2 * n - k - 1) // 2
 
 
-def spherical_to_unit(angles, n: int) -> np.ndarray:
-    """Unit vector in R^n from n-1 spherical angles.
+def _unit(angles: np.ndarray) -> np.ndarray:
+    """Unit vector in R^(m+1) from m spherical angles, unchecked.
 
     Components are a_1 = cos t_1, a_2 = sin t_1 cos t_2, ..., with the last
-    component carrying the full sine product. n = 1 takes no angles and
-    returns (1.0,).
-    """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if angles.size == 0:
-        angles = angles.reshape(0)
-    if angles.shape != (n - 1,):
-        raise ValueError(f"need {n - 1} angles for a unit vector in R^{n}, got {angles.size}")
-    if n == 1:
-        return np.array([1.0])
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-    return _unit(angles)
-
-
-def _unit(angles: np.ndarray) -> np.ndarray:
-    """spherical_to_unit without the checks, for the optimizer's inner loop.
-
-    A scalar loop: the vectors are a few entries long, where per-call
-    numpy overhead would cost more than the arithmetic.
+    component carrying the full sine product; no angles give (1.0,). A
+    scalar loop: the vectors are a few entries long, where per-call numpy
+    overhead would cost more than the arithmetic. build_constraint_rows is
+    the checked entry.
     """
     a = [1.0] * (len(angles) + 1)
     sin_prod = 1.0
@@ -61,7 +45,7 @@ def _unit(angles: np.ndarray) -> np.ndarray:
 
 
 def spherical_from_unit(a) -> np.ndarray:
-    """Angles that reproduce a given unit vector through spherical_to_unit.
+    """Angles that reproduce a given unit vector through _unit.
 
     Inverse trigonometry: t_i = atan2(norm of the tail, a_i), with the last
     angle taking the sign of the final component.
@@ -275,30 +259,36 @@ def null_space_apply(A, V) -> np.ndarray:
     return V - pinv_apply(A, np.einsum("skj,sj->sk", A, V))
 
 
+def _split_svd(A, B, PI):
+    """split_action through null_projector's batched SVD."""
+    proj = null_projector(A)
+    return (np.einsum("sjk,sk->sj", proj.A_pinv, B), np.einsum("sij,sj->si", proj.N, PI),
+            proj.sigma_ratio)
+
+
 def split_action(A, B, PI):
     """v_n = A_n^+ b_n, w_n = N_n pi_n and sigma_min/sigma_max of A_n: one rollout step.
 
     Stacks A (S, k, n), B (S, k), PI (S, n). For k = 1 and 2 one Gram matrix
     G = A A^T serves both solves and the ratio (1 for a nonzero row, sqrt(det
-    G) / lmax(G) for two); untrusted samples and k >= 3, for which no closed
-    form of the ratio is coded, take null_projector.
+    G) / lmax(G) for two); untrusted samples, and every sample for k >= 3,
+    for which no closed form of the ratio is coded, take null_projector.
     """
+    if A.shape[1] > 2:
+        return _split_svd(A, B, PI)
     G = np.einsum("skj,slj->skl", A, A)
     # Both right-hand sides in one call: per-call overhead dominates small stacks.
     Z, ok = _gram_solve(np.concatenate([G, G]),
                         np.concatenate([B, np.einsum("skj,sj->sk", A, PI)]))
     AZ = np.einsum("skj,rsk->rsj", A, Z.reshape(2, len(A), -1))
-    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)] & (A.shape[1] <= 2)
+    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)]
     ratio = ok.astype(float)
     if A.shape[1] == 2:
         g00, g01, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
         lmax = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
         ratio = np.sqrt(np.where(ok, g00 * g11 - g01 * g01, 0.0)) / np.where(ok, lmax, 1.0)
     if not ok.all():
-        proj = null_projector(A[~ok])
-        V[~ok] = np.einsum("sjk,sk->sj", proj.A_pinv, B[~ok])
-        W[~ok] = np.einsum("sij,sj->si", proj.N, PI[~ok])
-        ratio[~ok] = proj.sigma_ratio
+        V[~ok], W[~ok], ratio[~ok] = _split_svd(A[~ok], B[~ok], PI[~ok])
     return V, W, ratio
 
 

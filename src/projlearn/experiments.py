@@ -391,27 +391,29 @@ def _toy_trial(args):
         "e_w": ev["e_w"],
         "e_n": ev["e_n"],
         "objective": learned.objective_value,
-        "theta_learned_deg": float(np.rad2deg(learned.model.theta[0])),
-        "theta_true_deg": float(np.rad2deg(ds.meta["constraint"]["theta_rad"][0])),
     }
+
+
+def _run_cases(name: str, raw: dict, cfg: dict, cases: list, trial) -> dict:
+    """Run `trial` on every (case, trial index) and summarise e_w and e_n per case."""
+    rows = []
+    for case_index, case in enumerate(cases):
+        args = [(cfg, case, case_index, t) for t in range(cfg["trials"])]
+        rows.extend(_map_trials(trial, args, _workers(cfg)))
+    report = _base_report(name, raw, cfg)
+    report["cases"] = {
+        case: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == case),
+               "e_n": summarize(r["e_n"] for r in rows if r["case"] == case)}
+        for case in cases
+    }
+    report["trial_seeds"] = [r["seed"] for r in rows]
+    return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
 
 
 def run_toy(cfg: dict) -> dict:
     """Constraint recovery on the 2D toy system, one table row per policy."""
     raw, cfg = cfg, resolve(cfg, "toy")
-    policies = cfg["policies"]
-    rows = []
-    for case_index, name in enumerate(policies):
-        args = [(cfg, name, case_index, t) for t in range(cfg["trials"])]
-        rows.extend(_map_trials(_toy_trial, args, _workers(cfg)))
-    report = _base_report("toy", raw, cfg)
-    report["cases"] = {
-        name: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == name),
-               "e_n": summarize(r["e_n"] for r in rows if r["case"] == name)}
-        for name in policies
-    }
-    report["trial_seeds"] = [r["seed"] for r in rows]
-    return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
+    return _run_cases("toy", raw, cfg, cfg["policies"], _toy_trial)
 
 
 def run_sweep(cfg: dict) -> dict:
@@ -434,8 +436,6 @@ def run_sweep(cfg: dict) -> dict:
             args = [(point_cfg, policy, case_index, t) for t in range(cfg["trials"])]
             point_rows = _map_trials(_toy_trial, args, _workers(cfg))
             for r in point_rows:
-                r["axis"] = axis
-                r["value"] = value
                 r["case"] = f"{axis}={value}"
             rows.extend(point_rows)
             aggregates.append({
@@ -482,26 +482,13 @@ def _three_link_trial(args):
         "e_w": ev["e_w"],
         "e_n": ev["e_n"],
         "objective": learned.objective_value,
-        "lam_learned": np.asarray(learned.model.lam).round(12).tolist(),
     }
 
 
 def run_three_link(cfg: dict) -> dict:
     """Selection-constraint recovery on the planar 3-link arm, per case."""
     raw, cfg = cfg, resolve(cfg, "three-link")
-    cases = cfg["cases"]
-    rows = []
-    for case_index, case in enumerate(cases):
-        args = [(cfg, case, case_index, t) for t in range(cfg["trials"])]
-        rows.extend(_map_trials(_three_link_trial, args, _workers(cfg)))
-    report = _base_report("three-link", raw, cfg)
-    report["cases"] = {
-        case: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == case),
-               "e_n": summarize(r["e_n"] for r in rows if r["case"] == case)}
-        for case in cases
-    }
-    report["trial_seeds"] = [r["seed"] for r in rows]
-    return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
+    return _run_cases("three-link", raw, cfg, cfg["cases"], _three_link_trial)
 
 
 # --- head-to-head against the prior-free pipeline -----------------------------------

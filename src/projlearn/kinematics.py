@@ -1,4 +1,4 @@
-"""Planar revolute-chain kinematics and manipulability helpers.
+"""Planar revolute-chain kinematics.
 
 joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of states.
 """
@@ -104,43 +104,3 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
     J[..., 1, :] = coss[..., ::-1].cumsum(-1)[..., ::-1]
     return J
 
-
-def manipulability(A) -> float:
-    """Yoshikawa-style manipulability sqrt(det(A A^T)) of a constraint matrix.
-
-    Zero for rank-deficient A. A must be a (k, n) matrix with k <= n.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] > A.shape[1]:
-        raise ValueError("expected a wide (k, n) matrix with k <= n")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("constraint matrix must be finite")
-    gram = A @ A.T
-    det = float(np.linalg.det(gram))
-    # Rounding can push a singular Gram determinant a hair below zero.
-    return float(np.sqrt(max(det, 0.0)))
-
-
-def manipulability_gradient(model, x, step: float = 1e-5) -> np.ndarray:
-    """Central finite-difference gradient of manipulability wrt the state.
-
-    Args:
-        model: any constraint model exposing ``A_at(x) -> (k, n) array``.
-        x: state at which to differentiate.
-        step: finite-difference half-step.
-
-    Returns:
-        Gradient vector with the same shape as x. State-independent
-        constraints give an exactly zero gradient.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        probe = np.zeros_like(x)
-        probe[i] = step
-        hi = manipulability(model.A_at(x + probe))
-        lo = manipulability(model.A_at(x - probe))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise ValueError(f"manipulability not finite at probe along dim {i}")
-        grad[i] = (hi - lo) / (2.0 * step)
-    return grad

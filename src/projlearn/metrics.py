@@ -1,7 +1,5 @@
 """Evaluation metrics for learned constraints."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .constraints import null_space_apply
@@ -76,25 +74,6 @@ def eval_learned_constraint(model, test_set: Dataset, prior=None) -> dict:
         "e_w": nmse_w(W, est, sigma),
         "e_n": consistency_error(model, test_set, prior_pi=PI, sigma_u=sigma),
     }
-
-
-@dataclass
-class MetricRecord:
-    """One trial's evaluation result, as written to trials.csv."""
-
-    trial: int
-    case: str
-    seed: list
-    e_w: float
-    e_n: float
-    objective: float
-    extra: dict = field(default_factory=dict)
-
-    CSV_FIELDS = ("trial", "case", "seed", "e_w", "e_n", "objective")
-
-    def csv_row(self) -> list:
-        return [str(self.trial), self.case, "/".join(str(s) for s in self.seed),
-                repr(float(self.e_w)), repr(float(self.e_n)), repr(float(self.objective))]
 
 
 def summarize(values) -> dict:

@@ -126,25 +126,20 @@ def policy_values(spec, X) -> np.ndarray:
     return out
 
 
-# Builders of the 2D toy priors by name, each taking its JSON form.
+# The 2D toy priors by name; toy configs name a prior and set no parameters.
 TOY_POLICIES = {
-    "linear": lambda cfg: LinearPolicy(L=np.asarray(cfg.get("L", [[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]]))),
-    "limit_cycle": lambda cfg: LimitCyclePolicy(rho0=cfg.get("rho0", 0.75), omega=cfg.get("omega", 1.0)),
-    "sinusoidal": lambda cfg: SinusoidalPolicy(),
+    "linear": lambda: LinearPolicy(L=np.array([[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]])),
+    "limit_cycle": LimitCyclePolicy,
+    "sinusoidal": SinusoidalPolicy,
 }
 
 
 def policy_from_config(cfg: dict):
-    """Build a policy from its JSON form. Degree-valued keys end in _deg."""
+    """Build a policy from its JSON form: a toy prior by name, or a point attractor."""
     kind = cfg.get("type")
     if kind in TOY_POLICIES:
-        return TOY_POLICIES[kind](cfg)
+        return TOY_POLICIES[kind]()
     if kind == "point_attractor":
-        if "target_deg" in cfg:
-            target = np.deg2rad(np.asarray(cfg["target_deg"], dtype=float))
-        else:
-            target = np.asarray(cfg["target_rad"], dtype=float)
-        return PointAttractor(target=target, beta=float(cfg.get("beta", 1.0)))
-    if kind == "zero":
-        return ZeroPolicy(dim=int(cfg["dim"]))
+        return PointAttractor(target=np.deg2rad(np.asarray(cfg["target_deg"], dtype=float)),
+                              beta=float(cfg.get("beta", 1.0)))
     raise ValueError(f"unknown policy type: {kind!r}")

@@ -8,14 +8,14 @@ onto the imitator's Jacobian through a row correspondence that matches task
 coordinates by meaning.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
 from .kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
 from .learning import _stacked
-from .simulator import Dataset, RankCollapseError, Trajectory
+from .simulator import Dataset, RankCollapseError, Trajectory, _step_count
 
 
 def estimate_components(dataset: Dataset, model, prior_pi=None):
@@ -95,7 +95,6 @@ class RetargetPlan:
     demonstrator: PlanarArm
     imitator: PlanarArm | None = None
     row_correspondence: tuple = (0, 1, 2)
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not isinstance(self.constraint, SelectionConstraint):
@@ -140,10 +139,12 @@ def retarget_step(plan: RetargetPlan, x, step: int = 0, rank_tol: float = 1e-10)
 
 
 def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> Trajectory:
-    """Euler rollout of the retargeted controller from x0, one A(x) per step."""
-    if dt <= 0.0 or duration <= 0.0:
-        raise ValueError("dt and duration must be positive")
-    steps = int(round(duration / dt))
+    """Euler rollout of the retargeted controller from x0, one A(x) per step.
+
+    The step count follows the data rollouts' rule: round(duration / dt),
+    and a duration shorter than half a step is an error.
+    """
+    steps = _step_count(dt, duration)
     x = np.asarray(x0, dtype=float).copy()
     X = np.empty((steps, x.size))
     U = np.empty((steps, x.size))

@@ -1,4 +1,4 @@
-"""Synthetic constrained-motion data: generation, noise and (de)serialisation.
+"""Synthetic constrained-motion data: generation, noise and CSV output.
 
 Every sample is produced by the decomposition u = A^+ b + N pi, so the
 ground-truth split into task part v and null-space part w is stored next to
@@ -7,7 +7,6 @@ given the seed.
 """
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -304,28 +303,13 @@ def split_dataset(dataset: Dataset, n_first: int) -> tuple:
             Dataset(trajectories=parts[1], meta=dict(dataset.meta)))
 
 
-def constraint_from_meta(meta: dict):
-    """Rebuild the generating constraint model from dataset metadata."""
-    cfg = meta["constraint"]
-    if cfg["form"] == "spherical":
-        return SphericalConstraint(theta=tuple(cfg["theta_rad"]), k=cfg["k"], n=cfg["n"])
-    if cfg["form"] == "selection":
-        if cfg.get("feature") != "jacobian":
-            raise ValueError("only jacobian features can be rebuilt from metadata")
-        arm = PlanarArm(tuple(cfg["links"]))
-        return SelectionConstraint(lam=np.asarray(cfg["lam"]),
-                                   feature=lambda q: jacobian(arm, q),
-                                   meta={"feature": "jacobian", "links": list(arm.link_lengths)})
-    raise ValueError(f"unknown constraint form {cfg.get('form')!r}")
-
-
 def _seed_repr(seed):
     if isinstance(seed, (tuple, list)):
         return [int(s) for s in seed]
     return int(seed)
 
 
-# --- CSV / JSON serialisation -------------------------------------------------
+# --- CSV output -------------------------------------------------------------
 
 def save_trajectory_csv(traj: Trajectory, path):
     """Write one trajectory as CSV: t, x1..xn, u1..un and any ground truth."""
@@ -349,48 +333,3 @@ def save_trajectory_csv(traj: Trajectory, path):
                     row += [repr(float(val)) for val in arr[i]]
             writer.writerow(row)
 
-
-def load_trajectory_csv(path, dt: float | None = None) -> Trajectory:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = np.array([[float(v) for v in row] for row in reader])
-    if rows.size == 0:
-        raise ValueError(f"{path} holds no samples")
-    cols = {name: i for i, name in enumerate(header)}
-    n = sum(1 for name in header if name.startswith("x") and name[1:].isdigit())
-
-    def block(prefix, width):
-        names = [f"{prefix}{i+1}" for i in range(width)]
-        if not all(name in cols for name in names):
-            return None
-        return rows[:, [cols[name] for name in names]]
-
-    if dt is None:
-        t = rows[:, cols["t"]]
-        dt = float(t[1] - t[0]) if len(t) > 1 else 1.0
-    k = sum(1 for name in header if name.startswith("b") and name[1:].isdigit())
-    return Trajectory(dt=dt, x=block("x", n), u=block("u", n), v=block("v", n),
-                      w=block("w", n), pi=block("pi", n), b=block("b", k) if k else None)
-
-
-def save_dataset(dataset: Dataset, directory):
-    """Write trajectories as numbered CSVs plus a JSON metadata sidecar."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for i, traj in enumerate(dataset.trajectories):
-        save_trajectory_csv(traj, directory / f"traj_{i:04d}.csv")
-    sidecar = dict(dataset.meta)
-    sidecar["n_trajectories"] = len(dataset.trajectories)
-    sidecar["dt"] = dataset.trajectories[0].dt
-    (directory / "dataset.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def load_dataset(directory) -> Dataset:
-    directory = Path(directory)
-    meta = json.loads((directory / "dataset.json").read_text())
-    count = meta.pop("n_trajectories")
-    dt = meta.pop("dt")
-    trajs = [load_trajectory_csv(directory / f"traj_{i:04d}.csv", dt=dt) for i in range(count)]
-    return Dataset(trajectories=trajs, meta=meta)

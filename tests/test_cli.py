@@ -3,9 +3,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from projlearn.cli import ConfigError, main, validate_config
+from projlearn.cli import ConfigError, main, validate_config, write_trials_csv
 from projlearn.experiments import (ACCEPTANCE, OPTIONAL, REQUIRED, RUNNERS, SCHEMAS,
                                    check_acceptance, config_hash, run_retarget_obstacle)
 
@@ -368,6 +369,12 @@ class TestOutputs:
         lines = (out / "trials.csv").read_text().splitlines()
         assert lines[0] == "trial,case,seed,e_w,e_n,objective"
         assert len(lines) == 3
+
+    def test_trials_csv_row_is_plain_text(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        write_trials_csv([{"trial": 3, "case": "xy", "seed": (1, 2), "e_w": np.float64(0.5),
+                           "e_n": 0.25, "objective": np.float64(1e-9)}], path)
+        assert path.read_text() == "trial,case,seed,e_w,e_n,objective\n3,xy,1/2,0.5,0.25,1e-09\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = self.run_toy(tmp_path, "out_a")

@@ -3,9 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from projlearn.constraints import diagonal_selection
-from projlearn.kinematics import (PlanarArm, end_pose, jacobian, manipulability,
-                                  manipulability_gradient, joint_positions, wrap_angle)
+from projlearn.kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
 
 ARM3 = PlanarArm((0.1, 0.1, 0.1))
 
@@ -136,87 +134,6 @@ class TestJacobian:
         Q[3, 1] = np.nan
         with pytest.raises(ValueError):
             jacobian(ARM3, Q)
-
-
-class TestManipulability:
-    def test_unit_row(self):
-        assert manipulability(np.array([[1.0, 0.0]])) == pytest.approx(1.0)
-
-    def test_identity(self):
-        assert manipulability(np.eye(2)) == pytest.approx(1.0)
-
-    def test_eigenvalue_oracle(self):
-        lam = diagonal_selection((1, 1, 0))
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            q = rng.uniform(0.2, 1.2, 3)
-            A = lam @ jacobian(ARM3, q)
-            eigs = np.linalg.eigvalsh(A @ A.T)
-            expected = math.sqrt(float(np.prod(eigs[eigs > 1e-14])))
-            assert manipulability(A) == pytest.approx(expected, abs=1e-8)
-
-    def test_rotation_invariance(self):
-        rng = np.random.default_rng(23)
-        A = rng.normal(size=(2, 4))
-        phi = rng.uniform(0, 2 * np.pi)
-        R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        assert abs(manipulability(R @ A) - manipulability(A)) < 1e-10
-
-    def test_singular_posture_is_zero(self):
-        lam = diagonal_selection((1, 1, 0))
-        A = lam @ jacobian(ARM3, np.zeros(3))  # straight arm, x-row vanishes
-        assert manipulability(A) == pytest.approx(0.0, abs=1e-12)
-
-
-class _ConstantModel:
-    def __init__(self, A):
-        self._A = np.asarray(A, dtype=float)
-
-    def A_at(self, x):
-        return self._A
-
-
-class _SelectionModel:
-    def __init__(self, lam, arm):
-        self.lam = lam
-        self.arm = arm
-
-    def A_at(self, q):
-        return self.lam @ jacobian(self.arm, q)
-
-
-class TestManipulabilityGradient:
-    def test_constant_matrix_zero_gradient(self):
-        model = _ConstantModel(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        g = manipulability_gradient(model, np.array([0.3, -0.2, 0.5]))
-        assert np.allclose(g, 0.0, atol=1e-9)
-
-    def test_ascent_from_singular_posture(self):
-        model = _SelectionModel(diagonal_selection((1, 1, 0)), ARM3)
-        q = np.zeros(3)
-        g = manipulability_gradient(model, q)
-        v0 = manipulability(model.A_at(q))
-        v1 = manipulability(model.A_at(q + 1e-3 * g))
-        assert v1 >= v0
-
-    def test_permutation_oracle(self):
-        # relabeling the joints of a uniform arm permutes the gradient the
-        # same way, provided the matrix model is relabeled too
-        perm = np.array([2, 0, 1])
-
-        class Permuted:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def A_at(self, q):
-                return self.inner.A_at(q[np.argsort(perm)])[:, perm]
-
-        # theta-only selection is symmetric under any joint relabeling
-        inner = _SelectionModel(diagonal_selection((0, 0, 1)), ARM3)
-        q = np.array([0.4, 0.9, -0.3])
-        g = manipulability_gradient(inner, q)
-        gp = manipulability_gradient(Permuted(inner), q[perm])
-        assert np.allclose(gp, g[perm], atol=1e-6)
 
 
 class TestPlanarArm:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import SphericalConstraint, build_constraint_rows, null_projector
-from projlearn.metrics import (MetricRecord, consistency_error, eval_learned_constraint,
-                               nmse_w, projector_distance, summarize)
+from projlearn.metrics import (consistency_error, eval_learned_constraint, nmse_w,
+                               projector_distance, summarize)
 from projlearn.policies import LimitCyclePolicy
 from projlearn.simulator import action_std, generate_toy_dataset
 
@@ -121,14 +121,6 @@ class TestEvalLearnedConstraint:
 
 
 class TestRecordsAndSummaries:
-    def test_csv_row_is_plain_strings(self):
-        rec = MetricRecord(trial=3, case="xy", seed=(1, 2), e_w=np.float64(0.5),
-                           e_n=0.25, objective=1e-9)
-        row = rec.csv_row()
-        assert row[0] == "3" and row[1] == "xy" and row[2] == "1/2"
-        assert float(row[3]) == 0.5
-        assert all(isinstance(part, str) for part in row)
-
     def test_summarize_oracle(self):
         out = summarize([1.0, 2.0, 3.0, 4.0])
         assert out["mean"] == pytest.approx(2.5)

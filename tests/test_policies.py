@@ -114,9 +114,11 @@ class TestTaskPointAttractor:
 
 class TestPolicyFromConfig:
     def test_toy_policies(self):
-        assert isinstance(policy_from_config({"type": "linear"}), LinearPolicy)
-        pi = policy_from_config({"type": "limit_cycle", "rho0": 0.5})
-        assert pi.rho0 == 0.5
+        pi = policy_from_config({"type": "linear"})
+        assert isinstance(pi, LinearPolicy)
+        assert np.array_equal(pi.L, [[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]])
+        pi = policy_from_config({"type": "limit_cycle"})
+        assert (pi.rho0, pi.omega) == (0.75, 1.0)
         assert isinstance(policy_from_config({"type": "sinusoidal"}), SinusoidalPolicy)
 
     def test_point_attractor_degrees(self):
@@ -124,13 +126,10 @@ class TestPolicyFromConfig:
                                  "target_deg": [10.0, -10.0, 10.0], "beta": 1.0})
         assert np.allclose(pi.target, np.deg2rad([10.0, -10.0, 10.0]))
 
-    def test_zero_policy(self):
-        pi = policy_from_config({"type": "zero", "dim": 3})
-        assert np.allclose(pi(np.ones(3)), 0.0)
-
     def test_unknown_type(self):
-        with pytest.raises(ValueError):
-            policy_from_config({"type": "spline"})
+        for kind in ("spline", "zero"):
+            with pytest.raises(ValueError):
+                policy_from_config({"type": kind, "dim": 3})
 
 
 @pytest.mark.parametrize("policy, n", [

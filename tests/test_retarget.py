@@ -3,13 +3,14 @@ import pytest
 
 from projlearn.constraints import SelectionConstraint, diagonal_selection, null_projector
 from projlearn.kinematics import PlanarArm, jacobian, joint_positions
-from projlearn.policies import PointAttractor, ZeroPolicy
+from projlearn.policies import PointAttractor, TaskPointAttractor, ZeroPolicy
 from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion,
                                 ReplaySource, RetargetPlan, check_obstacle_clearance,
                                 estimate_components, estimate_task_policy,
                                 reproduce_trajectory, retarget_step,
                                 segment_rect_distance)
-from projlearn.simulator import (RankCollapseError, Trajectory, generate_arm_dataset)
+from projlearn.simulator import (RankCollapseError, Trajectory, generate_arm_dataset,
+                                 simulate_trajectory)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 
@@ -227,6 +228,23 @@ class TestReplayLoop:
                             pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
                             demonstrator=ARM, imitator=self.SEVEN)
         self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
+
+    def test_step_count_follows_the_data_rollouts(self):
+        # An empty replay would pass any clearance check, so a duration
+        # below half a step must fail the way simulate_trajectory does.
+        target = np.array([-0.09, 0.04, 0.0])
+        pi = PointAttractor(target=np.deg2rad([40.0, 0.0, -30.0]))
+        plan = RetargetPlan(constraint=true_model(), task_source=AttractorSource(target=target),
+                            pi_robot=pi, demonstrator=ARM)
+        x0 = np.deg2rad([8.67, 94.18, -2.32])
+        demo = lambda duration: simulate_trajectory(
+            ARM, true_model(), TaskPointAttractor(arm=ARM, target=target), pi, x0, 0.02, duration)
+        replay = lambda duration: reproduce_trajectory(plan, x0, 0.02, duration)
+        for rollout in (demo, replay):
+            with pytest.raises(ValueError, match="duration shorter than one step"):
+                rollout(0.009)
+        for duration in (0.011, 0.05, 0.8):
+            assert replay(duration).n_samples == demo(duration).n_samples
 
 
 class TestReplayAgainstSvdReference:

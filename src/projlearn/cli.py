@@ -179,13 +179,12 @@ def main(argv=None) -> int:
         cfg = _apply_overrides(cfg, args)
         validate_config(cfg, args.command)
         out_dir = Path(args.out or cfg.get("out") or f"results/{args.command}")
-        log.info("running %s (config hash %s)", args.command, config_hash(cfg))
-        # Runners raise ConfigError only on a bad PROJLEARN_WORKERS, before any trial.
-        result = RUNNERS[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    log.info("running %s (config hash %s)", args.command, config_hash(cfg))
+    result = RUNNERS[args.command](cfg)
     write_outputs(result, cfg, out_dir, args.gnuplot, args.command)
     log.info("wrote %s", out_dir / "report.json")
 

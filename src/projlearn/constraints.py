@@ -95,15 +95,6 @@ def build_constraint_rows(theta, k: int, n: int) -> np.ndarray:
         raise ValueError(f"k={k}, n={n} needs {expected} angles, got {theta.size}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("angles must be finite")
-    return _rows_unchecked(theta, k, n)
-
-
-def _rows_unchecked(theta: np.ndarray, k: int, n: int) -> np.ndarray:
-    """build_constraint_rows for a (k(2n-k-1)/2,) float array, without the checks.
-
-    For objectives evaluated thousands of times per learn on angles whose
-    shape was checked once; a NaN angle gives NaN rows, not an error.
-    """
     rows = np.empty((k, n))
     basis = None
     used = 0

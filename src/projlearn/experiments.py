@@ -24,13 +24,13 @@ from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
 from .kinematics import PlanarArm, end_pose, jacobian
-from .learning import (BaselineConfig, OptimizerConfig, baseline_separate_nullspace,
-                       learn_constraint, learn_selection_matrix)
+from .learning import (BaselineConfig, baseline_separate_nullspace, learn_constraint,
+                       learn_selection_matrix)
 from .metrics import consistency_error, eval_learned_constraint, summarize
 from .policies import TOY_POLICIES, PointAttractor, TaskPointAttractor, policy_from_config
 from .retarget import (AttractorSource, ObstacleRegion, ReplaySource, RetargetPlan,
                        check_obstacle_clearance, estimate_task_policy, reproduce_trajectory)
-from .simulator import (Dataset, NoiseSpec, add_noise, generate_arm_dataset,
+from .simulator import (Dataset, NoiseSpec, _step_count, add_noise, generate_arm_dataset,
                         generate_toy_dataset, simulate_trajectory, split_dataset)
 
 # Constrained task coordinates per named case; 1s pick rows of (x, y, theta).
@@ -178,6 +178,21 @@ def _imitator_joints(cfg):
         _fail("imitator.row_correspondence", "row indices must be distinct")
 
 
+def _enough_steps(cfg):
+    # Steps are counted by the rollouts' own _step_count, so validation and
+    # the run agree. The baseline's training rollout needs two: its
+    # separation fits at least two samples.
+    for key, need in (("demo_duration_s", 1), ("gt_duration_s", 1), ("train_duration_s", 2)):
+        if key in cfg:
+            try:
+                steps = _step_count(cfg["dt"], cfg[key])
+            except ValueError:  # under half a step
+                steps = 0
+            if steps < need:
+                _fail(key, f"gives {steps} of the {need} rollout steps needed at "
+                      f"dt = {cfg['dt']} s")
+
+
 POSITIVE = 1e-9  # lower bound of quantities that must be strictly positive
 
 
@@ -193,11 +208,12 @@ def _attractor(default, target_key="target_deg", length=3):
     })
 
 
+# Validated and read by no experiment; the benchmark reads the block from shipped configs.
 OPTIMIZER = {
-    "restarts": Key("int", OptimizerConfig.restarts, lo=1),
-    "max_iters": Key("int", OptimizerConfig.max_iters, lo=1),
-    "objective_tol": Key("number", OptimizerConfig.objective_tol, lo=0.0),
-    "param_tol": Key("number", OptimizerConfig.param_tol, lo=0.0),
+    "restarts": Key("int", lo=1),
+    "max_iters": Key("int", lo=1),
+    "objective_tol": Key("number", lo=0.0),
+    "param_tol": Key("number", lo=0.0),
 }
 
 # Thresholds check_acceptance applies; each experiment accepts the ones its checks name.
@@ -219,7 +235,7 @@ def _schema(keys: dict, acceptance: tuple, checks=(), trials=None) -> Schema:
         # Only multi-trial experiments have trials to spread over workers.
         **({} if trials is None else {"trials": Key("int", trials, lo=1),
                                       "workers": Key("int", lo=1)}),
-        "optimizer": Key("object", {}, table=OPTIMIZER),
+        "optimizer": Key("object", table=OPTIMIZER),
         "acceptance": Key("object", table={k: ACCEPTANCE[k] for k in acceptance}),
         "out": Key("string"),
     }
@@ -289,7 +305,7 @@ SCHEMAS = {
         "task_gain": Key("number", 3.0, lo=POSITIVE),
         "gt_duration_s": Key("number", 4.0, lo=POSITIVE),
         **ARM_KEYS,
-    }, ("max_final_task_error",), [_ordered_ranges]),
+    }, ("max_final_task_error",), [_ordered_ranges, _enough_steps]),
     "retarget-obstacle": _schema({
         **ARM_KEYS, **DEMO_KEYS,
         "obstacle": Key("object", {"x_min": -0.085, "x_max": -0.055,
@@ -299,7 +315,7 @@ SCHEMAS = {
         "pi_robot": _attractor({"type": "point_attractor", "beta": 5.0,
                                 "target_deg": [-320.0, 100.0, 50.0]}),
     }, ("require_retargeted_clear", "require_direct_violation"),
-        [_ordered_ranges, _obstacle_bounds]),
+        [_ordered_ranges, _obstacle_bounds, _enough_steps]),
     "retarget-embodiment": _schema({
         **ARM_KEYS, **DEMO_KEYS,
         "imitator": Key("object", {}, table={
@@ -312,7 +328,7 @@ SCHEMAS = {
             "row_correspondence": Key("list", [0, 1, 2], length=3,
                                       item=Key("int", lo=0, hi=2)),
         }),
-    }, ("max_trace_rmse",), [_ordered_ranges, _imitator_joints]),
+    }, ("max_trace_rmse",), [_ordered_ranges, _imitator_joints, _enough_steps]),
     "ingest-learn": _schema({
         "inputs": Key("paths", REQUIRED),
         "side": Key("string", "right", choices=("left", "right")),
@@ -332,19 +348,6 @@ SCHEMAS = {
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _opt_config(cfg: dict, seed) -> OptimizerConfig:
-    return OptimizerConfig(**cfg["optimizer"], seed=seed)
-
-
-def _workers(cfg: dict) -> int:
-    if "workers" in cfg:
-        return cfg["workers"]
-    env = os.environ.get("PROJLEARN_WORKERS", "1")
-    if not env.strip().isdigit():
-        raise ConfigError(f"PROJLEARN_WORKERS: expected a positive integer, got {env!r}")
-    return max(1, int(env))
 
 
 def _map_trials(task, arg_list, workers: int):
@@ -399,7 +402,7 @@ def _run_cases(name: str, raw: dict, cfg: dict, cases: list, trial) -> dict:
     rows = []
     for case_index, case in enumerate(cases):
         args = [(cfg, case, case_index, t) for t in range(cfg["trials"])]
-        rows.extend(_map_trials(trial, args, _workers(cfg)))
+        rows.extend(_map_trials(trial, args, cfg.get("workers", 1)))
     report = _base_report(name, raw, cfg)
     report["cases"] = {
         case: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == case),
@@ -434,7 +437,7 @@ def run_sweep(cfg: dict) -> dict:
                     "target": "actions" if axis == "u_noise" else "prior_policy",
                 }
             args = [(point_cfg, policy, case_index, t) for t in range(cfg["trials"])]
-            point_rows = _map_trials(_toy_trial, args, _workers(cfg))
+            point_rows = _map_trials(_toy_trial, args, cfg.get("workers", 1))
             for r in point_rows:
                 r["case"] = f"{axis}={value}"
             rows.extend(point_rows)
@@ -508,7 +511,7 @@ def run_compare_baseline(cfg: dict) -> dict:
     rng = np.random.default_rng((seed, 0))
 
     train = generate_arm_dataset(arm, lam_true, pi, cfg["train_trajectories"],
-                                 int(round(cfg["train_duration_s"] / dt)),
+                                 _step_count(dt, cfg["train_duration_s"]),
                                  dt=dt, seed=(seed, 1), target_cfg=target_cfg)
 
     q0 = np.deg2rad(cfg["gt_start_deg"])
@@ -528,8 +531,7 @@ def run_compare_baseline(cfg: dict) -> dict:
     proposed = reproduce_trajectory(proposed_plan, q0, dt, duration)
 
     base = baseline_separate_nullspace(train, BaselineConfig(seed=int(rng.integers(2**31))))
-    lam_base, base_obj = learn_selection_matrix(train, base.w_hat, feature_fn, k,
-                                                opt=_opt_config(cfg, (seed, 3)))
+    lam_base, base_obj = learn_selection_matrix(train, base.w_hat, feature_fn, k)
     base_model = SelectionConstraint(lam=lam_base, feature=feature_fn)
     base_b = estimate_task_policy(base_model, gt.x, gt.u)
     base_plan = RetargetPlan(constraint=base_model, task_source=ReplaySource(base_b),

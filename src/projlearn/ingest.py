@@ -37,13 +37,7 @@ import numpy as np
 from .kinematics import PlanarArm, joint_positions
 from .simulator import Dataset, Trajectory
 
-BODY25 = {
-    "nose": 0, "neck": 1,
-    "r_shoulder": 2, "r_elbow": 3, "r_wrist": 4,
-    "l_shoulder": 5, "l_elbow": 6, "l_wrist": 7,
-    "mid_hip": 8, "r_hip": 9, "l_hip": 12,
-}
-
+# Body points per side, as indices into the 25-point body format.
 SIDE_POINTS = {
     "right": {"shoulder": 2, "elbow": 3, "wrist": 4, "hip": 9},
     "left": {"shoulder": 5, "elbow": 6, "wrist": 7, "hip": 12},

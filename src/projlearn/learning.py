@@ -17,25 +17,30 @@ one Levenberg-Marquardt fit of the residuals N(x_n) d_n follows it.
 
 The module also carries the two-stage approach from earlier work, used here
 as a comparison baseline: first separate a null-space component out of raw
-actions without a prior, then fit a selection matrix to it.
+actions without a prior, then fit a selection matrix to it. That fit has the
+same shape: its objective vanishes when the rows of Lambda are orthogonal to
+every Phi_n w_n, so it starts from the bottom k eigenvectors of their
+scatter and runs the same Levenberg-Marquardt fit.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+# minimize is looked up here by optimize and patched here by the benchmark's tracer.
 from scipy.optimize import least_squares, minimize
 
 from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
-                          _rows_unchecked, build_constraint_rows, constraint_angles,
-                          diagonal_selection, feature_stack, null_space_apply, pinv_apply,
-                          spherical_param_count)
+                          constraint_angles, diagonal_selection, feature_stack,
+                          null_space_apply, pinv_apply, spherical_param_count)
 from .policies import policy_values
 from .simulator import Dataset
 
 
 # --- derivative-free optimisation ----------------------------------------------
+# No command reaches this section; the benchmark and the tests' slow reference use it.
 
+# Built by the benchmark from its configs' optimizer blocks; read by no learner.
 @dataclass(frozen=True)
 class OptimizerConfig:
     restarts: int = 20
@@ -49,6 +54,7 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
 
 
+# What optimize returns; kept with it.
 @dataclass
 class OptimizeResult:
     params: np.ndarray
@@ -58,16 +64,19 @@ class OptimizeResult:
     incumbents: list  # best value after each restart, non-increasing
 
 
+# Raised by optimize when every restart fails; kept with it.
 class OptimizationError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
 
 
+# Abandons one restart of optimize; kept with it.
 class _NonFinite(Exception):
     pass
 
 
+# Patched by name by the benchmark's tracer.
 def optimize(objective_fn, init_params, opt: OptimizerConfig, sampler=None) -> OptimizeResult:
     """Simplex-type local search from several starts, keeping the best end point.
 
@@ -129,6 +138,21 @@ def optimize(objective_fn, init_params, opt: OptimizerConfig, sampler=None) -> O
                           incumbents=incumbents)
 
 
+# Patched by name by the benchmark's tracer.
+def _screened_sampler(objective, dim, draws: int = 32):
+    """Draw a batch of uniform angle vectors and hand back the best scorer.
+
+    Restarting the simplex from the most promising of a few dozen probes
+    costs a handful of objective calls and skips most of the poor basins.
+    """
+    def sample(rng):
+        cand = rng.uniform(-np.pi, np.pi, size=(draws, dim))
+        vals = np.array([objective(c) for c in cand])
+        vals[~np.isfinite(vals)] = np.inf
+        return cand[int(np.argmin(vals))]
+    return sample
+
+
 # --- the consistency objective ---------------------------------------------------
 
 def _stacked(dataset: Dataset, prior_pi):
@@ -183,21 +207,23 @@ def _row_space_start(D, Phi):
     return vecs[:, ::-1], vals[::-1]
 
 
-def _fit_row_span(Phi, D, basis, k: int):
-    """Orthonormal rows of Lambda minimising sum_n |N(x_n) d_n|^2, and LM's nfev.
+def _fit_row_span(Phi, residual_of, basis, k: int):
+    """Orthonormal rows of Lambda minimising |residual_of(Lambda Phi)|^2, and LM's nfev.
 
-    With isotropic action noise this is the maximum-likelihood fit: the task
-    part of each action is free inside the row space. Levenberg-Marquardt
-    works in the k(p-k) Grassmann chart Lambda = L0 + B Q around the start,
-    L0 the top k eigenvectors of the scatter and Q the rest (Absil, Mahony
-    & Sepulchre 2008). The spherical angles would not do: at k = 2 their
-    Jacobian is singular at the optimum. The rows are orthonormalised once,
-    at the end.
+    residual_of maps a stack of constraint matrices A_n = Lambda Phi_n to
+    per-sample residuals. The learner's are N(x_n) d_n: with isotropic action
+    noise that is the maximum-likelihood fit, since the task part of each
+    action is free inside the row space. The baseline's are A_n^+ A_n w_n.
+    Levenberg-Marquardt works in the k(p-k) Grassmann chart
+    Lambda = L0 + B Q around the start, L0 the first k columns of basis and
+    Q the rest (Absil, Mahony & Sepulchre 2008). The spherical angles would
+    not do: at k = 2 their Jacobian is singular at the optimum. The rows are
+    orthonormalised once, at the end.
     """
     L0, Q = basis[:, :k].T, basis[:, k:].T
 
     def residual(b):
-        return null_space_apply((L0 + b.reshape(k, -1) @ Q) @ Phi, D).ravel()
+        return residual_of((L0 + b.reshape(k, -1) @ Q) @ Phi).ravel()
 
     res = least_squares(residual, np.zeros(k * len(Q)), method="lm")
     return np.linalg.svd(L0 + res.x.reshape(k, -1) @ Q, full_matrices=False)[2], res.nfev
@@ -210,26 +236,6 @@ class LearnedConstraint:
     model: object
     objective_value: float
     diagnostics: dict = field(default_factory=dict)
-
-
-def _screened_sampler(objective, dim, draws: int = 32):
-    """Draw a batch of uniform angle vectors and hand back the best scorer.
-
-    Restarting the simplex from the most promising of a few dozen probes
-    costs a handful of objective calls and skips most of the poor basins.
-    """
-    def sample(rng):
-        cand = rng.uniform(-np.pi, np.pi, size=(draws, dim))
-        vals = np.array([objective(c) for c in cand])
-        vals[~np.isfinite(vals)] = np.inf
-        return cand[int(np.argmin(vals))]
-    return sample
-
-
-def _restart_search(objective, dim: int, opt: OptimizerConfig) -> OptimizeResult:
-    """opt.restarts simplex searches from screened random angles."""
-    sampler = _screened_sampler(objective, dim)
-    return optimize(objective, sampler(np.random.default_rng(opt.seed)), opt, sampler=sampler)
 
 
 def _exact_fit_floor(U) -> float:
@@ -286,7 +292,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     start_score = value = score(lam)
     path, nfev = "closed_form", 0
     if start_score > _exact_fit_floor(U):
-        lam, nfev = _fit_row_span(Phi, D, basis, k)
+        lam, nfev = _fit_row_span(Phi, lambda A: null_space_apply(A, D), basis, k)
         path, value = "least_squares", score(lam)
     if representation == "spherical":
         model = SphericalConstraint(theta=tuple(np.mod(constraint_angles(lam), 2.0 * np.pi)),
@@ -312,21 +318,17 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
 
 # --- baseline: learn the selection matrix from an estimated w ---------------------
 
-def _projection_energy(A_stack, W_hat) -> float:
-    """sum_n w_n^T (A_n^+ A_n) w_n, the part of w inside the constrained span."""
-    inside = pinv_apply(A_stack, np.einsum("skj,sj->sk", A_stack, W_hat))
-    return float(np.sum(inside * inside))
-
-
 def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
-                           opt: OptimizerConfig | None = None,
                            mode: str = "continuous"):
     """Fit Lambda so the estimated null-space motion is annihilated by Lambda Phi.
 
-    Minimises sum_n w_n^T (Lambda Phi_n)^+ (Lambda Phi_n) w_n. mode
-    "continuous" searches orthonormal coefficient rows with the simplex
-    optimizer; mode "diagonal" enumerates the k-subsets of feature rows and
-    is mainly useful as an exhaustive cross-check.
+    Minimises sum_n w_n^T (Lambda Phi_n)^+ (Lambda Phi_n) w_n. The sum is
+    zero exactly when the rows of Lambda are orthogonal to every
+    v_n = Phi_n w_n, so mode "continuous" starts from the bottom k
+    eigenvectors of sum v v^T and runs the learner's Levenberg-Marquardt fit
+    (``_fit_row_span``) of the residuals (Lambda Phi_n)^+ (Lambda Phi_n) w_n,
+    returning orthonormal rows. Mode "diagonal" enumerates the k-subsets of
+    feature rows and is mainly useful as an exhaustive cross-check.
 
     Returns (lam, objective_value).
     """
@@ -338,29 +340,21 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
         raise ValueError("w_hat is identically zero; nothing constrains the fit")
     Phi = feature_stack(feature_fn, X)
     p = Phi.shape[1]
+    spherical_param_count(k, p)  # validates k
+    inside = lambda A: pinv_apply(A, np.einsum("skj,sj->sk", A, W_hat))  # A_n^+ A_n w_n
+    energy = lambda lam: float(np.sum(inside(lam @ Phi) ** 2))
 
     if mode == "diagonal":
         from itertools import combinations
-        best = None
-        for rows in combinations(range(p), k):
-            lam = diagonal_selection(list(rows), p)
-            val = _projection_energy(lam @ Phi, W_hat)
-            if best is None or val < best[1]:
-                best = (lam, val)
-        return best
-
+        candidates = [diagonal_selection(list(rows), p) for rows in combinations(range(p), k)]
+        return min(((lam, energy(lam)) for lam in candidates), key=lambda c: c[1])
     if mode != "continuous":
         raise ValueError(f"unknown mode {mode!r}")
 
-    opt = opt or OptimizerConfig()
-    dim = spherical_param_count(k, p)
-
-    def objective(theta):
-        lam = _rows_unchecked(theta, k, p)
-        return _projection_energy(lam @ Phi, W_hat)
-
-    res = _restart_search(objective, dim, opt)
-    return build_constraint_rows(res.params, k, p), res.value
+    V = np.einsum("spj,sj->sp", Phi, W_hat)
+    basis = np.linalg.eigh(V.T @ V)[1]  # ascending: the first k columns span the start
+    lam, _ = _fit_row_span(Phi, inside, basis, k)
+    return lam, energy(lam)
 
 
 # --- baseline: separate w out of raw actions without a prior ----------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from projlearn import learning
 from projlearn.cli import ConfigError, main, validate_config, write_trials_csv
 from projlearn.experiments import (ACCEPTANCE, OPTIONAL, REQUIRED, RUNNERS, SCHEMAS,
                                    check_acceptance, config_hash, run_retarget_obstacle)
@@ -68,7 +69,8 @@ class TestValidation:
 # Small sizes keep each run short where a config gets past validation.
 SMALL = {
     "toy": tiny_toy_cfg(),
-    "sweep": {"trials": 1, "n_test": 20, "optimizer": dict(TINY_OPT)},
+    "sweep": {"trials": 1, "n_test": 20, "axes": {"data_size": [10]},
+              "optimizer": dict(TINY_OPT)},
     "three-link": {"trials": 1, "cases": ["x"], "n_trajectories": 4, "points_per_traj": 10,
                    "optimizer": dict(TINY_OPT)},
     "retarget-obstacle": {"train_trajectories": 2, "points_per_traj": 20,
@@ -129,6 +131,52 @@ def test_bad_config_exits_2_with_key_path(tmp_path, capsys, experiment, bad, key
     assert "Traceback" not in err
 
 
+# Durations at dt = 0.02 s, counted the way the rollouts count steps:
+# round(duration / dt), half to even, so 0.01 s is 0 steps and 0.03 s is 2.
+SHORT_DURATIONS = [
+    ("retarget-obstacle", "demo_duration_s", 0.005),
+    ("retarget-obstacle", "demo_duration_s", 0.01),
+    ("retarget-embodiment", "demo_duration_s", 0.005),
+    ("compare-baseline", "gt_duration_s", 0.005),
+    ("compare-baseline", "train_duration_s", 0.005),
+    ("compare-baseline", "train_duration_s", 0.02),  # one sample; the baseline needs two
+]
+
+
+@pytest.mark.parametrize("experiment,key,value", SHORT_DURATIONS,
+                         ids=[f"{e}:{k}={v}" for e, k, v in SHORT_DURATIONS])
+def test_too_short_duration_exits_2_from_validation_and_run(tmp_path, capsys, experiment,
+                                                            key, value):
+    path = write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment, **{key: value}))
+    assert main(["validate-config", path]) == 2
+    assert main([experiment, path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"config error: {key}: ") == 2
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("retarget-obstacle", "demo_duration_s", 0.0101),
+    ("retarget-embodiment", "demo_duration_s", 0.0101),
+    ("compare-baseline", "gt_duration_s", 0.0101),
+    ("compare-baseline", "train_duration_s", 0.03)])
+def test_shortest_durations_with_enough_steps_validate(experiment, key, value):
+    validate_config(dict(SMALL[experiment], **{key: value}), experiment)
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL))
+def test_no_command_reaches_the_simplex_search(tmp_path, monkeypatch, experiment):
+    # and none reads an optimizer block: it is left out here and has no default
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command reached the simplex search")
+    monkeypatch.setattr(learning, "optimize", refuse)
+    monkeypatch.setattr(learning, "minimize", refuse)
+    cfg = {k: v for k, v in SMALL[experiment].items() if k != "optimizer"}
+    path = write_cfg(tmp_path, dict(cfg, experiment=experiment))
+    assert main([experiment, path, "--out", str(tmp_path / "out")]) == 0
+
+
 def shipped(name):
     return json.loads((CONFIG_DIR / name).read_text())
 
@@ -139,7 +187,7 @@ class TestAcceptanceChecks:
     # Small runs; the retarget scenarios are cheap at their shipped size.
     RUNS = {
         "toy": tiny_toy_cfg(),
-        "sweep": dict(SMALL["sweep"], axes={"data_size": [10]}),
+        "sweep": SMALL["sweep"],
         "three-link": SMALL["three-link"],
         "compare-baseline": dict(shipped("compare_baseline.json"), train_duration_s=0.2,
                                  optimizer=dict(TINY_OPT)),
@@ -306,15 +354,6 @@ class TestMainExitCodes:
             main([experiment, path, "--workers", "2"])
         assert exc.value.code == 2
         assert "--workers" in capsys.readouterr().err
-
-    def test_bad_workers_variable_exits_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PROJLEARN_WORKERS", "abc")
-        path = write_cfg(tmp_path, tiny_toy_cfg())
-        assert main(["toy", path, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "config error: PROJLEARN_WORKERS: " in err and "'abc'" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "out").exists()
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["toy", str(tmp_path / "nope.json")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
-                                   _gram_solve, _rows_unchecked, build_constraint_rows,
+                                   _gram_solve, build_constraint_rows,
                                    constraint_angles, diagonal_selection,
                                    null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
@@ -85,15 +85,6 @@ class TestBuildConstraintRows:
             build_constraint_rows(np.zeros(2), 1, 2)  # wrong count
         with pytest.raises(ValueError):
             build_constraint_rows(np.array([0.1, np.nan, 0.2]), 2, 3)
-
-    def test_unchecked_builder_matches(self):
-        rng = np.random.default_rng(4)
-        for k, n in ((1, 2), (1, 3), (2, 3), (3, 5), (4, 4)):
-            theta = rng.uniform(-np.pi, np.pi, spherical_param_count(k, n))
-            assert np.array_equal(_rows_unchecked(theta, k, n),
-                                  build_constraint_rows(theta, k, n))
-        # unchecked, a NaN angle must still not give plausible rows
-        assert np.isnan(_rows_unchecked(np.array([0.1, np.nan, 0.2]), 2, 3)).any()
 
 
 class TestConstraintAngles:

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from projlearn.constraints import (SelectionConstraint, SphericalConstraint, _rows_unchecked,
+from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, constraint_angles,
                                    diagonal_selection, null_projector, spherical_param_count)
 from projlearn import learning
@@ -24,6 +24,17 @@ TOY_OPT = OptimizerConfig(restarts=8, max_iters=600, objective_tol=1e-13,
                           param_tol=1e-11, seed=0)
 ARM_OPT = OptimizerConfig(restarts=6, max_iters=800, objective_tol=1e-12,
                           param_tol=1e-10, seed=0)
+
+
+def restart_search(objective, dim: int, opt: OptimizerConfig):
+    """opt.restarts simplex searches from screened random angles: the slow reference.
+
+    It calls optimize and _screened_sampler through the module, so a patch
+    of either (the benchmark's tracer, say) sees the search.
+    """
+    sampler = learning._screened_sampler(objective, dim)
+    return learning.optimize(objective, sampler(np.random.default_rng(opt.seed)), opt,
+                             sampler=sampler)
 
 
 def toy(seed, n_points=150, theta=None):
@@ -226,9 +237,9 @@ class TestLiftedStart:
         pd = np.einsum("si,si->s", PI, D)
 
         def objective(theta):
-            A = _rows_unchecked(theta, k, n)
+            A = rows(theta)
             return float(np.abs(pd - np.einsum("sk,sk->s", PI @ A.T, D @ A.T)).sum())
-        searched = learning._restart_search(objective, spherical_param_count(k, n), TOY_OPT)
+        searched = restart_search(objective, spherical_param_count(k, n), TOY_OPT)
         A_ref = rows(searched.params)
         learned = learn_constraint(ds, k=k)
         A = learned.model.matrix
@@ -268,7 +279,7 @@ class TestLiftedStart:
         X, PI = ds.stack("x"), ds.stack("pi")
         D, Phi = ds.stack("u") - PI, jacobian(ARM, X)
         rows = lambda theta: build_constraint_rows(theta, k, 3)
-        searched = learning._restart_search(
+        searched = restart_search(
             lambda theta: learning._l1_score(PI, D, rows(theta) @ Phi),
             spherical_param_count(k, 3), ARM_OPT)
         learned = learn_constraint(ds, k=k, representation="lambda",
@@ -453,14 +464,42 @@ class TestLearnSelectionMatrix:
     def test_continuous_mode_matches_projector(self):
         ds = arm_dataset(seed=14, lam_pattern=(0, 1, 1))
         lam, val = learn_selection_matrix(ds, ds.stack("w"),
-                                          lambda q: jacobian(ARM, q), k=2,
-                                          opt=ARM_OPT)
+                                          lambda q: jacobian(ARM, q), k=2)
         assert val < 1e-10
         lam_true = diagonal_selection((0, 1, 1))
         for q in ds.stack("x")[::23]:
             N_true = null_projector(lam_true @ jacobian(ARM, q)).N
             N_hat = null_projector(lam @ jacobian(ARM, q)).N
             assert np.max(np.abs(N_hat - N_true)) < 1e-4
+
+    @pytest.mark.parametrize("case", list(THREE_LINK_CASES))
+    def test_continuous_matches_restart_search(self, case):
+        # the slow reference searches the same objective over spherical angles,
+        # fed the true w and the baseline's estimate of it
+        pattern = THREE_LINK_CASES[case]
+        k = sum(pattern)
+        for seed in range(3):
+            ds = arm_dataset(seed=(seed, 51), lam_pattern=pattern, n_traj=1, points=40)
+            Phi = jacobian(ARM, ds.stack("x"))
+            for W in (ds.stack("w"), baseline_separate_nullspace(ds).w_hat):
+                lam, val = learn_selection_matrix(ds, W, lambda q: jacobian(ARM, q), k=k)
+                assert np.allclose(lam @ lam.T, np.eye(k), atol=1e-12)
+
+                def energy(theta):
+                    A = build_constraint_rows(theta, k, 3) @ Phi
+                    inside = learning.pinv_apply(A, np.einsum("skj,sj->sk", A, W))
+                    return float(np.sum(inside ** 2))
+                searched = restart_search(energy, spherical_param_count(k, 3), ARM_OPT)
+                assert val <= searched.value * (1.0 + 1e-6) + 1e-12 * float(np.sum(W * W)), \
+                    (case, seed, val, searched.value)
+
+    @pytest.mark.parametrize("mode", ["continuous", "diagonal"])
+    def test_k_out_of_range_rejected(self, mode):
+        ds = arm_dataset(seed=15, n_traj=1, points=10)
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="1 <= k <= n"):
+                learn_selection_matrix(ds, ds.stack("w"), lambda q: jacobian(ARM, q), k=k,
+                                       mode=mode)
 
     def test_zero_w_rejected(self):
         ds = arm_dataset(seed=15, n_traj=1, points=10)

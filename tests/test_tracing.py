@@ -2,8 +2,9 @@
 
 The tracer patches projlearn functions by name from outside the package, so
 renaming or removing one of them breaks only traced benchmark runs. This
-installs it, runs one learn of each kind and one selection-matrix fit under
-it, and uninstalls it.
+installs it, runs one learn of each kind and the tests' reference simplex
+search under it, and uninstalls it. No command reaches that search any more;
+the tracer still patches its names.
 """
 
 import importlib.util
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 
 from projlearn import learning
-from projlearn.constraints import diagonal_selection
+from projlearn.constraints import build_constraint_rows, diagonal_selection, spherical_param_count
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor
 from projlearn.simulator import NoiseSpec, add_noise, generate_arm_dataset, generate_toy_dataset
+from test_learning import restart_search
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -49,16 +51,18 @@ def test_tracer_installs_and_uninstalls():
                                   n_trajectories=2, points_per_traj=20, dt=0.02, seed=3)
         learning.learn_constraint(add_noise(ds, noise, 4), k=2, representation="lambda",
                                   feature_fn=lambda q: jacobian(arm, q))
-        learning.learn_selection_matrix(ds, ds.stack("w"), lambda q: jacobian(arm, q), k=2,
-                                        opt=learning.OptimizerConfig(restarts=2, max_iters=50),
-                                        mode="continuous")
+        X, PI = ds.stack("x"), ds.stack("pi")
+        D, Phi = ds.stack("u") - PI, jacobian(arm, X)
+        score = lambda theta: learning._l1_score(PI, D, build_constraint_rows(theta, 2, 3) @ Phi)
+        restart_search(score, spherical_param_count(2, 3),
+                       learning.OptimizerConfig(restarts=2, max_iters=50))
     finally:
         tracer.uninstall()
 
     for owner, attr in patched:
         assert getattr(owner, attr) is originals[(owner, attr)], attr
     assert tracer.spans["learning.learn_constraint"][0] == 2
-    # the selection-matrix fit searches with Nelder-Mead, seen through optimize,
+    # the reference search runs Nelder-Mead, seen through optimize,
     # _screened_sampler and minimize
     assert tracer.counts["learning.nm_runs"] >= 1
     assert tracer.counts["learning.objective_evals"] > 1

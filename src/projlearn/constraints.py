@@ -13,7 +13,6 @@ systems A A^T z = b through _gram_solve, with one trust test.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -304,16 +303,15 @@ class SphericalConstraint:
     theta: tuple
     k: int
     n: int
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(t) for t in np.atleast_1d(self.theta)))
         spherical_param_count(self.k, self.n)  # validates k, n
         if len(self.theta) != spherical_param_count(self.k, self.n):
             raise ValueError("wrong number of angles for (k, n)")
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        return build_constraint_rows(np.array(self.theta), self.k, self.n)
+        object.__setattr__(self, "matrix",
+                           build_constraint_rows(np.array(self.theta), self.k, self.n))
 
     def A_at(self, x=None) -> np.ndarray:
         return self.matrix

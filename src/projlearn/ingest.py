@@ -2,14 +2,21 @@
 
 Input is the common pose-estimator layout: one JSON object per frame with a
 ``people`` list, each person carrying a flat ``pose_keypoints_2d`` array of
-(x, y, confidence) triples in the 25-point body format. Optional
-``hand_right_keypoints_2d`` / ``hand_left_keypoints_2d`` blocks supply a
-hand point (middle-finger knuckle) so the wrist angle can be measured. A
-recording with no confident hand in any frame reports the wrist angle as
-zero; in a recording that has one, frames without it are dropped.
+(x, y, confidence) triples in the 25-point body format, and a
+``hand_right_keypoints_2d`` / ``hand_left_keypoints_2d`` block whose
+middle-finger knuckle is the hand point.
+
+A recording is one float array of shape (F, 5, 3): x, y and confidence of
+the shoulder, elbow, wrist, hip and hand of the configured side, rows in
+the order of the module constants SHOULDER ... HAND. Every absent point is
+NaN: a frame with no person, a missing hand block, an index past a short
+array, or a triple whose confidence is 0. NaN fails every confidence test,
+so no floor admits a point the estimator did not report. A frame is kept
+when all five points reach the floor. The hand is required: a recording
+with no confident hand raises.
 
 Only the sagittal plane is modelled. The shoulder, elbow and wrist angles of
-the configured side are extracted per frame:
+the configured side are extracted per kept frame:
 
   * shoulder: upper-arm direction against the body-down reference, the
     shoulder-to-hip line. Arm hanging straight down is 0; raised forward
@@ -21,10 +28,10 @@ The chain convention differs only in the shoulder, measured from the +x
 axis; arm_angles_from_human converts either way.
 
 Image y grows downward, so vertical components are flipped before any
-angle arithmetic. Pixel link lengths are averaged over confident frames and
-divided by a configurable scale to give arm link lengths, and velocities
-come from forward differences times the frame rate within each run of
-consecutive kept frames.
+angle arithmetic. Pixel link lengths are averaged over the frames where
+both ends of a segment are confident and divided by a configurable scale to
+give arm link lengths, and velocities come from forward differences times
+the frame rate within each run of consecutive kept frames.
 """
 
 import json
@@ -34,92 +41,64 @@ from pathlib import Path
 
 import numpy as np
 
-from .kinematics import PlanarArm, joint_positions
+from .kinematics import PlanarArm, dot_last, joint_positions
 from .simulator import Dataset, Trajectory
 
-# Body points per side, as indices into the 25-point body format.
-SIDE_POINTS = {
-    "right": {"shoulder": 2, "elbow": 3, "wrist": 4, "hip": 9},
-    "left": {"shoulder": 5, "elbow": 6, "wrist": 7, "hip": 12},
-}
+# Rows of a recording's (F, 5, 3) keypoint array.
+SHOULDER, ELBOW, WRIST, HIP, HAND = range(5)
+
+# Body-format indices of the shoulder, elbow, wrist and hip, per side.
+SIDE_POINTS = {"right": (2, 3, 4, 9), "left": (5, 6, 7, 12)}
 
 HAND_KEY = {"right": "hand_right_keypoints_2d", "left": "hand_left_keypoints_2d"}
 HAND_MIDDLE_KNUCKLE = 9
 
 
-@dataclass(frozen=True)
-class KeypointFrame:
-    """Named image-space points of one frame, each an (x, y, confidence) triple."""
-
-    shoulder: tuple
-    elbow: tuple
-    wrist: tuple
-    hip: tuple
-    hand: tuple = (0.0, 0.0, 0.0)
-
-    def point(self, name: str) -> np.ndarray:
-        return np.asarray(getattr(self, name)[:2], dtype=float)
-
-    def confidence(self, name: str) -> float:
-        return float(getattr(self, name)[2])
-
-    def valid(self, floor: float, need_hand: bool = False) -> bool:
-        names = ["shoulder", "elbow", "wrist", "hip"] + (["hand"] if need_hand else [])
-        return all(self.confidence(n) >= floor for n in names)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HumanArmRecording:
-    frames: tuple
+    frames: np.ndarray  # (F, 5, 3), NaN where a point is absent
     fps: float
     side: str
 
 
 def _triple(flat, index):
-    base = 3 * index
-    if base + 3 > len(flat):
-        return (0.0, 0.0, 0.0)
-    return (float(flat[base]), float(flat[base + 1]), float(flat[base + 2]))
+    triple = flat[3 * index:3 * index + 3]
+    return triple if len(triple) == 3 else (np.nan,) * 3
 
 
-def parse_keypoint_json(data, side: str = "right") -> list:
-    """Frames from raw JSON bytes/text; accepts one frame object or a list.
-
-    Takes the first person of each frame. Frames with an empty people list
-    come back as None entries with a warning, so frame indexing downstream
-    stays aligned with the files.
-    """
-    if side not in SIDE_POINTS:
-        raise ValueError("side must be 'right' or 'left'")
+def _frame_objects(data) -> list:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     if isinstance(data, str):
         data = json.loads(data)
-    frame_objs = data if isinstance(data, list) else [data]
-    idx = SIDE_POINTS[side]
-    frames = []
-    empty = 0
-    for obj in frame_objs:
+    return data if isinstance(data, list) else [data]
+
+
+def parse_keypoint_json(data, side: str = "right") -> np.ndarray:
+    """Keypoint array (F, 5, 3) from raw JSON bytes/text or decoded JSON; accepts
+    one frame object or a list.
+
+    Takes the first person of each frame. Frames with an empty people list
+    stay as all-NaN rows, with a warning, so frame indexing downstream
+    stays aligned with the files.
+    """
+    if side not in SIDE_POINTS:
+        raise ValueError("side must be 'right' or 'left'")
+    rows, empty = [], 0
+    for obj in _frame_objects(data):
         people = obj.get("people", [])
-        if not people:
-            frames.append(None)
-            empty += 1
-            continue
-        person = people[0]
+        empty += not people
+        person = people[0] if people else {}
         body = person.get("pose_keypoints_2d", [])
-        hand_flat = person.get(HAND_KEY[side], [])
-        hand = _triple(hand_flat, HAND_MIDDLE_KNUCKLE) if hand_flat else (0.0, 0.0, 0.0)
-        frames.append(KeypointFrame(
-            shoulder=_triple(body, idx["shoulder"]),
-            elbow=_triple(body, idx["elbow"]),
-            wrist=_triple(body, idx["wrist"]),
-            hip=_triple(body, idx["hip"]),
-            hand=hand,
-        ))
+        rows += [_triple(body, index) for index in SIDE_POINTS[side]]
+        rows.append(_triple(person.get(HAND_KEY[side]) or (), HAND_MIDDLE_KNUCKLE))
+    points = np.array(rows, dtype=float).reshape(-1, 5, 3)
+    # Estimators write (0, 0, 0) for a point they did not detect.
+    points[points[:, :, 2] == 0.0] = np.nan
     if empty:
         warnings.warn(f"{empty} frame(s) contained no people and were kept as gaps",
                       stacklevel=2)
-    return frames
+    return points
 
 
 def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmRecording:
@@ -132,56 +111,34 @@ def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmR
         files = sorted(path.glob("*_keypoints.json")) or sorted(path.glob("*.json"))
     if not files:
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
-    frames = []
-    for f in files:
-        frames.extend(parse_keypoint_json(f.read_bytes(), side=side))
-    return HumanArmRecording(frames=tuple(frames), fps=float(fps), side=side)
-
-
-def _math_vec(p_from: np.ndarray, p_to: np.ndarray) -> np.ndarray:
-    # Image y points down; flip it so angle arithmetic happens in a
-    # conventional right-handed frame.
-    d = p_to - p_from
-    return np.array([d[0], -d[1]])
-
-
-def _signed_angle(v_from: np.ndarray, v_to: np.ndarray) -> float:
-    cross = v_from[0] * v_to[1] - v_from[1] * v_to[0]
-    return float(np.arctan2(cross, float(v_from @ v_to)))
+    frame_objs = [obj for f in files for obj in _frame_objects(f.read_bytes())]
+    return HumanArmRecording(frames=parse_keypoint_json(frame_objs, side=side),
+                             fps=float(fps), side=side)
 
 
 def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 0.3):
     """Per-frame (shoulder, elbow, wrist) angles in radians.
 
-    Frames with any required point under the confidence floor are dropped.
-    The hand is required as soon as one frame has it: a zero wrist amid
-    measured ones would invent wrist velocities. A recording with no
-    confident hand anywhere gets a zero wrist throughout. Returns
-    (angles, kept_indices); angles has one row per kept frame. At least two
-    frames must survive, otherwise velocities cannot be formed.
+    A frame is kept when all five points reach the confidence floor.
+    Returns (angles, kept_indices); angles has one row per kept frame.
+    Raises when no frame has a confident hand, and when fewer than two
+    frames are kept, since velocities cannot be formed then.
     """
-    need_hand = any(f is not None and f.valid(confidence_floor, need_hand=True)
-                    for f in rec.frames)
-    angles = []
-    kept = []
-    for i, frame in enumerate(rec.frames):
-        if frame is None or not frame.valid(confidence_floor, need_hand):
-            continue
-        down = _math_vec(frame.point("shoulder"), frame.point("hip"))
-        upper = _math_vec(frame.point("shoulder"), frame.point("elbow"))
-        fore = _math_vec(frame.point("elbow"), frame.point("wrist"))
-        shoulder = _signed_angle(upper, down)
-        elbow = _signed_angle(upper, fore)
-        if need_hand:
-            hand = _math_vec(frame.point("wrist"), frame.point("hand"))
-            wrist = _signed_angle(fore, hand)
-        else:
-            wrist = 0.0
-        angles.append([shoulder, elbow, wrist])
-        kept.append(i)
-    if len(angles) < 2:
-        raise ValueError(f"only {len(angles)} confident frame(s); need at least 2")
-    return np.array(angles), kept
+    confident = rec.frames[:, :, 2] >= confidence_floor
+    if not confident[:, HAND].any():
+        raise ValueError("no frame has a confident hand point; the wrist angle needs one")
+    kept = np.flatnonzero(confident.all(axis=1))
+    if len(kept) < 2:
+        raise ValueError(f"only {len(kept)} confident frame(s); need at least 2")
+    P = rec.frames[kept, :, :2]
+    # Body down (shoulder to hip), upper arm, forearm and hand. Image y points
+    # down; flipping it puts the angles in a right-handed frame.
+    seg = P[:, [HIP, ELBOW, WRIST, HAND]] - P[:, [SHOULDER, SHOULDER, ELBOW, WRIST]]
+    seg[..., 1] *= -1.0
+    # Shoulder: upper arm to body down; elbow: upper arm to forearm; wrist: forearm to hand.
+    a, b = seg[:, [1, 1, 2]], seg[:, [0, 2, 3]]
+    cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+    return np.arctan2(cross, dot_last(a, b)), kept
 
 
 # Shoulder angles are measured from the body-down reference, chain angles
@@ -198,25 +155,22 @@ def estimate_link_lengths(rec: HumanArmRecording, scale: float = 300.0,
                           confidence_floor: float = 0.3) -> np.ndarray:
     """(upper arm, forearm, hand) lengths: mean pixel distances over scale.
 
-    The hand length needs hand keypoints; frames without them simply do not
-    contribute to that average. Raises when a segment has no confident
-    frames at all.
+    Each segment is averaged over the frames where both of its ends reach
+    the confidence floor. Raises when a segment has no such frame.
     """
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    sums = np.zeros(3)
-    counts = np.zeros(3, dtype=int)
-    pairs = (("shoulder", "elbow"), ("elbow", "wrist"), ("wrist", "hand"))
-    for frame in rec.frames:
-        if frame is None:
-            continue
-        for j, (a, b) in enumerate(pairs):
-            if frame.confidence(a) >= confidence_floor and frame.confidence(b) >= confidence_floor:
-                sums[j] += float(np.linalg.norm(frame.point(a) - frame.point(b)))
-                counts[j] += 1
+    P = rec.frames
+    ends = [SHOULDER, ELBOW, WRIST], [ELBOW, WRIST, HAND]
+    confident = P[:, :, 2] >= confidence_floor
+    mask = confident[:, ends[0]] & confident[:, ends[1]]
+    counts = mask.sum(axis=0)
     if np.any(counts == 0):
         missing = [("upper", "fore", "hand")[j] for j in np.flatnonzero(counts == 0)]
         raise ValueError(f"no confident frames to measure segment(s): {', '.join(missing)}")
+    d = P[:, ends[0], :2] - P[:, ends[1], :2]
+    # A running sum, not np.sum's pairwise one: it rounds like a per-frame loop.
+    sums = np.add.accumulate(np.where(mask, np.sqrt(dot_last(d, d)), 0.0))[-1]
     return sums / counts / scale
 
 
@@ -272,7 +226,6 @@ def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, origin_px=(640.0, 360.0),
     if arm.n != 3:
         raise ValueError("synthesis expects a 3-link arm (upper, fore, hand)")
     Q_arm = np.atleast_2d(np.asarray(Q_arm, dtype=float))
-    idx = SIDE_POINTS[side]
     ox, oy = float(origin_px[0]), float(origin_px[1])
 
     def to_px(p_math):
@@ -282,13 +235,8 @@ def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, origin_px=(640.0, 360.0),
     for q in Q_arm:
         pts = joint_positions(arm, q)
         body = [0.0] * 75
-        named = {
-            idx["shoulder"]: to_px(pts[0]),
-            idx["elbow"]: to_px(pts[1]),
-            idx["wrist"]: to_px(pts[2]),
-            idx["hip"]: (ox, oy + scale * hip_drop),
-        }
-        for kp_index, (px, py) in named.items():
+        named = (to_px(pts[0]), to_px(pts[1]), to_px(pts[2]), (ox, oy + scale * hip_drop))
+        for kp_index, (px, py) in zip(SIDE_POINTS[side], named):
             body[3 * kp_index:3 * kp_index + 3] = [px, py, 1.0]
         hand = [0.0] * 63
         hx, hy = to_px(pts[3])

@@ -15,6 +15,13 @@ def wrap_angle(theta):
     return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
 
 
+def dot_last(a, b):
+    """Dot products over the last axis of two broadcast stacks of vectors."""
+    # matmul of (1, m) by (m, 1) takes the same dot kernel as a single v @ w
+    # or np.linalg.norm, so every product rounds like the per-vector loop.
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
 @dataclass(frozen=True)
 class PlanarArm:
     """Planar arm with revolute joints and rigid links of fixed length.

@@ -33,7 +33,7 @@ from scipy.optimize import least_squares, minimize
 from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
                           constraint_angles, diagonal_selection, feature_stack,
                           null_space_apply, pinv_apply, spherical_param_count)
-from .policies import policy_values
+from .metrics import _l1_score, _stacked
 from .simulator import Dataset
 
 
@@ -153,39 +153,6 @@ def _screened_sampler(objective, dim, draws: int = 32):
     return sample
 
 
-# --- the consistency objective ---------------------------------------------------
-
-def _stacked(dataset: Dataset, prior_pi):
-    X = dataset.stack("x")
-    U = dataset.stack("u")
-    if prior_pi is None:
-        PI = dataset.stack("pi")
-    elif isinstance(prior_pi, np.ndarray):
-        PI = prior_pi
-        if PI.shape != U.shape:
-            raise ValueError("prior value array must match the action array shape")
-    else:
-        PI = policy_values(prior_pi, X)
-    return X, U, PI
-
-
-def _l1_score(PI, D, A_stack) -> float:
-    """sum_n |pi_n . N(x_n) d_n| for a stack of constraint matrices A (S, k, n)."""
-    return float(np.sum(np.abs(np.einsum("ni,ni->n", PI, null_space_apply(A_stack, D)))))
-
-
-def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
-    """Sum over samples of |pi^T N(x) (u - pi)| for a candidate constraint.
-
-    Exactly zero (up to rounding) when N is the projector that produced the
-    data, whatever the task policy was. A prior that is identically zero
-    zeroes the score for every candidate; learn_constraint reports that
-    degeneracy through its diagnostics instead of failing here.
-    """
-    X, U, PI = _stacked(dataset, prior_pi)
-    return _l1_score(PI, U - PI, model.A_stack(X))
-
-
 # --- closed-form start and least-squares fit ---------------------------------------
 
 def _row_space_start(D, Phi):
@@ -258,7 +225,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     ``feature_fn(x)``, with orthonormal rows since only their span matters
     for the projection. representation "spherical" learns a constant matrix
     with k orthonormal rows: the same fit with the identity as the feature,
-    returned as angles.
+    returned as angles; it rejects a ``feature_fn``.
 
     Every learn starts from the top k eigenvectors of the row-space scatter
     (``_row_space_start``). The start is the answer when it is an exact fit
@@ -277,6 +244,9 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     D = U - PI
     n = X.shape[1]
     if representation == "spherical":
+        if feature_fn is not None:
+            raise ValueError("representation 'spherical' learns a constant matrix and takes "
+                             "no feature_fn; use representation 'lambda'")
         Phi = np.broadcast_to(np.eye(n), (len(X), n, n))
     elif representation == "lambda":
         if feature_fn is None:

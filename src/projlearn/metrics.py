@@ -1,4 +1,4 @@
-"""Evaluation metrics for learned constraints."""
+"""The consistency score and the evaluation metrics of learned constraints."""
 
 import numpy as np
 
@@ -28,6 +28,49 @@ def nmse_w(true_w, est_w, sigma_u) -> float:
     return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
+def _stacked(dataset: Dataset, prior_pi):
+    """States, actions and prior values (X, U, PI) of a dataset.
+
+    prior_pi None reads the recorded pi, an array must match the action
+    array's shape, anything else is a policy evaluated at the states.
+    """
+    X = dataset.stack("x")
+    U = dataset.stack("u")
+    if prior_pi is None:
+        PI = dataset.stack("pi")
+    elif isinstance(prior_pi, np.ndarray):
+        PI = prior_pi
+        if PI.shape != U.shape:
+            raise ValueError("prior value array must match the action array shape")
+    else:
+        PI = policy_values(prior_pi, X)
+    return X, U, PI
+
+
+def _l1_score(PI, D, A_stack) -> float:
+    """sum_n |pi_n . N(x_n) d_n| for a stack of constraint matrices A (S, k, n)."""
+    return float(np.sum(np.abs(np.einsum("ni,ni->n", PI, null_space_apply(A_stack, D)))))
+
+
+def consistency_objective(model, dataset: Dataset, prior_pi=None) -> float:
+    """Sum over samples of |pi^T N(x) (u - pi)| for a candidate constraint.
+
+    Exactly zero (up to rounding) when N is the projector that produced the
+    data, whatever the task policy was. A prior that is identically zero
+    zeroes the score for every candidate; learn_constraint reports that
+    degeneracy through its diagnostics instead of failing here.
+    """
+    X, U, PI = _stacked(dataset, prior_pi)
+    return _l1_score(PI, U - PI, model.A_stack(X))
+
+
+def _normalised(score: float, n_samples: int, sigma) -> float:
+    denom = float(np.sum(sigma * sigma))
+    if denom <= 0.0:
+        raise ValueError("action spread is zero, cannot normalise")
+    return score / (n_samples * denom)
+
+
 def consistency_error(model, dataset: Dataset, prior_pi=None, sigma_u=None) -> float:
     """Normalised consistency score of a candidate projection on a dataset.
 
@@ -35,14 +78,9 @@ def consistency_error(model, dataset: Dataset, prior_pi=None, sigma_u=None) -> f
     count times the squared norm of the action spread vector. Zero for the
     projector that actually generated the data.
     """
-    from .learning import consistency_objective  # heavier module, import on use
-
-    raw = consistency_objective(model, dataset, prior_pi=prior_pi)
     sigma = action_std(dataset) if sigma_u is None else np.asarray(sigma_u, dtype=float)
-    denom = float(np.sum(sigma * sigma))
-    if denom <= 0.0:
-        raise ValueError("action spread is zero, cannot normalise")
-    return raw / (dataset.n_samples * denom)
+    return _normalised(consistency_objective(model, dataset, prior_pi=prior_pi),
+                       dataset.n_samples, sigma)
 
 
 def projector_distance(N_a, N_b) -> float:
@@ -58,21 +96,19 @@ def projector_distance(N_a, N_b) -> float:
     return float(np.linalg.norm(N_a - N_b, ord="fro"))
 
 
-def eval_learned_constraint(model, test_set: Dataset, prior=None) -> dict:
+def eval_learned_constraint(model, test_set: Dataset) -> dict:
     """E_w and E_N of a learned model on held-out data.
 
-    The estimated null-space component uses the prior evaluated at the test
-    states (test sets are never noised), the reference w is the stored
-    ground truth.
+    Both come from one stack of A(x) at the test states: E_w compares
+    N(x) pi, with the recorded prior values (test sets are never noised),
+    against the stored ground truth w; E_N is the consistency error.
     """
     sigma = action_std(test_set)
-    X = test_set.stack("x")
-    PI = test_set.stack("pi") if prior is None else policy_values(prior, X)
-    W = test_set.stack("w")
-    est = null_space_apply(model.A_stack(X), PI)
+    X, U, PI = _stacked(test_set, None)
+    A = model.A_stack(X)
     return {
-        "e_w": nmse_w(W, est, sigma),
-        "e_n": consistency_error(model, test_set, prior_pi=PI, sigma_u=sigma),
+        "e_w": nmse_w(test_set.stack("w"), null_space_apply(A, PI), sigma),
+        "e_n": _normalised(_l1_score(PI, U - PI, A), test_set.n_samples, sigma),
     }
 
 

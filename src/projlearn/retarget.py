@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
-from .kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
-from .learning import _stacked
-from .simulator import Dataset, RankCollapseError, Trajectory, _step_count
+from .kinematics import PlanarArm, dot_last, end_pose, jacobian, joint_positions, wrap_angle
+from .metrics import _stacked
+from .simulator import RANK_TOL, Dataset, RankCollapseError, Trajectory, _step_count
 
 
 def estimate_components(dataset: Dataset, model, prior_pi=None):
@@ -119,23 +119,23 @@ class RetargetPlan:
         return null_projector(self.execution_model.A_at(x))
 
 
-def _step(plan: RetargetPlan, x: np.ndarray, step: int, rank_tol: float):
+def _step(plan: RetargetPlan, x: np.ndarray, step: int):
     """The retargeted action at x and the constraint matrix A(x) it was formed with."""
     A = plan.execution_model.A_at(x)
     b = np.asarray(plan.task_source.rate(plan, x, step), dtype=float)
     v, w, ratio = split_action(A[None], b[None], np.asarray(plan.pi_robot(x), dtype=float)[None])
-    if ratio[0] < rank_tol:
+    if ratio[0] < RANK_TOL:
         raise RankCollapseError(step, float(ratio[0]))
     return v[0] + w[0], A
 
 
-def retarget_step(plan: RetargetPlan, x, step: int = 0, rank_tol: float = 1e-10) -> np.ndarray:
+def retarget_step(plan: RetargetPlan, x, step: int = 0) -> np.ndarray:
     """One action of the retargeted controller: u = A^+ b + N pi_robot.
 
     Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
-    rank_tol, the same scale-free test the data rollouts use.
+    RANK_TOL, the same scale-free test the data rollouts use.
     """
-    return _step(plan, np.asarray(x, dtype=float), step, rank_tol)[0]
+    return _step(plan, np.asarray(x, dtype=float), step)[0]
 
 
 def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> Trajectory:
@@ -150,7 +150,7 @@ def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> 
     U = np.empty((steps, x.size))
     B = np.empty((steps, plan.execution_model.k))
     for t in range(steps):
-        u, A = _step(plan, x, t, rank_tol=1e-10)
+        u, A = _step(plan, x, t)
         X[t] = x
         U[t] = u
         B[t] = A @ u
@@ -182,20 +182,14 @@ class ObstacleRegion:
                          [self.x_max, self.y_max], [self.x_min, self.y_max]])
 
 
-def _dot(a, b):
-    # matmul of (1, 2) by (2, 1) takes the same dot kernel as a scalar
-    # v @ v or np.linalg.norm, so every sum below rounds like the loop form.
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _point_distance(p, q, pt):
     """Distance from points pt to segments p-q, all (..., 2) and broadcast."""
     d = q - p
-    denom = _dot(d, d)
-    num = _dot(pt - p, d)
+    denom = dot_last(d, d)
+    num = dot_last(pt - p, d)
     t = np.clip(np.divide(num, denom, out=np.zeros_like(num), where=denom != 0.0), 0.0, 1.0)
     r = p + t[..., None] * d - pt
-    return np.sqrt(_dot(r, r))
+    return np.sqrt(dot_last(r, r))
 
 
 def _orient(a, b, c):

@@ -163,6 +163,11 @@ def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None =
     return Dataset(trajectories=[traj], meta=meta)
 
 
+# Rollouts stop when sigma_min/sigma_max of A(x) falls below this: a
+# scale-free test, so it does not depend on length units.
+RANK_TOL = 1e-10
+
+
 class RankCollapseError(RuntimeError):
     """Constraint matrix lost row rank while rolling out a trajectory."""
 
@@ -216,8 +221,7 @@ def _step_count(dt: float, duration: float) -> int:
 
 
 def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_policy,
-                        null_policy, q0, dt: float, duration: float,
-                        rank_tol: float = 1e-10) -> Trajectory:
+                        null_policy, q0, dt: float, duration: float) -> Trajectory:
     """Explicit-Euler rollout of u = A^+ b + N pi on a planar arm.
 
     task_policy returns the full task-space rate; the constraint selects the
@@ -229,7 +233,7 @@ def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_po
     if q0.shape != (arm.n,):
         raise ValueError(f"expected {arm.n} joint angles, got shape {q0.shape}")
     return _rollout(constraint, lambda Q: policy_values(task_policy, Q), null_policy,
-                    q0[None], dt, steps, rank_tol)[0]
+                    q0[None], dt, steps, RANK_TOL)[0]
 
 
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))
@@ -273,7 +277,7 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
         targets.append(sample_task_target(rng, **target_cfg))
     task = TaskPointAttractor(arm=arm, target=np.array(targets), gain=task_gain)
     trajs = _rollout(model, task, null_policy, np.array(starts), dt,
-                     _step_count(dt, points_per_traj * dt), rank_tol=1e-10)
+                     _step_count(dt, points_per_traj * dt), RANK_TOL)
     meta = {
         "system": "planar_arm",
         "seed": _seed_repr(seed),

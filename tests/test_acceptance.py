@@ -20,8 +20,9 @@ from projlearn.ingest import (HumanArmRecording, arm_angles_from_human,
                               keypoints_to_joint_angles, parse_keypoint_json,
                               recording_to_dataset, synthesize_keypoint_frames)
 from projlearn.kinematics import PlanarArm, end_pose, jacobian, wrap_angle
-from projlearn.learning import OptimizerConfig, consistency_objective, learn_constraint
-from projlearn.metrics import eval_learned_constraint, projector_distance
+from projlearn.learning import OptimizerConfig, learn_constraint
+from projlearn.metrics import (consistency_objective, eval_learned_constraint,
+                               projector_distance)
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (NoiseSpec, add_noise, generate_arm_dataset,
                                  generate_toy_dataset, simulate_trajectory, split_dataset)
@@ -321,8 +322,7 @@ def _property_ingest_round_trip():
     task = TaskPointAttractor(arm=arm, target=np.array([-0.09, 0.04, 0.0]), gain=1.0)
     traj = simulate_trajectory(arm, model, task, pi, q0, dt=1.0 / 30.0, duration=2.0)
     frames = synthesize_keypoint_frames(arm, traj.x)
-    rec = HumanArmRecording(frames=tuple(parse_keypoint_json(frames)),
-                            fps=30.0, side="right")
+    rec = HumanArmRecording(frames=parse_keypoint_json(frames), fps=30.0, side="right")
     q_human, _ = keypoints_to_joint_angles(rec)
     q_err = float(np.max(np.abs(arm_angles_from_human(q_human) - traj.x)))
     assert q_err <= 1e-6

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import diagonal_selection, null_projector
-from projlearn.ingest import (HumanArmRecording, KeypointFrame, arm_angles_from_human,
+from projlearn.ingest import (ELBOW, HAND, HAND_KEY, HAND_MIDDLE_KNUCKLE, SHOULDER, SIDE_POINTS,
+                              WRIST, HumanArmRecording, arm_angles_from_human,
                               estimate_link_lengths, finite_difference_velocities,
                               keypoints_to_joint_angles, parse_keypoint_json, read_keypoint_dir,
                               recording_to_dataset, synthesize_keypoint_frames,
@@ -17,17 +18,68 @@ from projlearn.policies import PointAttractor, TaskPointAttractor
 from projlearn.simulator import SelectionConstraint, simulate_trajectory
 
 REPO = Path(__file__).resolve().parent.parent
+BUNDLED = REPO / "configs" / "data" / "keypoints_demo"
 HUMAN_ARM = PlanarArm((0.3, 0.25, 0.1))
+GAP = np.full((5, 3), np.nan)
 
 
-def frame(shoulder, elbow, wrist, hip, hand=None):
-    conf = lambda p: (float(p[0]), float(p[1]), 1.0)
-    return KeypointFrame(shoulder=conf(shoulder), elbow=conf(elbow), wrist=conf(wrist),
-                         hip=conf(hip), hand=conf(hand) if hand else (0.0, 0.0, 0.0))
+def frame(shoulder, elbow, wrist, hip, hand):
+    """One frame's keypoint rows (5, 3), every point at confidence 1."""
+    return np.array([(p[0], p[1], 1.0) for p in (shoulder, elbow, wrist, hip, hand)], dtype=float)
 
 
 def recording(frames, fps=30.0):
-    return HumanArmRecording(frames=tuple(frames), fps=fps, side="right")
+    return HumanArmRecording(frames=np.array(frames, dtype=float), fps=fps, side="right")
+
+
+def loop_reference(frame_objs, floor, scale=300.0, side="right"):
+    """Angles, kept indices and link lengths straight from the JSON frames, one
+    frame at a time: the slow reference for the array path.
+
+    A point counts when its triple is present, its confidence is not 0 and
+    reaches the floor.
+    """
+    names = ("shoulder", "elbow", "wrist", "hip", "hand")
+    segments = (("shoulder", "elbow"), ("elbow", "wrist"), ("wrist", "hand"))
+
+    def confident_points(obj):
+        if not obj.get("people"):
+            return {}
+        person = obj["people"][0]
+        flats = [person.get("pose_keypoints_2d", [])] * 4 + [person.get(HAND_KEY[side]) or []]
+        out = {}
+        for name, flat, index in zip(names, flats, SIDE_POINTS[side] + (HAND_MIDDLE_KNUCKLE,)):
+            triple = flat[3 * index:3 * index + 3]
+            if len(triple) == 3 and triple[2] != 0 and triple[2] >= floor:
+                out[name] = np.array(triple[:2], dtype=float)
+        return out
+
+    def image_vec(p_from, p_to):
+        d = p_to - p_from
+        return np.array([d[0], -d[1]])
+
+    def signed_angle(v_from, v_to):
+        cross = v_from[0] * v_to[1] - v_from[1] * v_to[0]
+        return float(np.arctan2(cross, float(v_from @ v_to)))
+
+    angles, kept = [], []
+    sums, counts = np.zeros(3), np.zeros(3, dtype=int)
+    for i, obj in enumerate(frame_objs):
+        pts = confident_points(obj)
+        for j, (a, b) in enumerate(segments):
+            if a in pts and b in pts:
+                sums[j] += float(np.linalg.norm(pts[a] - pts[b]))
+                counts[j] += 1
+        if len(pts) < 5:
+            continue
+        down = image_vec(pts["shoulder"], pts["hip"])
+        upper = image_vec(pts["shoulder"], pts["elbow"])
+        fore = image_vec(pts["elbow"], pts["wrist"])
+        hand = image_vec(pts["wrist"], pts["hand"])
+        angles.append([signed_angle(upper, down), signed_angle(upper, fore),
+                       signed_angle(fore, hand)])
+        kept.append(i)
+    return np.array(angles), kept, sums / counts / scale
 
 
 class TestAngleExtraction:
@@ -36,7 +88,7 @@ class TestAngleExtraction:
         f = frame((100, 100), (100, 150), (100, 200), (100, 250), hand=(100, 230))
         angles, kept = keypoints_to_joint_angles(recording([f, f]))
         assert np.allclose(angles, 0.0, atol=1e-12)
-        assert kept == [0, 1]
+        assert list(kept) == [0, 1]
 
     def test_forward_horizontal_arm(self):
         # arm pointing at image +x while the torso hangs down
@@ -48,27 +100,31 @@ class TestAngleExtraction:
 
     def test_bent_elbow_sign(self):
         # forearm folded upward in image space: positive elbow flexion
-        f = frame((100, 100), (100, 150), (150, 150), (100, 250))
+        f = frame((100, 100), (100, 150), (150, 150), (100, 250), hand=(170, 150))
         angles, _ = keypoints_to_joint_angles(recording([f, f]))
         assert angles[0, 1] == pytest.approx(np.pi / 2)
 
-    def test_missing_hand_reads_zero_wrist(self):
-        f = frame((100, 100), (100, 150), (100, 200), (100, 250))
-        angles, _ = keypoints_to_joint_angles(recording([f, f]))
-        assert angles[0, 2] == 0.0
+    def test_recording_without_a_hand_raises(self):
+        # no length or angle is invented for a hand the estimator never saw
+        f = frame((100, 100), (100, 150), (100, 200), (100, 250), hand=(0, 0))
+        f[HAND] = np.nan
+        with pytest.raises(ValueError, match="hand"):
+            keypoints_to_joint_angles(recording([f, f]))
+        with pytest.raises(ValueError, match="hand"):
+            estimate_link_lengths(recording([f, f]))
 
     def test_low_confidence_frames_dropped(self):
-        good = frame((100, 100), (100, 150), (100, 200), (100, 250))
-        shaky = KeypointFrame(shoulder=(100, 100, 0.1), elbow=(100, 150, 1.0),
-                              wrist=(100, 200, 1.0), hip=(100, 250, 1.0))
+        good = frame((100, 100), (100, 150), (100, 200), (100, 250), hand=(100, 230))
+        shaky = good.copy()
+        shaky[SHOULDER, 2] = 0.1
         angles, kept = keypoints_to_joint_angles(recording([good, shaky, good]))
-        assert kept == [0, 2]
+        assert list(kept) == [0, 2]
         assert angles.shape == (2, 3)
 
     def test_too_few_confident_frames(self):
-        f = frame((100, 100), (100, 150), (100, 200), (100, 250))
+        f = frame((100, 100), (100, 150), (100, 200), (100, 250), hand=(100, 230))
         with pytest.raises(ValueError):
-            keypoints_to_joint_angles(recording([f, None]))
+            keypoints_to_joint_angles(recording([f, GAP]))
 
     def test_rotating_the_whole_image_changes_nothing(self):
         # angles are relative quantities; a camera roll cancels out
@@ -84,6 +140,44 @@ class TestAngleExtraction:
         a, _ = keypoints_to_joint_angles(recording([plain, plain]))
         b, _ = keypoints_to_joint_angles(recording([rolled, rolled]))
         assert np.max(np.abs(a - b)) < 1e-9
+
+
+class TestArrayPathAgainstLoop:
+    """The vectorised angles and lengths equal the per-frame loop bit for bit."""
+
+    @staticmethod
+    def assert_matches_loop(rec, frame_objs, floor):
+        ref_angles, ref_kept, ref_lengths = loop_reference(frame_objs, floor)
+        angles, kept = keypoints_to_joint_angles(rec, confidence_floor=floor)
+        assert list(kept) == ref_kept
+        assert np.array_equal(angles, ref_angles)
+        assert np.array_equal(estimate_link_lengths(rec, confidence_floor=floor), ref_lengths)
+
+    @pytest.mark.parametrize("traj", [0, 1, 2])
+    def test_bundled_recordings(self, traj):
+        path = BUNDLED / f"traj_{traj}"
+        frame_objs = [json.loads(f.read_text()) for f in sorted(path.glob("*_keypoints.json"))]
+        self.assert_matches_loop(read_keypoint_dir(path), frame_objs, floor=0.3)
+
+    @pytest.mark.parametrize("floor", [0.0, 0.3, 0.6])
+    def test_dropped_and_low_confidence_frames(self, floor):
+        rng = np.random.default_rng(3)
+        Q = np.column_stack([rng.uniform(-2.5, -0.5, 30), rng.uniform(0.2, 2.0, 30),
+                             rng.uniform(-1.0, 1.0, 30)])
+        payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
+        for obj in payload:
+            person = obj["people"][0]
+            for flat in (person["pose_keypoints_2d"], person["hand_right_keypoints_2d"]):
+                # about one point in six is shaky or undetected
+                n = len(flat) // 3
+                flat[2::3] = np.where(rng.random(n) < 1 / 6, rng.choice([0.0, 0.2, 0.5], n),
+                                      rng.choice([0.7, 0.9, 1.0], n)).tolist()
+        payload[4] = {"people": []}
+        del payload[9]["people"][0]["hand_right_keypoints_2d"]
+        del payload[13]["people"][0]["pose_keypoints_2d"][15:]  # ends before the elbow
+        with pytest.warns(UserWarning):
+            rec = recording(parse_keypoint_json(payload))
+        self.assert_matches_loop(rec, payload, floor)
 
 
 class TestConventionMaps:
@@ -105,23 +199,35 @@ class TestParser:
         frames = synthesize_keypoint_frames(HUMAN_ARM, np.deg2rad([[10.0, 20.0, 5.0]]))
         one = parse_keypoint_json(json.dumps(frames[0]))
         many = parse_keypoint_json(json.dumps(frames))
-        assert len(one) == 1 and len(many) == 1
-        assert np.allclose(one[0].point("elbow"), many[0].point("elbow"))
+        assert one.shape == many.shape == (1, 5, 3)
+        assert np.array_equal(one, many)
 
     def test_empty_people_becomes_gap_with_warning(self):
         payload = json.dumps([{"people": []}, {"people": []}])
         with pytest.warns(UserWarning):
             frames = parse_keypoint_json(payload)
-        assert frames == [None, None]
+        assert frames.shape == (2, 5, 3) and np.isnan(frames).all()
+
+    def test_absent_points_are_nan(self):
+        # a missing hand block, a body array cut short before the wrist and a
+        # zero-confidence elbow are all absent, not points at pixel (0, 0)
+        payload = synthesize_keypoint_frames(HUMAN_ARM, np.zeros((1, 3)))[0]
+        person = payload["people"][0]
+        del person["hand_right_keypoints_2d"]
+        person["pose_keypoints_2d"][3 * SIDE_POINTS["right"][ELBOW] + 2] = 0.0
+        del person["pose_keypoints_2d"][3 * SIDE_POINTS["right"][WRIST]:]
+        (parsed,) = parse_keypoint_json(payload)
+        assert np.isnan(parsed[[ELBOW, WRIST, HAND]]).all()
+        assert not np.isnan(parsed[SHOULDER]).any()
 
     def test_side_selection(self):
         q = np.deg2rad([[30.0, 40.0, 10.0]])
         left = synthesize_keypoint_frames(HUMAN_ARM, q, side="left")
         parsed = parse_keypoint_json(json.dumps(left[0]), side="left")
-        assert parsed[0].confidence("shoulder") == 1.0
+        assert parsed[0, SHOULDER, 2] == 1.0
         # the right-side slots of a left-side file are empty
         parsed_wrong = parse_keypoint_json(json.dumps(left[0]), side="right")
-        assert parsed_wrong[0].confidence("shoulder") == 0.0
+        assert np.isnan(parsed_wrong).all()
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
@@ -137,7 +243,7 @@ class TestSynthesisRoundTrip:
             rng.uniform(-1.0, 1.0, 25),
         ])
         frames = synthesize_keypoint_frames(HUMAN_ARM, Q_arm)
-        rec = recording([parse_keypoint_json(json.dumps(f))[0] for f in frames])
+        rec = recording(parse_keypoint_json(frames))
         q_human, _ = keypoints_to_joint_angles(rec)
         back = arm_angles_from_human(q_human)
         assert np.max(np.abs(back - Q_arm)) < 1e-6
@@ -145,20 +251,20 @@ class TestSynthesisRoundTrip:
     def test_link_lengths_recovered(self):
         Q_arm = np.tile(np.deg2rad([-60.0, 50.0, -10.0]), (5, 1))
         frames = synthesize_keypoint_frames(HUMAN_ARM, Q_arm, scale=300.0)
-        rec = recording([parse_keypoint_json(json.dumps(f))[0] for f in frames])
+        rec = recording(parse_keypoint_json(frames))
         lengths = estimate_link_lengths(rec, scale=300.0)
         assert np.max(np.abs(lengths - np.array(HUMAN_ARM.link_lengths))) < 1e-9
 
     def test_scale_one_returns_pixels(self):
         Q_arm = np.tile(np.deg2rad([-60.0, 50.0, -10.0]), (3, 1))
         frames = synthesize_keypoint_frames(HUMAN_ARM, Q_arm, scale=300.0)
-        rec = recording([parse_keypoint_json(json.dumps(f))[0] for f in frames])
+        rec = recording(parse_keypoint_json(frames))
         px = estimate_link_lengths(rec, scale=1.0)
         assert np.max(np.abs(px - 300.0 * np.array(HUMAN_ARM.link_lengths))) < 1e-6
 
     def test_bad_scale(self):
         with pytest.raises(ValueError):
-            estimate_link_lengths(recording([None, None]), scale=0.0)
+            estimate_link_lengths(recording([GAP, GAP]), scale=0.0)
 
 
 class TestVelocities:
@@ -226,7 +332,7 @@ class TestPipeline:
     def test_dataset_matches_simulated_motion(self):
         traj = self.constrained_human_motion()
         frames = synthesize_keypoint_frames(HUMAN_ARM, traj.x)
-        rec = recording([parse_keypoint_json(json.dumps(f))[0] for f in frames])
+        rec = recording(parse_keypoint_json(frames))
         ds, arm = recording_to_dataset(rec)
         # forward differences of an explicit-Euler rollout are the actions
         assert np.max(np.abs(ds.stack("x") - traj.x[:-1])) < 1e-6
@@ -258,12 +364,26 @@ class TestPipeline:
         del payload[5]["people"][0]["hand_right_keypoints_2d"]
         frames = parse_keypoint_json(json.dumps(payload))
         _, kept = keypoints_to_joint_angles(recording(frames))
-        assert kept == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+        assert list(kept) == [0, 1, 2, 3, 4, 6, 7, 8, 9]
         ds, _ = recording_to_dataset(recording(frames, fps=10.0))
         assert [traj.n_samples for traj in ds.trajectories] == [4, 3]
         assert np.max(np.abs(ds.stack("u")[:, 1] - 10.0 / 6.0)) < 1e-9
         assert np.max(np.abs(ds.stack("u")[:, [0, 2]])) < 1e-9
         assert np.max(np.abs(ds.stack("x") - Q[[0, 1, 2, 3, 6, 7, 8]])) < 1e-9
+
+    def test_floor_zero_admits_no_missing_hand(self):
+        # a confidence floor of 0 still drops the frame without a hand block;
+        # keeping its hand at pixel (0, 0) would misread the wrist and hand link
+        t = np.arange(10)
+        Q = np.column_stack([np.full(10, -1.2), 0.4 + t / 6.0, np.full(10, 0.3)])
+        payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
+        del payload[5]["people"][0]["hand_right_keypoints_2d"]
+        rec = recording(parse_keypoint_json(payload))
+        angles, kept = keypoints_to_joint_angles(rec, confidence_floor=0.0)
+        assert list(kept) == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+        assert np.max(np.abs(angles[:, 2] - 0.3)) < 1e-12
+        lengths = estimate_link_lengths(rec, confidence_floor=0.0)
+        assert lengths[2] == pytest.approx(0.1, abs=1e-12)
 
     def test_no_two_consecutive_frames_rejected(self):
         payload = synthesize_keypoint_frames(HUMAN_ARM, np.zeros((5, 3)))
@@ -276,7 +396,7 @@ class TestPipeline:
     def test_constraint_recovered_from_keypoints(self):
         traj = self.constrained_human_motion()
         frames = synthesize_keypoint_frames(HUMAN_ARM, traj.x)
-        rec = recording([parse_keypoint_json(json.dumps(f))[0] for f in frames])
+        rec = recording(parse_keypoint_json(frames))
         ds, arm = recording_to_dataset(rec)
         pi = PointAttractor(target=arm_angles_from_human(np.deg2rad([-90.0, 90.0, 0.0])))
         learned = learn_constraint(ds, prior_pi=pi, k=2, representation="lambda",

@@ -11,9 +11,8 @@ from projlearn.experiments import THREE_LINK_CASES
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConfig,
                                 baseline_objective, baseline_separate_nullspace,
-                                consistency_objective, learn_constraint,
-                                learn_selection_matrix, optimize)
-from projlearn.metrics import eval_learned_constraint, nmse_w
+                                learn_constraint, learn_selection_matrix, optimize)
+from projlearn.metrics import consistency_objective, eval_learned_constraint, nmse_w
 from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
                                SinusoidalPolicy, ZeroPolicy)
 from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
@@ -181,9 +180,15 @@ class TestLearnArmConstraint:
         monkeypatch.setattr(learning, "_row_space_start",
                             lambda *a: pytest.fail("k was not checked before the start"))
         ds = toy(seed=12) if representation == "spherical" else arm_dataset(seed=12)
+        feature = None if representation == "spherical" else lambda q: jacobian(ARM, q)
         with pytest.raises(ValueError, match="1 <= k <= n"):
-            learn_constraint(ds, k=k, representation=representation,
-                             feature_fn=lambda q: jacobian(ARM, q))
+            learn_constraint(ds, k=k, representation=representation, feature_fn=feature)
+
+    def test_spherical_rejects_a_feature(self):
+        # a constant matrix has no feature; ignoring one would learn the wrong model
+        feature = lambda q: np.zeros(np.shape(q)[:-1] + (5, 2))
+        with pytest.raises(ValueError, match="feature_fn"):
+            learn_constraint(toy(seed=12), k=1, representation="spherical", feature_fn=feature)
 
     def test_unknown_representation(self):
         with pytest.raises(ValueError):
@@ -395,8 +400,8 @@ class TestExactFitSkip:
     @staticmethod
     def assert_matches_polish(ds, n_train, k, representation, opt):
         train, test = split_dataset(ds, n_train)
-        learned = learn_constraint(train, k=k, representation=representation,
-                                   feature_fn=lambda q: jacobian(ARM, q))
+        feature = None if representation == "spherical" else lambda q: jacobian(ARM, q)
+        learned = learn_constraint(train, k=k, representation=representation, feature_fn=feature)
         assert learned.diagnostics["learner_path"] == "closed_form"
         assert learned.diagnostics["objective_evals"] == 1
         assert learned.objective_value == learned.diagnostics["start_score"]
@@ -437,11 +442,11 @@ class TestExactFitSkip:
         monkeypatch.setattr(learning, "_l1_score", lambda *a: calls.append(1) or score(*a))
         monkeypatch.setattr(learning, "least_squares", counting_fit)
         if representation == "spherical":
-            ds = add_noise(toy(seed=43), ACTION_NOISE, 44)
+            ds, feature = add_noise(toy(seed=43), ACTION_NOISE, 44), None
         else:
             ds = add_noise(arm_dataset(seed=43, lam_pattern=(0, 1, 0)), ACTION_NOISE, 44)
-        learned = learn_constraint(ds, k=1, representation=representation,
-                                   feature_fn=lambda q: jacobian(ARM, q))
+            feature = lambda q: jacobian(ARM, q)
+        learned = learn_constraint(ds, k=1, representation=representation, feature_fn=feature)
         assert learned.diagnostics["learner_path"] == "least_squares"
         assert learned.diagnostics["objective_evals"] == len(calls) > 2
 

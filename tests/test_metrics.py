@@ -66,7 +66,7 @@ class TestConsistencyError:
         assert consistency_error(true, ds) < 1e-12
 
     def test_normalisation_oracle(self):
-        from projlearn.learning import consistency_objective
+        from projlearn.metrics import consistency_objective
 
         ds = generate_toy_dataset(80, seed=4, null_policy=LimitCyclePolicy())
         cand = SphericalConstraint(theta=(0.2,), k=1, n=2)

@@ -119,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the master seed")
         if "trials" in SCHEMAS[name].table:  # multi-trial experiments only
             p.add_argument("--trials", type=int, help="override the trial count")
-            p.add_argument("--workers", type=int, help="parallel trial workers")
         p.add_argument("--gnuplot", action="store_true",
                        help="also write gnuplot scripts next to the CSVs")
         return p
@@ -151,7 +150,7 @@ def load_config(path: str) -> dict:
 
 def _apply_overrides(cfg: dict, args) -> dict:
     cfg = dict(cfg)
-    for key in ("seed", "trials", "workers"):
+    for key in ("seed", "trials"):
         value = getattr(args, key, None)
         if value is not None:
             cfg[key] = value

@@ -137,7 +137,11 @@ def constraint_angles(rows) -> np.ndarray:
     return np.concatenate(angles)
 
 
-def _svd_pinv(M, rel_tol: float):
+# Singular values below this times the largest one count as zero in a pseudo-inverse.
+PINV_REL_TOL = 1e-10
+
+
+def _svd_pinv(M):
     """Pseudo-inverse and singular values of every matrix in a stack (..., k, n)."""
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
@@ -145,19 +149,19 @@ def _svd_pinv(M, rel_tol: float):
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0:
         return np.swapaxes(M, -1, -2).copy(), s
-    cutoff = rel_tol * s[..., :1]
+    cutoff = PINV_REL_TOL * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (np.swapaxes(Vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(U, -1, -2), s
 
 
-def pseudo_inverse(M, rel_tol: float = 1e-10) -> np.ndarray:
+def pseudo_inverse(M) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values below rel_tol times the largest one are treated as zero,
-    so rank-deficient input is fine. A stack (..., k, n) gives (..., n, k),
-    each matrix with its own cutoff.
+    Singular values below PINV_REL_TOL times the largest one are treated as
+    zero, so rank-deficient input is fine. A stack (..., k, n) gives
+    (..., n, k), each matrix with its own cutoff.
     """
-    return _svd_pinv(M, rel_tol)[0]
+    return _svd_pinv(M)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +178,7 @@ class Projector:
     sigma_ratio: np.ndarray | float
 
 
-def null_projector(A, rel_tol: float = 1e-10) -> Projector:
+def null_projector(A) -> Projector:
     """Null-space projector N = I - A^+ A for a (k, n) constraint matrix.
 
     A stack (..., k, n) gives stacked fields from one batched SVD.
@@ -182,7 +186,7 @@ def null_projector(A, rel_tol: float = 1e-10) -> Projector:
     A = np.asarray(A, dtype=float)
     if A.ndim < 2:
         raise ValueError("expected a 2-d constraint matrix or a stack of them")
-    pinv, s = _svd_pinv(A, rel_tol)
+    pinv, s = _svd_pinv(A)
     N = np.eye(A.shape[-1]) - pinv @ A
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(s[..., 0] > 0.0, s[..., -1] / s[..., 0], 0.0)
@@ -346,7 +350,6 @@ class SelectionConstraint:
 
     lam: np.ndarray
     feature: Callable[[np.ndarray], np.ndarray]
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         lam = np.atleast_2d(np.asarray(self.lam, dtype=float))
@@ -371,11 +374,6 @@ class SelectionConstraint:
     def select_rates(self, task_rate) -> np.ndarray:
         """Map a full task-space rate (p,), or a stack (m, p), onto the constrained coordinates."""
         return np.asarray(task_rate, dtype=float) @ self.lam.T
-
-    def to_config(self) -> dict:
-        cfg = {"form": "selection", "lam": self.lam.tolist(), "k": self.k}
-        cfg.update(self.meta)
-        return cfg
 
 
 def diagonal_selection(pattern, p: int = 3) -> np.ndarray:

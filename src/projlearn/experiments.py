@@ -7,14 +7,13 @@ same run. The runner returns a report dict, which echoes the config as
 given, per-trial rows and its own acceptance checks, (label, acceptance
 key, value) triples for check_acceptance. All randomness derives from
 (master seed, case index, trial index, stream), so results are
-reproducible sample for sample no matter how trials are scheduled.
+reproducible sample for sample.
 """
 
 import copy
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -24,8 +23,7 @@ from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
 from .kinematics import PlanarArm, end_pose, jacobian
-from .learning import (BaselineConfig, baseline_separate_nullspace, learn_constraint,
-                       learn_selection_matrix)
+from .learning import baseline_separate_nullspace, learn_constraint, learn_selection_matrix
 from .metrics import consistency_error, eval_learned_constraint, summarize
 from .policies import TOY_POLICIES, PointAttractor, TaskPointAttractor, policy_from_config
 from .retarget import (AttractorSource, ObstacleRegion, ReplaySource, RetargetPlan,
@@ -232,9 +230,7 @@ def _schema(keys: dict, acceptance: tuple, checks=(), trials=None) -> Schema:
     table = {
         "experiment": Key("string"),
         "seed": Key("int", 0, lo=0),
-        # Only multi-trial experiments have trials to spread over workers.
-        **({} if trials is None else {"trials": Key("int", trials, lo=1),
-                                      "workers": Key("int", lo=1)}),
+        **({} if trials is None else {"trials": Key("int", trials, lo=1)}),
         "optimizer": Key("object", table=OPTIMIZER),
         "acceptance": Key("object", table={k: ACCEPTANCE[k] for k in acceptance}),
         "out": Key("string"),
@@ -350,13 +346,6 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _map_trials(task, arg_list, workers: int):
-    if workers <= 1 or len(arg_list) <= 1:
-        return [task(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, arg_list))
-
-
 def _mean_checks(groups) -> list:
     """Checks on the mean e_w and e_n of each (label, stats) case or sweep point."""
     return [(f"{label}: mean {m}", f"max_mean_{m}", stats[m]["mean"])
@@ -376,10 +365,9 @@ def _base_report(name: str, raw: dict, cfg: dict) -> dict:
 
 # --- toy system -------------------------------------------------------------------
 
-def _toy_trial(args):
-    cfg, policy_name, case_index, trial = args
+def _toy_trial(cfg: dict, case: str, case_index: int, trial: int) -> dict:
     seed, n_train = cfg["seed"], cfg["n_train"]
-    policy = policy_from_config({"type": policy_name})
+    policy = policy_from_config({"type": cfg["policy"]})
     ds = generate_toy_dataset(n_train + cfg["n_test"], (seed, case_index, trial, 0), policy)
     train, test = split_dataset(ds, n_train)
     noise = cfg.get("noise")
@@ -389,7 +377,7 @@ def _toy_trial(args):
     ev = eval_learned_constraint(learned.model, test)
     return {
         "trial": trial,
-        "case": policy_name,
+        "case": case,
         "seed": [seed, case_index, trial],
         "e_w": ev["e_w"],
         "e_n": ev["e_n"],
@@ -398,16 +386,18 @@ def _toy_trial(args):
 
 
 def _run_cases(name: str, raw: dict, cfg: dict, cases: list, trial) -> dict:
-    """Run `trial` on every (case, trial index) and summarise e_w and e_n per case."""
-    rows = []
-    for case_index, case in enumerate(cases):
-        args = [(cfg, case, case_index, t) for t in range(cfg["trials"])]
-        rows.extend(_map_trials(trial, args, cfg.get("workers", 1)))
+    """Run `trial` on every (case, trial index) and summarise e_w and e_n per case.
+
+    `cases` lists (label, config) pairs; every trial of a case runs with its config.
+    """
+    rows = [trial(case_cfg, case, case_index, t)
+            for case_index, (case, case_cfg) in enumerate(cases)
+            for t in range(cfg["trials"])]
     report = _base_report(name, raw, cfg)
     report["cases"] = {
         case: {"e_w": summarize(r["e_w"] for r in rows if r["case"] == case),
                "e_n": summarize(r["e_n"] for r in rows if r["case"] == case)}
-        for case in cases
+        for case, _ in cases
     }
     report["trial_seeds"] = [r["seed"] for r in rows]
     return {"report": report, "rows": rows, "checks": _mean_checks(report["cases"].items())}
@@ -416,16 +406,14 @@ def _run_cases(name: str, raw: dict, cfg: dict, cases: list, trial) -> dict:
 def run_toy(cfg: dict) -> dict:
     """Constraint recovery on the 2D toy system, one table row per policy."""
     raw, cfg = cfg, resolve(cfg, "toy")
-    return _run_cases("toy", raw, cfg, cfg["policies"], _toy_trial)
+    cases = [(policy, {**cfg, "policy": policy}) for policy in cfg["policies"]]
+    return _run_cases("toy", raw, cfg, cases, _toy_trial)
 
 
 def run_sweep(cfg: dict) -> dict:
     """Toy-system robustness sweeps: training-set size, action noise, prior noise."""
     raw, cfg = cfg, resolve(cfg, "sweep")
-    policy = cfg["policy"]
-    rows = []
-    aggregates = []
-    case_index = 0
+    points = []
     for axis, values in cfg["axes"].items():
         for value in values:
             point_cfg = dict(cfg)
@@ -436,37 +424,23 @@ def run_sweep(cfg: dict) -> dict:
                     "epsilon": float(value),
                     "target": "actions" if axis == "u_noise" else "prior_policy",
                 }
-            args = [(point_cfg, policy, case_index, t) for t in range(cfg["trials"])]
-            point_rows = _map_trials(_toy_trial, args, cfg.get("workers", 1))
-            for r in point_rows:
-                r["case"] = f"{axis}={value}"
-            rows.extend(point_rows)
-            aggregates.append({
-                "axis": axis, "value": value,
-                "e_w": summarize(r["e_w"] for r in point_rows),
-                "e_n": summarize(r["e_n"] for r in point_rows),
-            })
-            case_index += 1
-    report = _base_report("sweep", raw, cfg)
-    report["points"] = aggregates
-    report["trial_seeds"] = [r["seed"] for r in rows]
-    checks = _mean_checks((f"{p['axis']}={p['value']}", p) for p in aggregates)
-    return {"report": report, "rows": rows, "checks": checks}
+            points.append((axis, value, point_cfg))
+    result = _run_cases("sweep", raw, cfg, [(f"{a}={v}", c) for a, v, c in points], _toy_trial)
+    # The report lists the points by axis and value, ahead of the trial seeds.
+    report = result["report"]
+    stats = report.pop("cases")
+    report["points"] = [{"axis": a, "value": v, **stats[f"{a}={v}"]} for a, v, _ in points]
+    report["trial_seeds"] = report.pop("trial_seeds")
+    return result
 
 
 # --- three-link arm ----------------------------------------------------------------
 
 def _three_link_setup(cfg: dict):
-    arm = PlanarArm(tuple(cfg["links_m"]))
-    pi = policy_from_config(cfg["pi"])
-    tr = cfg["target_ranges"]
-    target_cfg = {"x_range": tuple(tr["x_range"]), "y_range": tuple(tr["y_range"]),
-                  "theta_range_deg": tuple(tr["theta_range_deg"])}
-    return arm, pi, target_cfg
+    return PlanarArm(tuple(cfg["links_m"])), policy_from_config(cfg["pi"]), cfg["target_ranges"]
 
 
-def _three_link_trial(args):
-    cfg, case, case_index, trial = args
+def _three_link_trial(cfg: dict, case: str, case_index: int, trial: int) -> dict:
     seed, n_traj = cfg["seed"], cfg["n_trajectories"]
     arm, pi, target_cfg = _three_link_setup(cfg)
     lam = diagonal_selection(THREE_LINK_CASES[case])
@@ -491,7 +465,8 @@ def _three_link_trial(args):
 def run_three_link(cfg: dict) -> dict:
     """Selection-constraint recovery on the planar 3-link arm, per case."""
     raw, cfg = cfg, resolve(cfg, "three-link")
-    return _run_cases("three-link", raw, cfg, cfg["cases"], _three_link_trial)
+    return _run_cases("three-link", raw, cfg, [(case, cfg) for case in cfg["cases"]],
+                      _three_link_trial)
 
 
 # --- head-to-head against the prior-free pipeline -----------------------------------
@@ -518,8 +493,7 @@ def run_compare_baseline(cfg: dict) -> dict:
     target = np.asarray(cfg["gt_target"], dtype=float)
     gain = float(cfg["task_gain"])
     duration = float(cfg["gt_duration_s"])
-    truth = SelectionConstraint(lam=lam_true, feature=lambda q: jacobian(arm, q),
-                                meta={"feature": "jacobian", "links": list(arm.link_lengths)})
+    truth = SelectionConstraint(lam=lam_true, feature=lambda q: jacobian(arm, q))
     gt = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=target, gain=gain),
                              pi, q0, dt=dt, duration=duration)
 
@@ -530,7 +504,7 @@ def run_compare_baseline(cfg: dict) -> dict:
                                  pi_robot=pi, demonstrator=arm)
     proposed = reproduce_trajectory(proposed_plan, q0, dt, duration)
 
-    base = baseline_separate_nullspace(train, BaselineConfig(seed=int(rng.integers(2**31))))
+    base = baseline_separate_nullspace(train, int(rng.integers(2**31)))
     lam_base, base_obj = learn_selection_matrix(train, base.w_hat, feature_fn, k)
     base_model = SelectionConstraint(lam=lam_base, feature=feature_fn)
     base_b = estimate_task_policy(base_model, gt.x, gt.u)
@@ -595,8 +569,7 @@ def _demonstration(cfg: dict, arm: PlanarArm, pi, lam) -> tuple:
     r_star = np.asarray(cfg["demo_target"], dtype=float)
     duration = float(cfg["demo_duration_s"])
     dt = cfg["dt"]
-    truth = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q),
-                                meta={"feature": "jacobian", "links": list(arm.link_lengths)})
+    truth = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q))
     demo = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=r_star, gain=1.0),
                                pi, q0, dt=dt, duration=duration)
     return demo, q0, r_star, duration, dt

@@ -329,14 +329,14 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
 
 # --- baseline: separate w out of raw actions without a prior ----------------------
 
-@dataclass(frozen=True)
-class BaselineConfig:
-    max_centers: int = 200
-    width_scale: float = 0.5
-    iterations: int = 50
-    w_floor: float = 1e-8
-    rel_tol: float = 1e-12
-    seed: int = 0
+# At most this many RBF centres, drawn from the samples, with a width of this
+# fraction of their median spacing; this many refits; a floor on |w| in the
+# direction projector; the refit's relative singular-value cutoff.
+BASELINE_MAX_CENTERS = 200
+BASELINE_WIDTH_SCALE = 0.5
+BASELINE_ITERATIONS = 50
+BASELINE_W_FLOOR = 1e-8
+BASELINE_REL_TOL = 1e-12
 
 
 @dataclass
@@ -360,54 +360,54 @@ def _rbf_features(X, centers, width) -> np.ndarray:
     return np.exp(-d2 / (2.0 * width * width))
 
 
-def baseline_objective(w_model, U, w_floor: float = 1e-8) -> float:
+def baseline_objective(w_model, U) -> float:
     """sum_n || P_n u_n - w_n ||^2 with P_n the outer-product direction of w_n."""
-    norms2 = np.maximum(np.sum(w_model * w_model, axis=1), w_floor * w_floor)
+    norms2 = np.maximum(np.sum(w_model * w_model, axis=1), BASELINE_W_FLOOR ** 2)
     proj = w_model * (np.sum(w_model * U, axis=1) / norms2)[:, None]
     resid = proj - w_model
     return float(np.sum(resid * resid))
 
 
-def baseline_separate_nullspace(dataset: Dataset, cfg: BaselineConfig | None = None) -> BaselineResult:
+def baseline_separate_nullspace(dataset: Dataset, seed) -> BaselineResult:
     """Estimate the null-space component without knowing the secondary policy.
 
     Fits a radial-basis model w(x) by alternating between the direction
     projector P = w w^T / ||w||^2 evaluated at the current model and a
     least-squares refit of the model toward P u. Initialised from the raw
-    actions themselves. Keeps the iterate with the lowest objective.
+    actions themselves. Keeps the iterate with the lowest objective. `seed`
+    draws the centres when there are more samples than BASELINE_MAX_CENTERS.
     """
-    cfg = cfg or BaselineConfig()
     X = dataset.stack("x")
     U = dataset.stack("u")
     n_samples = X.shape[0]
     if n_samples < 2:
         raise ValueError("need at least two samples")
-    rng = np.random.default_rng(cfg.seed)
-    if n_samples > cfg.max_centers:
-        idx = np.sort(rng.choice(n_samples, size=cfg.max_centers, replace=False))
+    rng = np.random.default_rng(seed)
+    if n_samples > BASELINE_MAX_CENTERS:
+        idx = np.sort(rng.choice(n_samples, size=BASELINE_MAX_CENTERS, replace=False))
         centers = X[idx]
     else:
         centers = X.copy()
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     med = float(np.median(dists[np.triu_indices(len(centers), k=1)]))
-    width = cfg.width_scale * med if med > 0.0 else 1.0
+    width = BASELINE_WIDTH_SCALE * med if med > 0.0 else 1.0
     feats = _rbf_features(X, centers, width)
 
     def refit(target):
-        weights, *_ = np.linalg.lstsq(feats, target, rcond=cfg.rel_tol)
+        weights, *_ = np.linalg.lstsq(feats, target, rcond=BASELINE_REL_TOL)
         return weights
 
     weights = refit(U)
     w_hat = feats @ weights
-    best = (baseline_objective(w_hat, U, cfg.w_floor), weights.copy(), w_hat.copy())
+    best = (baseline_objective(w_hat, U), weights.copy(), w_hat.copy())
     history = [best[0]]
-    for _ in range(cfg.iterations):
-        norms2 = np.maximum(np.sum(w_hat * w_hat, axis=1), cfg.w_floor ** 2)
+    for _ in range(BASELINE_ITERATIONS):
+        norms2 = np.maximum(np.sum(w_hat * w_hat, axis=1), BASELINE_W_FLOOR ** 2)
         target = w_hat * (np.sum(w_hat * U, axis=1) / norms2)[:, None]
         weights = refit(target)
         w_hat = feats @ weights
-        obj = baseline_objective(w_hat, U, cfg.w_floor)
+        obj = baseline_objective(w_hat, U)
         history.append(obj)
         if obj < best[0]:
             best = (obj, weights.copy(), w_hat.copy())

@@ -7,7 +7,7 @@ from .policies import policy_values
 from .simulator import Dataset, action_std
 
 
-def nmse_w(true_w, est_w, sigma_u) -> float:
+def nmse_w(true_w, est_w, sigma) -> float:
     """Mean squared error of the null-space component, normalised per dimension.
 
     Each error coordinate is divided by the standard deviation of the
@@ -18,7 +18,7 @@ def nmse_w(true_w, est_w, sigma_u) -> float:
     """
     true_w = np.atleast_2d(np.asarray(true_w, dtype=float))
     est_w = np.atleast_2d(np.asarray(est_w, dtype=float))
-    sigma = np.asarray(sigma_u, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
     if true_w.shape != est_w.shape:
         raise ValueError("shape mismatch between true and estimated w")
     keep = sigma > 0.0
@@ -71,16 +71,15 @@ def _normalised(score: float, n_samples: int, sigma) -> float:
     return score / (n_samples * denom)
 
 
-def consistency_error(model, dataset: Dataset, prior_pi=None, sigma_u=None) -> float:
+def consistency_error(model, dataset: Dataset, prior_pi=None) -> float:
     """Normalised consistency score of a candidate projection on a dataset.
 
     Sum of |pi^T N(x) (u - pi)| over the samples, divided by the sample
     count times the squared norm of the action spread vector. Zero for the
     projector that actually generated the data.
     """
-    sigma = action_std(dataset) if sigma_u is None else np.asarray(sigma_u, dtype=float)
     return _normalised(consistency_objective(model, dataset, prior_pi=prior_pi),
-                       dataset.n_samples, sigma)
+                       dataset.n_samples, action_std(dataset))
 
 
 def projector_distance(N_a, N_b) -> float:

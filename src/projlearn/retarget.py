@@ -108,9 +108,7 @@ class RetargetPlan:
             arm = self.imitator
             self.execution_model = SelectionConstraint(
                 lam=self.constraint.lam,
-                feature=lambda q: jacobian(arm, q)[..., list(corr), :],
-                meta={"feature": "jacobian", "links": list(arm.link_lengths),
-                      "rows": list(corr)})
+                feature=lambda q: jacobian(arm, q)[..., list(corr), :])
         else:
             self.execution_model = self.constraint
         self.arm = self.imitator if self.imitator is not None else self.demonstrator
@@ -235,17 +233,17 @@ class ClearanceReport:
     min_distance: float
 
 
-def check_obstacle_clearance(traj: Trajectory, arm: PlanarArm, region: ObstacleRegion,
-                             violation_tol: float = 0.0) -> ClearanceReport:
+def check_obstacle_clearance(traj: Trajectory, arm: PlanarArm,
+                             region: ObstacleRegion) -> ClearanceReport:
     """Check every link segment at every timestep against a forbidden rectangle.
 
-    A segment at distance d violates when d <= violation_tol; first_violation
+    A segment violates when it touches the region (distance 0); first_violation
     is the first violating (step, link) in row-major order, the earliest step
     and within it the link nearest the base.
     """
     pts = joint_positions(arm, traj.x)
     d = segment_rect_distance(pts[:, :-1], pts[:, 1:], region)
-    hits = np.argwhere(d <= violation_tol)
+    hits = np.argwhere(d <= 0.0)
     first = (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
     return ClearanceReport(clear=first is None, first_violation=first,
                            min_distance=float(d.min(initial=np.inf)))

@@ -179,7 +179,7 @@ class RankCollapseError(RuntimeError):
 
 
 def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: float,
-             steps: int, rank_tol: float) -> list:
+             steps: int) -> list:
     """Explicit-Euler rollout of m trajectories in lockstep, u = A^+ b + N pi.
 
     Q0 holds the m start states, (m, n). task_rates(Q) gives the full
@@ -187,7 +187,7 @@ def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: f
     coordinates it governs. Every step takes v, w and the rank test of the m
     constraint matrices from one split_action call, and raises
     RankCollapseError with the worst sigma_min/sigma_max when one falls
-    below rank_tol. Returns one Trajectory per start.
+    below RANK_TOL. Returns one Trajectory per start.
     """
     Q = np.array(Q0, dtype=float)
     m, n = Q.shape
@@ -198,7 +198,7 @@ def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: f
         b = constraint.select_rates(task_rates(Q))
         pi = policy_values(null_policy, Q)
         v, w, ratio = split_action(constraint.A_stack(Q), b, pi)
-        if ratio.min() < rank_tol:
+        if ratio.min() < RANK_TOL:
             raise RankCollapseError(t, float(ratio.min()))
         X[:, t] = Q
         U[:, t] = v + w
@@ -233,20 +233,19 @@ def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_po
     if q0.shape != (arm.n,):
         raise ValueError(f"expected {arm.n} joint angles, got shape {q0.shape}")
     return _rollout(constraint, lambda Q: policy_values(task_policy, Q), null_policy,
-                    q0[None], dt, steps, RANK_TOL)[0]
+                    q0[None], dt, steps)[0]
 
 
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))
 
 
-def sample_arm_start(rng, ranges_deg=THREE_LINK_START_RANGES_DEG) -> np.ndarray:
-    lo = np.deg2rad([r[0] for r in ranges_deg])
-    hi = np.deg2rad([r[1] for r in ranges_deg])
+def sample_arm_start(rng) -> np.ndarray:
+    lo = np.deg2rad([r[0] for r in THREE_LINK_START_RANGES_DEG])
+    hi = np.deg2rad([r[1] for r in THREE_LINK_START_RANGES_DEG])
     return rng.uniform(lo, hi)
 
 
-def sample_task_target(rng, x_range=(-0.01, 0.01), y_range=(0.0, 0.02),
-                       theta_range_deg=(0.0, 180.0)) -> np.ndarray:
+def sample_task_target(rng, x_range, y_range, theta_range_deg) -> np.ndarray:
     return np.array([
         rng.uniform(*x_range),
         rng.uniform(*y_range),
@@ -255,33 +254,29 @@ def sample_task_target(rng, x_range=(-0.01, 0.01), y_range=(0.0, 0.02),
 
 
 def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_trajectories: int,
-                         points_per_traj: int, dt: float, seed, task_gain: float = 1.0,
-                         start_ranges_deg=THREE_LINK_START_RANGES_DEG,
-                         target_cfg: dict | None = None) -> Dataset:
+                         points_per_traj: int, dt: float, seed, target_cfg: dict) -> Dataset:
     """Batch of arm trajectories under a fixed selection constraint.
 
-    Each trajectory gets a fresh start drawn from the configured joint
-    ranges and a fresh task target, so b varies across the data while the
+    Each trajectory gets a fresh start drawn from THREE_LINK_START_RANGES_DEG
+    and a fresh task target drawn from the x_range, y_range and
+    theta_range_deg of `target_cfg`, so b varies across the data while the
     constraint stays put. All trajectories are rolled out in lockstep; each
     equals simulate_trajectory from its own start toward its own target.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     rng = np.random.default_rng(seed)
-    target_cfg = target_cfg or {}
-    model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q),
-                                meta={"feature": "jacobian", "links": list(arm.link_lengths)})
+    model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q))
     starts, targets = [], []
     for _ in range(n_trajectories):
-        starts.append(sample_arm_start(rng, start_ranges_deg))
+        starts.append(sample_arm_start(rng))
         targets.append(sample_task_target(rng, **target_cfg))
-    task = TaskPointAttractor(arm=arm, target=np.array(targets), gain=task_gain)
+    task = TaskPointAttractor(arm=arm, target=np.array(targets))
     trajs = _rollout(model, task, null_policy, np.array(starts), dt,
-                     _step_count(dt, points_per_traj * dt), RANK_TOL)
+                     _step_count(dt, points_per_traj * dt))
     meta = {
         "system": "planar_arm",
         "seed": _seed_repr(seed),
-        "constraint": model.to_config(),
         "noise": None,
         "dt": dt,
     }

@@ -255,7 +255,8 @@ def _property_decomposition():
     arm = PlanarArm((0.1, 0.1, 0.1))
     ds = generate_arm_dataset(arm, diagonal_selection((1, 1, 0)),
                               PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
-                              n_trajectories=4, points_per_traj=50, dt=0.02, seed=100)
+                              n_trajectories=4, points_per_traj=50, dt=0.02, seed=100,
+                              target_cfg=resolve({}, "three-link")["target_ranges"])
     V, W, U = ds.stack("v"), ds.stack("w"), ds.stack("u")
     worst = max(float(np.max(np.abs(np.sum(V * W, axis=1)))),
                 float(np.max(np.abs(np.sum(W * (U - W), axis=1)))))

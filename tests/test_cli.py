@@ -1,6 +1,8 @@
 import copy
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -112,11 +114,8 @@ BAD_CONFIGS = [
     ("retarget-obstacle", {"trials": 3}, "trials"),
     ("retarget-embodiment", {"trials": 3}, "trials"),
     ("ingest-learn", {"trials": 3}, "trials"),
-    # nor a worker count
-    ("compare-baseline", {"workers": 2}, "workers"),
-    ("retarget-obstacle", {"workers": 2}, "workers"),
-    ("retarget-embodiment", {"workers": 2}, "workers"),
-    ("ingest-learn", {"workers": 2}, "workers"),
+    # and no experiment takes a worker count: trials run one after another
+    *((experiment, {"workers": 2}, "workers") for experiment in sorted(SMALL)),
 ]
 
 
@@ -175,6 +174,16 @@ def test_no_command_reaches_the_simplex_search(tmp_path, monkeypatch, experiment
     cfg = {k: v for k, v in SMALL[experiment].items() if k != "optimizer"}
     path = write_cfg(tmp_path, dict(cfg, experiment=experiment))
     assert main([experiment, path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_experiments_import_loads_no_process_pool():
+    # Trials run in one process; a fresh import, the one the benchmark's
+    # setup_s times, must not pull in multiprocessing.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import projlearn.experiments; "
+             "print('multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe, str(REPO / "src")], check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def shipped(name):
@@ -346,9 +355,8 @@ class TestMainExitCodes:
         assert exc.value.code == 2
         assert "--trials" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("experiment", ["compare-baseline", "retarget-obstacle",
-                                            "retarget-embodiment", "ingest-learn"])
-    def test_single_run_commands_offer_no_workers_flag(self, tmp_path, capsys, experiment):
+    @pytest.mark.parametrize("experiment", sorted(RUNNERS))
+    def test_no_command_offers_a_workers_flag(self, tmp_path, capsys, experiment):
         path = write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment))
         with pytest.raises(SystemExit) as exc:
             main([experiment, path, "--workers", "2"])

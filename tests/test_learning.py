@@ -7,11 +7,11 @@ from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, constraint_angles,
                                    diagonal_selection, null_projector, spherical_param_count)
 from projlearn import learning
-from projlearn.experiments import THREE_LINK_CASES
+from projlearn.experiments import THREE_LINK_CASES, resolve
 from projlearn.kinematics import PlanarArm, jacobian
-from projlearn.learning import (BaselineConfig, OptimizationError, OptimizerConfig,
-                                baseline_objective, baseline_separate_nullspace,
-                                learn_constraint, learn_selection_matrix, optimize)
+from projlearn.learning import (OptimizationError, OptimizerConfig, baseline_objective,
+                                baseline_separate_nullspace, learn_constraint,
+                                learn_selection_matrix, optimize)
 from projlearn.metrics import consistency_objective, eval_learned_constraint, nmse_w
 from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
                                SinusoidalPolicy, ZeroPolicy)
@@ -19,6 +19,7 @@ from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
                                  generate_arm_dataset, generate_toy_dataset, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
+TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
 TOY_OPT = OptimizerConfig(restarts=8, max_iters=600, objective_tol=1e-13,
                           param_tol=1e-11, seed=0)
 ARM_OPT = OptimizerConfig(restarts=6, max_iters=800, objective_tol=1e-12,
@@ -45,7 +46,7 @@ def arm_dataset(seed, lam_pattern=(1, 1, 0), n_traj=2, points=30):
     return generate_arm_dataset(ARM, diagonal_selection(lam_pattern),
                                 PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
                                 n_trajectories=n_traj, points_per_traj=points,
-                                dt=0.02, seed=seed)
+                                dt=0.02, seed=seed, target_cfg=TARGET_RANGES)
 
 
 def action_norm_sum(ds):
@@ -486,7 +487,7 @@ class TestLearnSelectionMatrix:
         for seed in range(3):
             ds = arm_dataset(seed=(seed, 51), lam_pattern=pattern, n_traj=1, points=40)
             Phi = jacobian(ARM, ds.stack("x"))
-            for W in (ds.stack("w"), baseline_separate_nullspace(ds).w_hat):
+            for W in (ds.stack("w"), baseline_separate_nullspace(ds, 0).w_hat):
                 lam, val = learn_selection_matrix(ds, W, lambda q: jacobian(ARM, q), k=k)
                 assert np.allclose(lam @ lam.T, np.eye(k), atol=1e-12)
 
@@ -540,21 +541,21 @@ class TestBaselineSeparation:
     def test_pure_nullspace_data_is_reproduced(self):
         # when u = w everywhere the separation can only return the actions
         ds = pure_nullspace_dataset(seed=18)
-        res = baseline_separate_nullspace(ds, BaselineConfig(iterations=20, seed=0))
+        res = baseline_separate_nullspace(ds, 0)
         U = ds.stack("u")
         assert float(np.max(np.linalg.norm(res.w_hat - U, axis=1))) < 1e-6
         assert float(np.max(np.linalg.norm(res.v_hat, axis=1))) < 1e-6
 
     def test_best_iterate_is_kept(self):
         ds = toy(seed=19, n_points=60)
-        res = baseline_separate_nullspace(ds, BaselineConfig(iterations=15, seed=1))
+        res = baseline_separate_nullspace(ds, 1)
         assert baseline_objective(res.w_hat, ds.stack("u")) == pytest.approx(
             min(res.objective_history), rel=1e-12)
 
     def test_needs_two_samples(self):
         ds = pure_nullspace_dataset(seed=20, n_points=1)
         with pytest.raises(ValueError):
-            baseline_separate_nullspace(ds)
+            baseline_separate_nullspace(ds, 0)
 
 
 class TestOptimize:

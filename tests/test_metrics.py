@@ -5,7 +5,7 @@ from projlearn.constraints import SphericalConstraint, build_constraint_rows, nu
 from projlearn.metrics import (consistency_error, eval_learned_constraint, nmse_w,
                                projector_distance, summarize)
 from projlearn.policies import LimitCyclePolicy
-from projlearn.simulator import action_std, generate_toy_dataset
+from projlearn.simulator import Dataset, Trajectory, action_std, generate_toy_dataset
 
 
 def loop_nmse(true_w, est_w, sigma):
@@ -75,10 +75,12 @@ class TestConsistencyError:
         assert consistency_error(cand, ds) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_spread_rejected(self):
-        ds = generate_toy_dataset(50, seed=5, null_policy=LimitCyclePolicy())
+        # every sample takes the same action: there is no spread to normalise by
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, size=(50, 2))
+        ds = Dataset(trajectories=[Trajectory(dt=1.0, x=X, u=np.tile([0.5, -0.25], (50, 1)))])
         cand = SphericalConstraint(theta=(0.2,), k=1, n=2)
-        with pytest.raises(ValueError):
-            consistency_error(cand, ds, sigma_u=np.zeros(2))
+        with pytest.raises(ValueError, match="action spread is zero"):
+            consistency_error(cand, ds, prior_pi=LimitCyclePolicy())
 
 
 class TestProjectorDistance:

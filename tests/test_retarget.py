@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from projlearn.constraints import SelectionConstraint, diagonal_selection, null_projector
+from projlearn.experiments import resolve
 from projlearn.kinematics import PlanarArm, jacobian, joint_positions
 from projlearn.policies import PointAttractor, TaskPointAttractor, ZeroPolicy
 from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion,
@@ -13,6 +14,7 @@ from projlearn.simulator import (RankCollapseError, Trajectory, generate_arm_dat
                                  simulate_trajectory)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
+TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
 
 
 def true_model(arm=ARM, pattern=(1, 1, 0)):
@@ -24,7 +26,7 @@ def demo_dataset(seed=0, pattern=(1, 1, 0), points=40):
     return generate_arm_dataset(ARM, diagonal_selection(pattern),
                                 PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
                                 n_trajectories=1, points_per_traj=points,
-                                dt=0.02, seed=seed)
+                                dt=0.02, seed=seed, target_cfg=TARGET_RANGES)
 
 
 class TestEstimateComponents:
@@ -439,7 +441,7 @@ def ref_segment_rect_distance(p, q, region) -> float:
     return float(dist)
 
 
-def ref_check_obstacle_clearance(traj, arm, region, violation_tol=0.0):
+def ref_check_obstacle_clearance(traj, arm, region):
     first = None
     min_dist = np.inf
     for t in range(traj.n_samples):
@@ -447,7 +449,7 @@ def ref_check_obstacle_clearance(traj, arm, region, violation_tol=0.0):
         for link in range(arm.n):
             d = ref_segment_rect_distance(pts[link], pts[link + 1], region)
             min_dist = min(min_dist, d)
-            if d <= violation_tol and first is None:
+            if d <= 0.0 and first is None:
                 first = (t, link)
     return ClearanceReport(clear=first is None, first_violation=first,
                            min_distance=float(min_dist))
@@ -516,12 +518,19 @@ class TestBatchedClearanceMatchesReference:
         assert sum(x == 0.0 for x in d) >= 8
         assert sum(x > 0.0 for x in d) >= 4
 
-    @pytest.mark.parametrize("tol", [0.0, 0.02])
-    def test_arm_trajectories_match_exactly(self, tol):
+    @staticmethod
+    def grown(region, margin):
+        """The region with every side moved out by margin: a safety margin is a larger region."""
+        return ObstacleRegion(x_min=region.x_min - margin, x_max=region.x_max + margin,
+                              y_min=region.y_min - margin, y_max=region.y_max + margin)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.02])
+    def test_arm_trajectories_match_exactly(self, margin):
         rng = np.random.default_rng(23)
-        regions = [ObstacleRegion(x_min=-0.085, x_max=-0.055, y_min=0.085, y_max=0.115),
-                   ObstacleRegion(x_min=0.05, x_max=0.12, y_min=-0.03, y_max=0.04),
-                   ObstacleRegion(x_min=-0.3, x_max=0.3, y_min=0.25, y_max=0.4)]
+        regions = [self.grown(r, margin) for r in (
+            ObstacleRegion(x_min=-0.085, x_max=-0.055, y_min=0.085, y_max=0.115),
+            ObstacleRegion(x_min=0.05, x_max=0.12, y_min=-0.03, y_max=0.04),
+            ObstacleRegion(x_min=-0.3, x_max=0.3, y_min=0.25, y_max=0.4))]
         seven = PlanarArm((0.1, 0.05, 0.05, 0.05, 0.05, 0.05, 0.1))
         outcomes = set()
         for arm in (ARM, seven):
@@ -531,8 +540,8 @@ class TestBatchedClearanceMatchesReference:
                 X = q0 + np.cumsum(rng.normal(0.0, 0.05, size=(steps, arm.n)), axis=0)
                 traj = Trajectory(dt=0.02, x=X, u=np.zeros_like(X))
                 for region in regions:
-                    fast = check_obstacle_clearance(traj, arm, region, violation_tol=tol)
-                    ref = ref_check_obstacle_clearance(traj, arm, region, violation_tol=tol)
+                    fast = check_obstacle_clearance(traj, arm, region)
+                    ref = ref_check_obstacle_clearance(traj, arm, region)
                     assert fast == ref
                     outcomes.add(fast.clear)
         assert outcomes == {True, False}
@@ -540,9 +549,10 @@ class TestBatchedClearanceMatchesReference:
     def test_demonstration_matches_exactly(self):
         region = ObstacleRegion(x_min=-0.085, x_max=-0.055, y_min=0.085, y_max=0.115)
         traj = demo_dataset(seed=24, points=200).trajectories[0]
-        for tol in (0.0, 0.01):
-            assert check_obstacle_clearance(traj, ARM, region, tol) == \
-                ref_check_obstacle_clearance(traj, ARM, region, tol)
+        for margin in (0.0, 0.01):
+            grown = self.grown(region, margin)
+            assert check_obstacle_clearance(traj, ARM, grown) == \
+                ref_check_obstacle_clearance(traj, ARM, grown)
 
     def test_empty_trajectory_is_clear(self):
         traj = Trajectory(dt=0.1, x=np.zeros((0, 3)), u=np.zeros((0, 3)))

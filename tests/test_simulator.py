@@ -4,6 +4,7 @@ import pytest
 from projlearn.constraints import (SelectionConstraint, build_constraint_rows,
                                    diagonal_selection, null_projector)
 from projlearn import simulator
+from projlearn.experiments import resolve
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (Dataset, NoiseSpec, RankCollapseError, Trajectory,
@@ -12,13 +13,14 @@ from projlearn.simulator import (Dataset, NoiseSpec, RankCollapseError, Trajecto
                                  save_trajectory_csv, simulate_trajectory, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
+TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
 
 
 def make_arm_dataset(seed=0, n_traj=3, points=40, lam_pattern=(1, 1, 0)):
     return generate_arm_dataset(ARM, diagonal_selection(lam_pattern),
                                 PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
                                 n_trajectories=n_traj, points_per_traj=points,
-                                dt=0.02, seed=seed)
+                                dt=0.02, seed=seed, target_cfg=TARGET_RANGES)
 
 
 class TestDecompositionIdentities:
@@ -139,15 +141,15 @@ class TestLockstepRollout:
         # equal a separate simulate_trajectory from the same start and target
         lam = diagonal_selection((1, 0, 1))
         pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
-        target_cfg = {"x_range": (-0.05, 0.05), "y_range": (0.0, 0.1)}
+        target_cfg = {"x_range": (-0.05, 0.05), "y_range": (0.0, 0.1),
+                      "theta_range_deg": (0.0, 180.0)}
         ds = generate_arm_dataset(ARM, lam, pi, n_trajectories=6, points_per_traj=30,
-                                  dt=0.02, seed=(4, 2), task_gain=2.0, target_cfg=target_cfg)
+                                  dt=0.02, seed=(4, 2), target_cfg=target_cfg)
         rng = np.random.default_rng((4, 2))
         model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(ARM, q))
         for traj in ds.trajectories:
             q0 = sample_arm_start(rng)
-            task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **target_cfg),
-                                      gain=2.0)
+            task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **target_cfg))
             ref = simulate_trajectory(ARM, model, task, pi, q0, dt=0.02, duration=30 * 0.02)
             for name in ("x", "u", "v", "w", "b", "pi"):
                 np.testing.assert_allclose(getattr(traj, name), getattr(ref, name),
@@ -168,7 +170,7 @@ class TestLockstepRollout:
         Q0 = np.array([[0.0, 0.0, 2e-9], [0.1, 0.2, 0.5]])
         rates = np.array([0.3, -0.2])
         trajs = simulator._rollout(model, lambda Q: np.tile(rates, (len(Q), 1)), pi,
-                                   Q0, 0.02, 4, 1e-10)
+                                   Q0, 0.02, 4)
         for traj, q in zip(trajs, Q0):
             for t in range(4):
                 proj = null_projector(model.A_at(q))
@@ -187,19 +189,19 @@ class TestLockstepRollout:
         task = TaskPointAttractor(arm=ARM, target=np.zeros((2, 3)))
         with pytest.raises(RankCollapseError) as err:
             simulator._rollout(model, task, PointAttractor(target=np.zeros(3)),
-                               np.array([[0.1, 1.6, 0.1], [0.0, 0.0, 0.0]]), 0.02, 5, 1e-10)
+                               np.array([[0.1, 1.6, 0.1], [0.0, 0.0, 0.0]]), 0.02, 5)
         assert err.value.step == 0
         assert err.value.sigma_ratio < 1e-10
 
 
-def svd_rollout(constraint, task_rates, null_policy, Q0, dt, steps, rank_tol):
+def svd_rollout(constraint, task_rates, null_policy, Q0, dt, steps):
     """The lockstep rollout with one null_projector SVD per step, the slow reference."""
     Q = np.array(Q0, dtype=float)
     X, U, V, W = [], [], [], []
     for t in range(steps):
         proj = null_projector(constraint.A_stack(Q))
         ratio = float(np.min(proj.sigma_ratio))
-        if ratio < rank_tol:
+        if ratio < simulator.RANK_TOL:
             raise RankCollapseError(t, ratio)
         v = np.einsum("sjk,sk->sj", proj.A_pinv, constraint.select_rates(task_rates(Q)))
         w = np.einsum("sij,sj->si", proj.N, null_policy(Q))
@@ -222,16 +224,15 @@ class TestRolloutAgainstSvdReference:
         task = TaskPointAttractor(arm=ARM, target=np.array([[0.0, 0.15, 0.3]] * 8), gain=2.0)
         pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
         Q0 = rng.uniform(-np.pi, np.pi, size=(8, 3))
-        trajs = simulator._rollout(model, task, pi, Q0, 0.02, 40, 1e-10)
-        for name, ref in zip(("x", "u", "v", "w"),
-                             svd_rollout(model, task, pi, Q0, 0.02, 40, 1e-10)):
+        trajs = simulator._rollout(model, task, pi, Q0, 0.02, 40)
+        for name, ref in zip(("x", "u", "v", "w"), svd_rollout(model, task, pi, Q0, 0.02, 40)):
             got = np.array([getattr(t, name) for t in trajs])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9, err_msg=name)
 
     @staticmethod
     def decaying_row_model(parallel: bool):
         # rows (1, 0, 0) and (1, q_3, 0), or (0, q_3^2, 0): the pi attractor
-        # halves q_3 every step, so sigma_min/sigma_max falls through rank_tol
+        # halves q_3 every step, so sigma_min/sigma_max falls through RANK_TOL
         # after a few steps. Near-parallel rows collapse on the SVD path,
         # orthogonal rows of unequal norm on the Gram closed form.
         def feature(q):
@@ -250,9 +251,9 @@ class TestRolloutAgainstSvdReference:
         Q0 = np.array([[0.2, 0.1, 0.3], [0.0, 0.0, 0.05]])
         rates = lambda Q: np.tile([0.3, -0.2], (len(Q), 1))
         with pytest.raises(RankCollapseError) as ref:
-            svd_rollout(model, rates, pi, Q0, 0.02, 60, 1e-6)
+            svd_rollout(model, rates, pi, Q0, 0.02, 60)
         with pytest.raises(RankCollapseError) as got:
-            simulator._rollout(model, rates, pi, Q0, 0.02, 60, 1e-6)
+            simulator._rollout(model, rates, pi, Q0, 0.02, 60)
         assert ref.value.step > 3
         assert got.value.step == ref.value.step
         assert got.value.sigma_ratio == pytest.approx(ref.value.sigma_ratio, rel=1e-6)

@@ -17,7 +17,7 @@ from projlearn.constraints import build_constraint_rows, diagonal_selection, sph
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor
 from projlearn.simulator import NoiseSpec, add_noise, generate_arm_dataset, generate_toy_dataset
-from test_learning import restart_search
+from test_learning import TARGET_RANGES, restart_search
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -48,7 +48,8 @@ def test_tracer_installs_and_uninstalls():
         arm = PlanarArm((0.1, 0.1, 0.1))
         ds = generate_arm_dataset(arm, diagonal_selection((1, 1, 0)),
                                   PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
-                                  n_trajectories=2, points_per_traj=20, dt=0.02, seed=3)
+                                  n_trajectories=2, points_per_traj=20, dt=0.02, seed=3,
+                                  target_cfg=TARGET_RANGES)
         learning.learn_constraint(add_noise(ds, noise, 4), k=2, representation="lambda",
                                   feature_fn=lambda q: jacobian(arm, q))
         X, PI = ds.stack("x"), ds.stack("pi")

@@ -53,8 +53,9 @@ class Key:
     """One config key: its type, default and the values it may take.
 
     `type` names an entry of _TYPES. A list checks each entry against
-    `item`; an object checks its keys against `table`. A default is filled
-    in, and checked like a given value, when the key is absent.
+    `item`, and with `distinct` rejects an entry equal to an earlier one; an
+    object checks its keys against `table`. A default is filled in, and
+    checked like a given value, when the key is absent.
     """
 
     type: str
@@ -64,6 +65,7 @@ class Key:
     choices: tuple | None = None
     length: int | None = None
     nonempty: bool = False
+    distinct: bool = False
     item: "Key | None" = None
     table: dict | None = None
 
@@ -107,6 +109,10 @@ def _resolve_value(spec: Key, value, path: str):
     if spec.item is not None:
         for i, entry in enumerate(value):
             _resolve_value(spec.item, entry, f"{path}[{i}]")
+    if spec.distinct:
+        for i, entry in enumerate(value):
+            if entry in value[:i]:
+                _fail(f"{path}[{i}]", f"repeats the earlier entry {entry!r}")
     if spec.table is not None:
         return _resolve_table(value, spec.table, f"{path}.")
     return value
@@ -172,8 +178,6 @@ def _imitator_joints(cfg):
         if len(value) != n:
             _fail(path, f"expected {n} entries, one per imitator.links_m entry, "
                   f"got {len(value)}")
-    if len(set(imit["row_correspondence"])) != len(imit["row_correspondence"]):
-        _fail("imitator.row_correspondence", "row indices must be distinct")
 
 
 def _enough_steps(cfg):
@@ -268,7 +272,7 @@ TRIAL_ACCEPTANCE = ("max_mean_e_w", "max_mean_e_n")
 
 SCHEMAS = {
     "toy": _schema({
-        "policies": Key("list", list(TOY_POLICIES), nonempty=True,
+        "policies": Key("list", list(TOY_POLICIES), nonempty=True, distinct=True,
                         item=Key("string", choices=tuple(TOY_POLICIES))),
         "noise": Key("object", table={
             "epsilon": Key("number", REQUIRED, lo=0.0),
@@ -279,14 +283,14 @@ SCHEMAS = {
     "sweep": _schema({
         "policy": Key("string", "limit_cycle", choices=tuple(TOY_POLICIES)),
         "axes": Key("object", REQUIRED, nonempty=True, table={
-            "data_size": Key("list", nonempty=True, item=Key("int", lo=2)),
-            "u_noise": Key("list", nonempty=True, item=Key("number", lo=0.0)),
-            "pi_noise": Key("list", nonempty=True, item=Key("number", lo=0.0)),
+            "data_size": Key("list", nonempty=True, distinct=True, item=Key("int", lo=2)),
+            "u_noise": Key("list", nonempty=True, distinct=True, item=Key("number", lo=0.0)),
+            "pi_noise": Key("list", nonempty=True, distinct=True, item=Key("number", lo=0.0)),
         }),
         **TOY_KEYS,
     }, TRIAL_ACCEPTANCE, trials=50),
     "three-link": _schema({
-        "cases": Key("list", list(THREE_LINK_CASES), nonempty=True,
+        "cases": Key("list", list(THREE_LINK_CASES), nonempty=True, distinct=True,
                      item=Key("string", choices=tuple(THREE_LINK_CASES))),
         "n_trajectories": Key("int", 100, lo=2),
         "points_per_traj": Key("int", 50, lo=2),
@@ -321,7 +325,7 @@ SCHEMAS = {
             "pi_robot": _attractor({"type": "point_attractor", "beta": 1.0,
                                     "target_deg": [-10.0] * 7}, length=None),
             # One imitator Jacobian row per learned feature row (x, y, theta).
-            "row_correspondence": Key("list", [0, 1, 2], length=3,
+            "row_correspondence": Key("list", [0, 1, 2], length=3, distinct=True,
                                       item=Key("int", lo=0, hi=2)),
         }),
     }, ("max_trace_rmse",), [_ordered_ranges, _imitator_joints, _enough_steps]),
@@ -363,6 +367,19 @@ def _base_report(name: str, raw: dict, cfg: dict) -> dict:
     }
 
 
+def _row(trial: int, case: str, seed: list, e_w, e_n, objective) -> dict:
+    """One trials.csv row."""
+    return {"trial": trial, "case": case, "seed": seed, "e_w": e_w, "e_n": e_n,
+            "objective": objective}
+
+
+def _eval_row(cfg: dict, case: str, case_index: int, trial: int, learned, test) -> dict:
+    """The row of one recovery trial: the learned model's errors on held-out data."""
+    ev = eval_learned_constraint(learned.model, test)
+    return _row(trial, case, [cfg["seed"], case_index, trial], ev["e_w"], ev["e_n"],
+                learned.objective_value)
+
+
 # --- toy system -------------------------------------------------------------------
 
 def _toy_trial(cfg: dict, case: str, case_index: int, trial: int) -> dict:
@@ -374,15 +391,7 @@ def _toy_trial(cfg: dict, case: str, case_index: int, trial: int) -> dict:
     if noise and noise["epsilon"] > 0.0:
         train = add_noise(train, NoiseSpec(**noise), (seed, case_index, trial, 1))
     learned = learn_constraint(train, k=1, representation="spherical")
-    ev = eval_learned_constraint(learned.model, test)
-    return {
-        "trial": trial,
-        "case": case,
-        "seed": [seed, case_index, trial],
-        "e_w": ev["e_w"],
-        "e_n": ev["e_n"],
-        "objective": learned.objective_value,
-    }
+    return _eval_row(cfg, case, case_index, trial, learned, test)
 
 
 def _run_cases(name: str, raw: dict, cfg: dict, cases: list, trial) -> dict:
@@ -435,31 +444,46 @@ def run_sweep(cfg: dict) -> dict:
 
 
 # --- three-link arm ----------------------------------------------------------------
+#
+# Every arm command runs one pipeline: generate data under a true selection
+# constraint, learn it, roll out a true reach and replay the task with a
+# secondary policy of the executing arm's own.
 
-def _three_link_setup(cfg: dict):
-    return PlanarArm(tuple(cfg["links_m"])), policy_from_config(cfg["pi"]), cfg["target_ranges"]
+def _arm(cfg: dict):
+    """The demonstrating arm, its secondary policy and its Jacobian feature."""
+    arm = PlanarArm(tuple(cfg["links_m"]))
+    return arm, policy_from_config(cfg["pi"]), lambda q: jacobian(arm, q)
+
+
+def _learn(cfg: dict, case: str, n_traj: int, length: int, seed, n_first=None) -> tuple:
+    """Roll out `n_traj` arm trajectories of `length` samples under `case` and learn it.
+
+    With `n_first`, the learner sees the first `n_first` trajectories and the
+    rest are the test set. Returns (learned, training set, test set or None).
+    """
+    arm, pi, feature = _arm(cfg)
+    lam = diagonal_selection(THREE_LINK_CASES[case])
+    data = generate_arm_dataset(arm, lam, pi, n_traj, length, dt=cfg["dt"], seed=seed,
+                                target_cfg=cfg["target_ranges"])
+    train, test = (data, None) if n_first is None else split_dataset(data, n_first)
+    learned = learn_constraint(train, k=lam.shape[0], representation="lambda",
+                               feature_fn=feature)
+    return learned, train, test
+
+
+def _demonstration(cfg: dict, case: str, start_deg, target, gain, duration):
+    """The true reach under `case` from `start_deg` toward the task pose `target`."""
+    arm, pi, feature = _arm(cfg)
+    truth = SelectionConstraint(lam=diagonal_selection(THREE_LINK_CASES[case]), feature=feature)
+    return simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=target, gain=gain),
+                               pi, np.deg2rad(start_deg), dt=cfg["dt"], duration=duration)
 
 
 def _three_link_trial(cfg: dict, case: str, case_index: int, trial: int) -> dict:
-    seed, n_traj = cfg["seed"], cfg["n_trajectories"]
-    arm, pi, target_cfg = _three_link_setup(cfg)
-    lam = diagonal_selection(THREE_LINK_CASES[case])
-    ds = generate_arm_dataset(arm, lam, pi, n_traj, cfg["points_per_traj"], dt=cfg["dt"],
-                              seed=(seed, case_index, trial, 0),
-                              target_cfg=target_cfg)
-    train, test = split_dataset(ds, n_traj // 2)
-    k = lam.shape[0]
-    learned = learn_constraint(train, k=k, representation="lambda",
-                               feature_fn=lambda q: jacobian(arm, q))
-    ev = eval_learned_constraint(learned.model, test)
-    return {
-        "trial": trial,
-        "case": case,
-        "seed": [seed, case_index, trial],
-        "e_w": ev["e_w"],
-        "e_n": ev["e_n"],
-        "objective": learned.objective_value,
-    }
+    n_traj = cfg["n_trajectories"]
+    learned, _, test = _learn(cfg, case, n_traj, cfg["points_per_traj"],
+                              (cfg["seed"], case_index, trial, 0), n_traj // 2)
+    return _eval_row(cfg, case, case_index, trial, learned, test)
 
 
 def run_three_link(cfg: dict) -> dict:
@@ -480,38 +504,25 @@ def run_compare_baseline(cfg: dict) -> dict:
     """
     raw, cfg = cfg, resolve(cfg, "compare-baseline")
     seed, case, dt = cfg["seed"], cfg["case"], cfg["dt"]
-    arm, pi, target_cfg = _three_link_setup(cfg)
-    lam_true = diagonal_selection(THREE_LINK_CASES[case])
-    k = lam_true.shape[0]
-    rng = np.random.default_rng((seed, 0))
-
-    train = generate_arm_dataset(arm, lam_true, pi, cfg["train_trajectories"],
-                                 _step_count(dt, cfg["train_duration_s"]),
-                                 dt=dt, seed=(seed, 1), target_cfg=target_cfg)
-
-    q0 = np.deg2rad(cfg["gt_start_deg"])
+    arm, pi, feature = _arm(cfg)
+    learned, train, _ = _learn(cfg, case, cfg["train_trajectories"],
+                               _step_count(dt, cfg["train_duration_s"]), (seed, 1))
+    q0, duration = np.deg2rad(cfg["gt_start_deg"]), cfg["gt_duration_s"]
     target = np.asarray(cfg["gt_target"], dtype=float)
-    gain = float(cfg["task_gain"])
-    duration = float(cfg["gt_duration_s"])
-    truth = SelectionConstraint(lam=lam_true, feature=lambda q: jacobian(arm, q))
-    gt = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=target, gain=gain),
-                             pi, q0, dt=dt, duration=duration)
+    gt = _demonstration(cfg, case, cfg["gt_start_deg"], target, cfg["task_gain"], duration)
 
-    feature_fn = lambda q: jacobian(arm, q)
-    learned = learn_constraint(train, k=k, representation="lambda", feature_fn=feature_fn)
-    proposed_b = estimate_task_policy(learned.model, gt.x, gt.u)
-    proposed_plan = RetargetPlan(constraint=learned.model, task_source=ReplaySource(proposed_b),
-                                 pi_robot=pi, demonstrator=arm)
-    proposed = reproduce_trajectory(proposed_plan, q0, dt, duration)
-
+    rng = np.random.default_rng((seed, 0))
     base = baseline_separate_nullspace(train, int(rng.integers(2**31)))
-    lam_base, base_obj = learn_selection_matrix(train, base.w_hat, feature_fn, k)
-    base_model = SelectionConstraint(lam=lam_base, feature=feature_fn)
-    base_b = estimate_task_policy(base_model, gt.x, gt.u)
-    base_plan = RetargetPlan(constraint=base_model, task_source=ReplaySource(base_b),
-                             pi_robot=base.predict, demonstrator=arm)
-    baseline = reproduce_trajectory(base_plan, q0, dt, duration)
+    lam_base, base_obj = learn_selection_matrix(train, base.w_hat, feature, learned.model.k)
 
+    def replay(model, prior):
+        b = estimate_task_policy(model, gt.x, gt.u)
+        plan = RetargetPlan(constraint=model, task_source=ReplaySource(b), pi_robot=prior,
+                            demonstrator=arm)
+        return reproduce_trajectory(plan, q0, dt, duration)
+
+    proposed = replay(learned.model, pi)
+    baseline = replay(SelectionConstraint(lam=lam_base, feature=feature), base.predict)
     sel = [i for i, v in enumerate(THREE_LINK_CASES[case]) if v]
 
     def task_error(traj):
@@ -519,33 +530,23 @@ def run_compare_baseline(cfg: dict) -> dict:
         err[2] = float(np.arctan2(np.sin(err[2]), np.cos(err[2])))
         return float(np.linalg.norm(err[sel]))
 
-    def joint_rmse(traj):
-        return float(np.sqrt(np.mean((traj.x - gt.x) ** 2)))
+    def summary(traj):
+        return {"final_task_error": task_error(traj),
+                "joint_rmse_vs_gt": float(np.sqrt(np.mean((traj.x - gt.x) ** 2)))}
 
     report = _base_report("compare-baseline", raw, cfg)
     report["case"] = case
-    report["proposed"] = {
-        "final_task_error": task_error(proposed),
-        "joint_rmse_vs_gt": joint_rmse(proposed),
-        "objective": learned.objective_value,
-        "lam": np.asarray(learned.model.lam).round(12).tolist(),
-    }
-    report["baseline"] = {
-        "final_task_error": task_error(baseline),
-        "joint_rmse_vs_gt": joint_rmse(baseline),
-        "separation_objective": base.objective_history[-1],
-        "selection_objective": base_obj,
-        "lam": np.asarray(lam_base).round(12).tolist(),
-    }
+    report["proposed"] = {**summary(proposed), "objective": learned.objective_value,
+                          "lam": np.asarray(learned.model.lam).round(12).tolist()}
+    report["baseline"] = {**summary(baseline),
+                          "separation_objective": base.objective_history[-1],
+                          "selection_objective": base_obj,
+                          "lam": np.asarray(lam_base).round(12).tolist()}
     report["ground_truth_final_task_error"] = task_error(gt)
-    rows = [
-        {"trial": 0, "case": f"{case}/proposed", "seed": [seed],
-         "e_w": report["proposed"]["joint_rmse_vs_gt"],
-         "e_n": report["proposed"]["final_task_error"], "objective": learned.objective_value},
-        {"trial": 1, "case": f"{case}/baseline", "seed": [seed],
-         "e_w": report["baseline"]["joint_rmse_vs_gt"],
-         "e_n": report["baseline"]["final_task_error"], "objective": base_obj},
-    ]
+    objectives = {"proposed": learned.objective_value, "baseline": base_obj}
+    rows = [_row(trial, f"{case}/{name}", [seed], report[name]["joint_rmse_vs_gt"],
+                 report[name]["final_task_error"], objectives[name])
+            for trial, name in enumerate(objectives)]
     checks = [("proposed final task error", "max_final_task_error",
                report["proposed"]["final_task_error"])]
     return {"report": report, "rows": rows, "checks": checks,
@@ -554,25 +555,24 @@ def run_compare_baseline(cfg: dict) -> dict:
 
 # --- retargeting scenarios -----------------------------------------------------------
 
-def _learn_xy_constraint(cfg: dict, arm: PlanarArm, pi, target_cfg: dict):
-    """Learned coefficients for the x-y constrained system."""
-    lam = diagonal_selection(THREE_LINK_CASES["xy"])
-    train = generate_arm_dataset(arm, lam, pi, cfg["train_trajectories"],
-                                 cfg["points_per_traj"], dt=cfg["dt"],
-                                 seed=(cfg["seed"], 0), target_cfg=target_cfg)
-    return learn_constraint(train, k=2, representation="lambda",
-                            feature_fn=lambda q: jacobian(arm, q))
+def _retarget(cfg: dict, pi_robot: dict, start_deg, **imitation) -> tuple:
+    """Learn the x-y task, demonstrate the reach, and replay it with `pi_robot`.
 
-
-def _demonstration(cfg: dict, arm: PlanarArm, pi, lam) -> tuple:
-    q0 = np.deg2rad(cfg["demo_start_deg"])
-    r_star = np.asarray(cfg["demo_target"], dtype=float)
-    duration = float(cfg["demo_duration_s"])
-    dt = cfg["dt"]
-    truth = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q))
-    demo = simulate_trajectory(arm, truth, TaskPointAttractor(arm=arm, target=r_star, gain=1.0),
-                               pi, q0, dt=dt, duration=duration)
-    return demo, q0, r_star, duration, dt
+    The replay starts at `start_deg` on the demonstrator, or on the arm that
+    `imitation` passes on to the plan, and draws its task rates from an
+    attractor toward the demonstrated target on the executing arm. Returns
+    (demonstrator, target, learned, demonstration, replay).
+    """
+    arm, _, _ = _arm(cfg)
+    learned, _, _ = _learn(cfg, "xy", cfg["train_trajectories"], cfg["points_per_traj"],
+                           (cfg["seed"], 0))
+    target, duration = np.asarray(cfg["demo_target"], dtype=float), cfg["demo_duration_s"]
+    demo = _demonstration(cfg, "xy", cfg["demo_start_deg"], target, 1.0, duration)
+    plan = RetargetPlan(constraint=learned.model,
+                        task_source=AttractorSource(target=target, gain=1.0),
+                        pi_robot=policy_from_config(pi_robot), demonstrator=arm, **imitation)
+    replay = reproduce_trajectory(plan, np.deg2rad(start_deg), cfg["dt"], duration)
+    return arm, target, learned, demo, replay
 
 
 def run_retarget_obstacle(cfg: dict) -> dict:
@@ -585,52 +585,28 @@ def run_retarget_obstacle(cfg: dict) -> dict:
     task even through the aggressive null-space transient.
     """
     raw, cfg = cfg, resolve(cfg, "retarget-obstacle")
-    arm, pi, target_cfg = _three_link_setup(cfg)
-    learned = _learn_xy_constraint(cfg, arm, pi, target_cfg)
-    demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
-                                                    diagonal_selection(THREE_LINK_CASES["xy"]))
-    obs_cfg = cfg["obstacle"]
-    region = ObstacleRegion(**{k: float(v) for k, v in obs_cfg.items()})
-    pi_r = policy_from_config(cfg["pi_robot"])
-    plan = RetargetPlan(constraint=learned.model,
-                        task_source=AttractorSource(target=r_star, gain=1.0),
-                        pi_robot=pi_r, demonstrator=arm)
-    retargeted = reproduce_trajectory(plan, q0, dt, duration)
+    arm, r_star, learned, demo, retargeted = _retarget(cfg, cfg["pi_robot"],
+                                                       cfg["demo_start_deg"])
+    region = ObstacleRegion(**{k: float(v) for k, v in cfg["obstacle"].items()})
 
-    direct_check = check_obstacle_clearance(demo, arm, region)
-    retarget_check = check_obstacle_clearance(retargeted, arm, region)
-
-    def final_xy_error(traj):
-        return float(np.linalg.norm(end_pose(arm, traj.x[-1])[:2] - r_star[:2]))
+    def summary(traj):
+        check = check_obstacle_clearance(traj, arm, region)
+        return {"clear": check.clear, "first_violation": check.first_violation,
+                "min_distance": check.min_distance,
+                "final_xy_error": float(np.linalg.norm(end_pose(arm, traj.x[-1])[:2]
+                                                       - r_star[:2]))}
 
     report = _base_report("retarget-obstacle", raw, cfg)
-    report["obstacle"] = obs_cfg
+    report["obstacle"] = cfg["obstacle"]
     report["learned_objective"] = learned.objective_value
-    report["direct"] = {
-        "clear": direct_check.clear,
-        "first_violation": direct_check.first_violation,
-        "min_distance": direct_check.min_distance,
-        "final_xy_error": final_xy_error(demo),
-    }
-    report["retargeted"] = {
-        "clear": retarget_check.clear,
-        "first_violation": retarget_check.first_violation,
-        "min_distance": retarget_check.min_distance,
-        "final_xy_error": final_xy_error(retargeted),
-    }
-    rows = [
-        {"trial": 0, "case": "direct", "seed": [cfg["seed"]],
-         "e_w": report["direct"]["min_distance"], "e_n": report["direct"]["final_xy_error"],
-         "objective": float(not direct_check.clear)},
-        {"trial": 1, "case": "retargeted", "seed": [cfg["seed"]],
-         "e_w": report["retargeted"]["min_distance"],
-         "e_n": report["retargeted"]["final_xy_error"],
-         "objective": float(not retarget_check.clear)},
-    ]
+    report["direct"], report["retargeted"] = summary(demo), summary(retargeted)
+    rows = [_row(trial, name, [cfg["seed"]], report[name]["min_distance"],
+                 report[name]["final_xy_error"], float(not report[name]["clear"]))
+            for trial, name in enumerate(("direct", "retargeted"))]
     checks = [("retargeted trajectory violates the obstacle region", "require_retargeted_clear",
-               not retarget_check.clear),
+               not report["retargeted"]["clear"]),
               ("direct imitation unexpectedly clears the obstacle region",
-               "require_direct_violation", direct_check.clear)]
+               "require_direct_violation", report["direct"]["clear"])]
     return {"report": report, "rows": rows, "checks": checks,
             "trajectories": {"demonstration": demo, "retargeted": retargeted}}
 
@@ -638,18 +614,11 @@ def run_retarget_obstacle(cfg: dict) -> dict:
 def run_retarget_embodiment(cfg: dict) -> dict:
     """Replay the learned task on an arm with a different kinematic structure."""
     raw, cfg = cfg, resolve(cfg, "retarget-embodiment")
-    arm, pi, target_cfg = _three_link_setup(cfg)
-    learned = _learn_xy_constraint(cfg, arm, pi, target_cfg)
-    demo, q0, r_star, duration, dt = _demonstration(cfg, arm, pi,
-                                                    diagonal_selection(THREE_LINK_CASES["xy"]))
     imit = cfg["imitator"]
     imitator = PlanarArm(tuple(imit["links_m"]))
-    q0_imit = np.deg2rad(imit["start_deg"])
-    plan = RetargetPlan(constraint=learned.model,
-                        task_source=AttractorSource(target=r_star, gain=1.0),
-                        pi_robot=policy_from_config(imit["pi_robot"]), demonstrator=arm,
-                        imitator=imitator, row_correspondence=tuple(imit["row_correspondence"]))
-    imitated = reproduce_trajectory(plan, q0_imit, dt, duration)
+    arm, r_star, learned, demo, imitated = _retarget(
+        cfg, imit["pi_robot"], imit["start_deg"], imitator=imitator,
+        row_correspondence=tuple(imit["row_correspondence"]))
 
     demo_xy = end_pose(arm, demo.x)[:, :2]
     imit_xy = end_pose(imitator, imitated.x)[:, :2]
@@ -662,9 +631,8 @@ def run_retarget_embodiment(cfg: dict) -> dict:
     report["start_offset"] = float(np.linalg.norm(demo_xy[0] - imit_xy[0]))
     report["final_xy_error_demo"] = float(np.linalg.norm(demo_xy[-1] - r_star[:2]))
     report["final_xy_error_imitator"] = float(np.linalg.norm(imit_xy[-1] - r_star[:2]))
-    rows = [{"trial": 0, "case": "embodiment", "seed": [cfg["seed"]],
-             "e_w": rmse, "e_n": report["final_xy_error_imitator"],
-             "objective": learned.objective_value}]
+    rows = [_row(0, "embodiment", [cfg["seed"]], rmse, report["final_xy_error_imitator"],
+                 learned.objective_value)]
     checks = [("task trace RMSE", "max_trace_rmse", rmse)]
     return {"report": report, "rows": rows, "checks": checks,
             "trajectories": {"demonstration": demo, "imitator": imitated}}
@@ -696,8 +664,7 @@ def run_ingest_learn(cfg: dict) -> dict:
     target_h = np.deg2rad(pi_cfg["target_deg_human"])
     pi = PointAttractor(target=arm_angles_from_human(target_h), beta=pi_cfg["beta"])
 
-    ds = Dataset(trajectories=trajs, meta={"system": "human_arm", "noise": None,
-                                           "links": list(arm.link_lengths)})
+    ds = Dataset(trajectories=trajs)
     learned = learn_constraint(ds, prior_pi=pi, k=cfg["k"], representation="lambda",
                                feature_fn=lambda q: jacobian(arm, q))
     e_n = consistency_error(learned.model, ds, prior_pi=pi)
@@ -710,8 +677,7 @@ def run_ingest_learn(cfg: dict) -> dict:
     report["objective"] = learned.objective_value
     report["lam"] = np.asarray(learned.model.lam).round(12).tolist()
     report["diagnostics"] = learned.diagnostics
-    rows = [{"trial": 0, "case": "ingest", "seed": [cfg["seed"]],
-             "e_w": float("nan"), "e_n": e_n, "objective": learned.objective_value}]
+    rows = [_row(0, "ingest", [cfg["seed"]], float("nan"), e_n, learned.objective_value)]
     return {"report": report, "rows": rows, "checks": [("consistency error", "max_e_n", e_n)]}
 
 

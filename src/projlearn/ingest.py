@@ -58,7 +58,6 @@ HAND_MIDDLE_KNUCKLE = 9
 class HumanArmRecording:
     frames: np.ndarray  # (F, 5, 3), NaN where a point is absent
     fps: float
-    side: str
 
 
 def _triple(flat, index):
@@ -113,7 +112,7 @@ def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmR
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
     frame_objs = [obj for f in files for obj in _frame_objects(f.read_bytes())]
     return HumanArmRecording(frames=parse_keypoint_json(frame_objs, side=side),
-                             fps=float(fps), side=side)
+                             fps=float(fps))
 
 
 def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 0.3):
@@ -205,10 +204,7 @@ def recording_to_dataset(rec: HumanArmRecording, scale: float = 300.0,
                         u=finite_difference_velocities(run, rec.fps)) for run in runs]
     lengths = estimate_link_lengths(rec, scale=scale, confidence_floor=confidence_floor)
     arm = PlanarArm(tuple(lengths))
-    ds = Dataset(trajectories=trajs,
-                 meta={"system": "human_arm", "side": rec.side, "fps": rec.fps,
-                       "scale": scale, "links": lengths.tolist(), "noise": None})
-    return ds, arm
+    return Dataset(trajectories=trajs), arm
 
 
 # --- synthesis (the exact inverse of the parser, for round-trip checks) -----------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import SelectionConstraint, null_projector, null_space_apply, split_action
+from .constraints import SelectionConstraint, null_space_apply, split_action
 from .kinematics import PlanarArm, dot_last, end_pose, jacobian, joint_positions, wrap_angle
 from .metrics import _stacked
 from .simulator import RANK_TOL, Dataset, RankCollapseError, Trajectory, _step_count
@@ -112,9 +112,6 @@ class RetargetPlan:
         else:
             self.execution_model = self.constraint
         self.arm = self.imitator if self.imitator is not None else self.demonstrator
-
-    def projector_at(self, x):
-        return null_projector(self.execution_model.A_at(x))
 
 
 def _step(plan: RetargetPlan, x: np.ndarray, step: int):

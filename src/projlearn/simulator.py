@@ -68,7 +68,7 @@ class Trajectory:
 
 @dataclass(eq=False)
 class Dataset:
-    """A list of trajectories plus generation metadata."""
+    """A list of trajectories plus metadata: the toy's true constraint and its noise."""
 
     trajectories: list
     meta: dict = field(default_factory=dict)
@@ -153,14 +153,7 @@ def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None =
     W = PI @ N.T
     U = V + W
     traj = Trajectory(dt=1.0, x=X, u=U, v=V, w=W, b=B[:, None], pi=PI)
-    meta = {
-        "system": "toy",
-        "seed": _seed_repr(seed),
-        "constraint": model.to_config(),
-        "r_star": r_star,
-        "noise": None,
-    }
-    return Dataset(trajectories=[traj], meta=meta)
+    return Dataset(trajectories=[traj], meta={"constraint": model.to_config(), "noise": None})
 
 
 # Rollouts stop when sigma_min/sigma_max of A(x) falls below this: a
@@ -274,13 +267,7 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
     task = TaskPointAttractor(arm=arm, target=np.array(targets))
     trajs = _rollout(model, task, null_policy, np.array(starts), dt,
                      _step_count(dt, points_per_traj * dt))
-    meta = {
-        "system": "planar_arm",
-        "seed": _seed_repr(seed),
-        "noise": None,
-        "dt": dt,
-    }
-    return Dataset(trajectories=trajs, meta=meta)
+    return Dataset(trajectories=trajs)
 
 
 def split_dataset(dataset: Dataset, n_first: int) -> tuple:
@@ -300,12 +287,6 @@ def split_dataset(dataset: Dataset, n_first: int) -> tuple:
         parts = (dataset.trajectories[:n_first], dataset.trajectories[n_first:])
     return (Dataset(trajectories=parts[0], meta=dict(dataset.meta)),
             Dataset(trajectories=parts[1], meta=dict(dataset.meta)))
-
-
-def _seed_repr(seed):
-    if isinstance(seed, (tuple, list)):
-        return [int(s) for s in seed]
-    return int(seed)
 
 
 # --- CSV output -------------------------------------------------------------

@@ -20,13 +20,13 @@ from projlearn.ingest import (HumanArmRecording, arm_angles_from_human,
                               keypoints_to_joint_angles, parse_keypoint_json,
                               recording_to_dataset, synthesize_keypoint_frames)
 from projlearn.kinematics import PlanarArm, end_pose, jacobian, wrap_angle
-from projlearn.learning import OptimizerConfig, learn_constraint
+from projlearn.learning import learn_constraint
 from projlearn.metrics import (consistency_objective, eval_learned_constraint,
                                projector_distance)
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (NoiseSpec, add_noise, generate_arm_dataset,
                                  generate_toy_dataset, simulate_trajectory, split_dataset)
-from projlearn.experiments import (THREE_LINK_CASES, _three_link_setup, resolve,
+from projlearn.experiments import (THREE_LINK_CASES, _arm, resolve,
                                    run_compare_baseline, run_retarget_embodiment,
                                    run_retarget_obstacle, run_sweep, run_three_link,
                                    run_toy)
@@ -143,7 +143,7 @@ def test_noisy_three_link_recovery():
     budget = 120.0
     t0 = time.monotonic()
     cfg = resolve(json.loads((REPO / "configs" / "three_link.json").read_text()), "three-link")
-    arm, pi, target_cfg = _three_link_setup(cfg)
+    arm, pi, feature = _arm(cfg)
     seed, n_traj = cfg["seed"], cfg["n_trajectories"]
     means = {}
     for case_index, case in enumerate(cfg["cases"]):
@@ -152,15 +152,13 @@ def test_noisy_three_link_recovery():
         for trial in range(3):
             ds = generate_arm_dataset(arm, lam, pi, n_traj, cfg["points_per_traj"],
                                       dt=cfg["dt"], seed=(seed, case_index, trial, 0),
-                                      target_cfg=target_cfg)
+                                      target_cfg=cfg["target_ranges"])
             train, test = split_dataset(ds, n_traj // 2)
             for eps, errors in e_w.items():
                 noisy = add_noise(train, NoiseSpec(epsilon=eps, target="actions"),
                                   (seed, case_index, trial, 1))
-                learned = learn_constraint(
-                    noisy, k=lam.shape[0], representation="lambda",
-                    feature_fn=lambda q: jacobian(arm, q),
-                    opt=OptimizerConfig(**cfg["optimizer"], seed=(seed, case_index, trial, 2)))
+                learned = learn_constraint(noisy, k=lam.shape[0], representation="lambda",
+                                           feature_fn=feature)
                 errors.append(eval_learned_constraint(learned.model, test)["e_w"])
         for eps, errors in e_w.items():
             means[f"{case}@{eps}"] = float(np.mean(errors))
@@ -276,7 +274,6 @@ def _property_decomposition():
 
 
 def _property_grid_oracle():
-    opt = OptimizerConfig(**TOY_OPT, seed=0)
     grid = np.deg2rad(np.arange(0.0, 180.0, 0.1))
     worst = 0.0
     for seed in range(50):
@@ -284,7 +281,7 @@ def _property_grid_oracle():
         vals = [consistency_objective(SphericalConstraint(theta=(g,), k=1, n=2), ds)
                 for g in grid]
         oracle = grid[int(np.argmin(vals))]
-        learned = learn_constraint(ds, k=1, opt=opt).model.theta[0]
+        learned = learn_constraint(ds, k=1).model.theta[0]
         gap = abs(learned - oracle) % np.pi
         gap = min(gap, np.pi - gap)
         worst = max(worst, float(gap))
@@ -323,14 +320,13 @@ def _property_ingest_round_trip():
     task = TaskPointAttractor(arm=arm, target=np.array([-0.09, 0.04, 0.0]), gain=1.0)
     traj = simulate_trajectory(arm, model, task, pi, q0, dt=1.0 / 30.0, duration=2.0)
     frames = synthesize_keypoint_frames(arm, traj.x)
-    rec = HumanArmRecording(frames=parse_keypoint_json(frames), fps=30.0, side="right")
+    rec = HumanArmRecording(frames=parse_keypoint_json(frames), fps=30.0)
     q_human, _ = keypoints_to_joint_angles(rec)
     q_err = float(np.max(np.abs(arm_angles_from_human(q_human) - traj.x)))
     assert q_err <= 1e-6
     ds, est_arm = recording_to_dataset(rec)
     learned = learn_constraint(ds, prior_pi=pi, k=2, representation="lambda",
-                               feature_fn=lambda q: jacobian(est_arm, q),
-                               opt=OptimizerConfig(**ARM_OPT, seed=0))
+                               feature_fn=lambda q: jacobian(est_arm, q))
     n_err = 0.0
     for q in ds.stack("x")[::6]:
         N_true = null_projector(model.A_at(q)).N

@@ -99,6 +99,14 @@ BAD_CONFIGS = [
      "imitator.row_correspondence[2]"),
     ("retarget-embodiment", {"imitator": {"row_correspondence": [0, 1]}},
      "imitator.row_correspondence"),
+    # a list entry may not repeat an earlier one: the report keys cases by their label
+    ("toy", {"policies": ["limit_cycle", "limit_cycle"]}, "policies[1]"),
+    ("three-link", {"cases": ["x", "y", "x"]}, "cases[2]"),
+    ("sweep", {"axes": {"data_size": [10, 10]}}, "axes.data_size[1]"),
+    ("sweep", {"axes": {"u_noise": [0.1, 0.2, 0.1]}}, "axes.u_noise[2]"),
+    ("sweep", {"axes": {"pi_noise": [0.0, 0.0]}}, "axes.pi_noise[1]"),
+    ("retarget-embodiment", {"imitator": {"row_correspondence": [1, 1, 0]}},
+     "imitator.row_correspondence[1]"),
     ("three-link", {"target_ranges": {"x_range": [0.01, -0.01], "y_range": [0.0, 0.02],
                                       "theta_range_deg": [0.0, 180.0]}},
      "target_ranges.x_range"),

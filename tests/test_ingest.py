@@ -13,7 +13,7 @@ from projlearn.ingest import (ELBOW, HAND, HAND_KEY, HAND_MIDDLE_KNUCKLE, SHOULD
                               recording_to_dataset, synthesize_keypoint_frames,
                               write_keypoint_files)
 from projlearn.kinematics import PlanarArm, jacobian
-from projlearn.learning import OptimizerConfig, learn_constraint
+from projlearn.learning import learn_constraint
 from projlearn.policies import PointAttractor, TaskPointAttractor
 from projlearn.simulator import SelectionConstraint, simulate_trajectory
 
@@ -29,7 +29,7 @@ def frame(shoulder, elbow, wrist, hip, hand):
 
 
 def recording(frames, fps=30.0):
-    return HumanArmRecording(frames=np.array(frames, dtype=float), fps=fps, side="right")
+    return HumanArmRecording(frames=np.array(frames, dtype=float), fps=fps)
 
 
 def loop_reference(frame_objs, floor, scale=300.0, side="right"):
@@ -400,10 +400,7 @@ class TestPipeline:
         ds, arm = recording_to_dataset(rec)
         pi = PointAttractor(target=arm_angles_from_human(np.deg2rad([-90.0, 90.0, 0.0])))
         learned = learn_constraint(ds, prior_pi=pi, k=2, representation="lambda",
-                                   feature_fn=lambda q: jacobian(arm, q),
-                                   opt=OptimizerConfig(restarts=6, max_iters=800,
-                                                       objective_tol=1e-12,
-                                                       param_tol=1e-10, seed=0))
+                                   feature_fn=lambda q: jacobian(arm, q))
         lam_true = diagonal_selection((1, 1, 0))
         worst = 0.0
         for q in ds.stack("x")[::10]:

@@ -97,7 +97,7 @@ class TestRetargetStep:
         for step in range(0, traj.n_samples, 8):
             x = traj.x[step] + rng.normal(0.0, 0.05, size=3)
             u = retarget_step(plan, x, step)
-            proj = plan.projector_at(x)
+            proj = null_projector(plan.execution_model.A_at(x))
             v = proj.A_pinv @ (proj.A @ u)
             w = u - v
             assert abs(float(v @ w)) < 1e-12
@@ -146,12 +146,12 @@ class TestRetargetStep:
                             task_source=ReplaySource(np.zeros((5, 2))),
                             pi_robot=ZeroPolicy(dim=3), demonstrator=tiny)
         x = np.array([0.1, 1.6, 0.1])
-        s = np.linalg.svd(plan.projector_at(x).A, compute_uv=False)
+        s = np.linalg.svd(plan.execution_model.A_at(x), compute_uv=False)
         assert s[-1] / s[0] > 0.2
         assert np.all(np.isfinite(retarget_step(plan, x, step=2)))
         with pytest.raises(RankCollapseError) as err:
             retarget_step(plan, np.zeros(3), step=3)
-        s = np.linalg.svd(plan.projector_at(np.zeros(3)).A, compute_uv=False)
+        s = np.linalg.svd(plan.execution_model.A_at(np.zeros(3)), compute_uv=False)
         assert err.value.sigma_ratio == pytest.approx(s[-1] / s[0], abs=1e-15)
 
     def test_plan_rejects_bad_inputs(self):

@@ -260,16 +260,55 @@ def _split_svd(A, B, PI):
             proj.sigma_ratio)
 
 
+def _split_one(A, b, pi):
+    """split_action of one sample A (k, n), b (k,), pi (n,) for k <= 2.
+
+    numpy's per-call overhead is most of the cost of one sample, so the trust
+    test, the solves and the ratio run in Python floats, with the formulas of
+    _gram_solve and split_action term for term. The sums over n stay in
+    einsum, which adds its lanes in an order Python's sum would not: one call
+    gives G = A A^T and c = A pi, one gives A^T z. The bits match the batched
+    path. Returns None when the Gram test fails.
+    """
+    k = len(A)
+    M = np.einsum("kj,lj->kl", A, np.concatenate((A, pi[None]))).tolist()
+    b = b.tolist()
+    if k == 1:
+        (g00, c0), = M
+        if not g00 > GRAM_DET_TOL * g00:
+            return None
+        Z = [(b[0] / g00, c0 / g00)]
+        ratio = 1.0
+    else:
+        (g00, g01, c0), (g10, g11, c1) = M
+        diag = g00 * g11
+        det = diag - g01 * g10
+        if not det > GRAM_DET_TOL * diag:
+            return None
+        Z = [((g11 * b[0] - g01 * b[1]) / det, (g11 * c0 - g01 * c1) / det),
+             ((g00 * b[1] - g10 * b[0]) / det, (g00 * c1 - g10 * c0) / det)]
+        # np.hypot, not math.hypot: Python's own hypot rounds differently.
+        lmax = 0.5 * (g00 + g11) + float(np.hypot(0.5 * (g00 - g11), g01))
+        ratio = math.sqrt(g00 * g11 - g01 * g01) / lmax
+    AZ = np.einsum("kj,kr->rj", A, Z)
+    return AZ[:1], pi - AZ[1:], np.array([ratio])
+
+
 def split_action(A, B, PI):
     """v_n = A_n^+ b_n, w_n = N_n pi_n and sigma_min/sigma_max of A_n: one rollout step.
 
     Stacks A (S, k, n), B (S, k), PI (S, n). For k = 1 and 2 one Gram matrix
     G = A A^T serves both solves and the ratio (1 for a nonzero row, sqrt(det
-    G) / lmax(G) for two); untrusted samples, and every sample for k >= 3,
-    for which no closed form of the ratio is coded, take null_projector.
+    G) / lmax(G) for two); a stack of one sample takes _split_one, the same
+    arithmetic in Python floats. Untrusted samples, and every sample for
+    k >= 3, for which no closed form of the ratio is coded, take
+    null_projector.
     """
     if A.shape[1] > 2:
         return _split_svd(A, B, PI)
+    if len(A) == 1:
+        one = _split_one(A[0], B[0], PI[0])
+        return _split_svd(A, B, PI) if one is None else one
     G = np.einsum("skj,slj->skl", A, A)
     # Both right-hand sides in one call: per-call overhead dominates small stacks.
     Z, ok = _gram_solve(np.concatenate([G, G]),

@@ -1,15 +1,29 @@
 """Planar revolute-chain kinematics.
 
 joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of states.
+end_pose and jacobian take a scalar path for a single state (n,) that gives
+the same bits as a row of the batched call.
 """
 
+import math
 from dataclasses import dataclass
+from functools import reduce
+from itertools import accumulate
+from operator import add
 
 import numpy as np
 
 
 def wrap_angle(theta):
-    """Wrap an angle (or array of angles) to the half-open interval (-pi, pi]."""
+    """Wrap an angle (or array of angles) to the half-open interval (-pi, pi].
+
+    A float (np.float64 included) gives a Python float; anything else goes
+    through numpy and gives an ndarray.
+    """
+    if isinstance(theta, float):  # np.float64 included
+        # Python's % rounds as np.mod does, without numpy's per-call overhead.
+        wrapped = float(theta) % (2.0 * np.pi)
+        return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
     wrapped = np.mod(theta, 2.0 * np.pi)
     # np.mod returns [0, 2pi); fold the upper half down, keeping +pi itself.
     return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
@@ -50,9 +64,24 @@ def _check_states(arm: PlanarArm, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != arm.n:
         raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
-    if not np.isfinite(q).all():
+    # One state: a loop over floats costs less than numpy's per-call overhead.
+    finite = all(map(math.isfinite, q.tolist())) if q.ndim == 1 else np.isfinite(q).all()
+    if not finite:
         raise ValueError("joint angles must be finite")
     return q
+
+
+def _link_terms(arm: PlanarArm, q: np.ndarray):
+    """l_i cos(q_1 + ... + q_i) and l_i sin(...) of one state (n,), as lists of floats.
+
+    The one-state path of end_pose and jacobian: numpy's per-call overhead
+    is most of the cost of a single state, so their sums run over these
+    lists, one at a time in the order the batched cumsums take, and give the
+    same bits.
+    """
+    angles = q.cumsum()
+    return ([l * c for l, c in zip(arm.link_lengths, np.cos(angles).tolist())],
+            [l * s for l, s in zip(arm.link_lengths, np.sin(angles).tolist())])
 
 
 def joint_positions(arm: PlanarArm, q) -> np.ndarray:
@@ -83,6 +112,11 @@ def end_pose(arm: PlanarArm, q) -> np.ndarray:
     orientation is the plain angle sum wrapped to (-pi, pi]. q of shape
     (..., n) gives (..., 3).
     """
+    if np.ndim(q) == 1:
+        q = _check_states(arm, q)
+        coss, sins = _link_terms(arm, q)
+        # q.sum(), not a running sum: np.sum adds pairwise.
+        return np.array([reduce(add, coss), reduce(add, sins), wrap_angle(q.sum())])
     pts = joint_positions(arm, q)
     pose = np.empty(pts.shape[:-2] + (3,))
     pose[..., :2] = pts[..., -1, :]
@@ -95,19 +129,22 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
 
     Broadcasts over leading axes: a single state (n,) gives a (3, n)
     matrix, a stack of states (..., n) gives (..., 3, n) whose slices equal
-    the single-state calls. The last axis must still hold exactly n finite
-    angles. joint_positions and end_pose broadcast the same way. The
-    orientation row is all ones: every revolute joint contributes its rate
-    directly to the end-effector orientation.
+    the single-state calls bit for bit. The last axis must still hold
+    exactly n finite angles. joint_positions and end_pose broadcast the
+    same way. The orientation row is all ones: every revolute joint
+    contributes its rate directly to the end-effector orientation.
     """
     q = _check_states(arm, q)
+    # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); a reverse cumsum keeps it O(n).
+    if q.ndim == 1:
+        coss, sins = _link_terms(arm, q)
+        return np.array([[-s for s in accumulate(sins[::-1])][::-1],
+                         [*accumulate(coss[::-1])][::-1], [1.0] * arm.n])
     angles = q.cumsum(-1)
     lengths = np.asarray(arm.link_lengths)
     sins = lengths * np.sin(angles)
     coss = lengths * np.cos(angles)
     J = np.ones(q.shape[:-1] + (3, arm.n))
-    # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); reverse cumsum keeps it O(n).
     J[..., 0, :] = -sins[..., ::-1].cumsum(-1)[..., ::-1]
     J[..., 1, :] = coss[..., ::-1].cumsum(-1)[..., ::-1]
     return J
-

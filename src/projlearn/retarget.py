@@ -105,10 +105,9 @@ class RetargetPlan:
             raise ValueError("row correspondence must be injective")
         self.row_correspondence = corr
         if self.imitator is not None:
-            arm = self.imitator
+            arm, rows = self.imitator, np.array(corr)
             self.execution_model = SelectionConstraint(
-                lam=self.constraint.lam,
-                feature=lambda q: jacobian(arm, q)[..., list(corr), :])
+                lam=self.constraint.lam, feature=lambda q: jacobian(arm, q)[..., rows, :])
         else:
             self.execution_model = self.constraint
         self.arm = self.imitator if self.imitator is not None else self.demonstrator

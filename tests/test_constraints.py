@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from projlearn.constraints import (Projector, SelectionConstraint, SphericalConstraint,
-                                   _gram_solve, build_constraint_rows,
+from projlearn.constraints import (GRAM_DET_TOL, Projector, SelectionConstraint,
+                                   SphericalConstraint, _gram_solve, _split_one, _split_svd,
+                                   build_constraint_rows,
                                    constraint_angles, diagonal_selection,
                                    null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
                                    spherical_param_count, split_action)
 from projlearn.kinematics import PlanarArm, jacobian
+from test_kinematics import same_bits
 
 
 def unit_from_angles(angles, n):
@@ -357,6 +359,56 @@ class TestSplitAction:
         A = rng.normal(size=(10, 3, 4))
         B, PI = rng.normal(size=(10, 3)), rng.normal(size=(10, 4))
         self.check(A, B, PI)
+
+
+class TestSplitActionOneSample:
+    """A stack of one sample takes the scalar path; it must give the bits of the batched one."""
+
+    @staticmethod
+    def one_and_two(A, b, pi):
+        # two copies of the sample take the vectorised path
+        one = split_action(A[None], b[None], pi[None])
+        two = split_action(np.stack([A, A]), np.stack([b, b]), np.stack([pi, pi]))
+        return one, two
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_equals_row_0_of_the_batched_result(self, k, n):
+        rng = np.random.default_rng(70 + 10 * k + n)
+        for i in range(300):
+            A = rng.normal(size=(k, n)) * 10.0 ** rng.integers(-3, 4)
+            b, pi = rng.normal(size=k), rng.normal(size=n)
+            if i % 3 == 0:
+                A[:, rng.integers(n)] = 0.0
+                pi[rng.integers(n)] = -0.0
+            assert _split_one(A, b, pi) is not None
+            one, two = self.one_and_two(A, b, pi)
+            for got, ref in zip(one, two):
+                assert got.shape == ref[:1].shape and same_bits(got, ref[:1]), i
+
+    @staticmethod
+    def fallbacks():
+        rng = np.random.default_rng(48)
+        a, c = rng.normal(size=3), rng.normal(size=3)
+        # rows 1e-4 rad apart: det / prod(diag) is about 1e-8, below GRAM_DET_TOL
+        near = np.array([a, a + 1e-4 * np.linalg.norm(a) * c / np.linalg.norm(c)])
+        return [np.zeros((1, 3)), near, rng.normal(size=(3, 4))]
+
+    @pytest.mark.parametrize("case", [0, 1, 2], ids=["zero_row", "near_parallel", "k3"])
+    def test_fallbacks_equal_the_svd(self, case):
+        A = self.fallbacks()[case]
+        k, n = A.shape
+        if k == 2:
+            G = A @ A.T
+            assert np.linalg.det(G) < GRAM_DET_TOL * G[0, 0] * G[1, 1]
+        if k <= 2:
+            assert _split_one(A, np.ones(k), np.ones(n)) is None
+        rng = np.random.default_rng(49)
+        b, pi = rng.normal(size=k), rng.normal(size=n)
+        one, two = self.one_and_two(A, b, pi)
+        ref = _split_svd(A[None], b[None], pi[None])
+        for got, batched, svd in zip(one, two, ref):
+            assert same_bits(got, svd) and same_bits(got, batched[:1])
 
 
 class TestSphericalConstraint:

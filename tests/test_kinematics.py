@@ -136,6 +136,58 @@ class TestJacobian:
             jacobian(ARM3, Q)
 
 
+def same_bits(a, b):
+    # equal values and equal signs of zero
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestOneStatePath:
+    """A single state (n,) takes a scalar path; it must give the bits of the batched call."""
+
+    @staticmethod
+    def states(n, seed):
+        # several turns per joint, and states whose angle sum is exactly +-pi
+        Q = np.random.default_rng(seed).uniform(-6.0 * np.pi, 6.0 * np.pi, size=(200, n))
+        edge = np.zeros((5, n))
+        edge[0, 0], edge[1, -1] = np.pi, -np.pi
+        # the same sums from two joints when n > 1
+        edge[2, -2:], edge[3, -2:] = np.pi / 2, -np.pi / 2
+        edge[4] = -0.0
+        return np.concatenate([Q, edge])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("fn", [jacobian, end_pose])
+    def test_single_state_equals_batched_row(self, fn, n):
+        arm = PlanarArm(tuple(np.random.default_rng(n).uniform(0.05, 1.5, n)))
+        Q = self.states(n, seed=60 + n)
+        stacked = fn(arm, Q)
+        for i, q in enumerate(Q):
+            assert same_bits(fn(arm, q), stacked[i]), (i, q)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    def test_sum_of_plus_or_minus_pi_wraps_to_plus_pi(self, n):
+        arm = PlanarArm((0.2,) * n)
+        edge = [q for q in self.states(n, seed=0)[-5:] if abs(np.sum(q)) == np.pi]
+        assert len(edge) == (2 if n == 1 else 4)
+        for q in edge:
+            assert end_pose(arm, q)[2] == np.pi
+
+    def test_wrap_angle_of_a_float_equals_the_array_call(self):
+        a = np.concatenate([np.random.default_rng(7).uniform(-40.0, 40.0, 2000),
+                            np.pi * np.arange(-6, 7), [-0.0]])
+        for x, w in zip(a, wrap_angle(a)):
+            assert same_bits(wrap_angle(x), w), x
+
+    @pytest.mark.parametrize("fn", [jacobian, end_pose])
+    def test_single_state_rejects_bad_input(self, fn):
+        with pytest.raises(ValueError):
+            fn(ARM3, np.zeros(2))
+        with pytest.raises(ValueError):
+            fn(ARM3, np.array([0.1, np.nan, 0.2]))
+        with pytest.raises(ValueError):
+            fn(ARM3, np.array([0.1, np.inf, 0.2]))
+
+
 class TestPlanarArm:
     def test_rejects_nonpositive_links(self):
         with pytest.raises(ValueError):

@@ -43,7 +43,7 @@ def reach_frames(reach: dict) -> list:
 def main():
     out_root = Path(__file__).resolve().parent.parent / "configs" / "data" / "keypoints_demo"
     for i, reach in enumerate(REACHES):
-        paths = write_keypoint_files(reach_frames(reach), out_root / f"traj_{i}", prefix="demo")
+        paths = write_keypoint_files(reach_frames(reach), out_root / f"traj_{i}")
         print(f"traj_{i}: {len(paths)} frames -> {paths[0].parent}")
 
 

@@ -415,22 +415,15 @@ class SelectionConstraint:
         return np.asarray(task_rate, dtype=float) @ self.lam.T
 
 
-def diagonal_selection(pattern, p: int = 3) -> np.ndarray:
-    """Rows of the identity picked out by a 0/1 mask or an index list.
+def diagonal_selection(mask) -> np.ndarray:
+    """Rows of the p x p identity that a 0/1 mask of length p picks out.
 
-    A sequence of length p whose entries are all 0 or 1 is read as a mask,
-    anything else as row indices: diagonal_selection((1, 0, 1)) and
-    diagonal_selection([0, 2]) both give [[1,0,0],[0,0,1]].
+    diagonal_selection((1, 0, 1)) gives [[1,0,0],[0,0,1]]. Any entry other
+    than 0 or 1 is rejected, so a list of row indices cannot pass for a mask.
     """
-    pattern = [int(v) for v in pattern]
-    if len(pattern) == p and all(v in (0, 1) for v in pattern):
-        idx = [i for i, v in enumerate(pattern) if v == 1]
-    else:
-        idx = sorted(pattern)
-    if len(idx) == 0:
-        raise ValueError("selection pattern picks no rows")
-    if any(i < 0 or i >= p for i in idx):
-        raise ValueError(f"row index out of range for p={p}")
-    if len(set(idx)) != len(idx):
-        raise ValueError("duplicate rows in selection pattern")
-    return np.eye(p)[idx]
+    mask = list(mask)
+    if not all(v in (0, 1) for v in mask):
+        raise ValueError(f"selection mask must hold only 0s and 1s, got {mask}")
+    if 1 not in mask:
+        raise ValueError("selection mask picks no rows")
+    return np.eye(len(mask))[[i for i, v in enumerate(mask) if v == 1]]

@@ -686,15 +686,16 @@ def run_ingest_learn(cfg: dict) -> dict:
 def check_acceptance(cfg: dict, result: dict) -> list:
     """Compare a finished run's checks against thresholds from the config, if any.
 
-    A max_* check fails when its value exceeds the threshold; a require_*
-    check, when the key is true and its value, the violation flag, is true.
-    Returns human-readable violation strings; empty means all good.
+    A max_* check fails when its value exceeds the threshold or is NaN; a
+    require_* check, when the key is true and its value, the violation flag,
+    is true. Returns human-readable violation strings; empty means all good.
     """
     spec = cfg.get("acceptance") or {}
     violations = []
     for label, key, value in result["checks"]:
-        if key.startswith("max_") and key in spec and value > spec[key]:
-            violations.append(f"{label} = {value:.3e} exceeds {key} = {spec[key]:.3e}")
+        if key.startswith("max_") and key in spec and not value <= spec[key]:
+            verdict = "is NaN, which fails" if np.isnan(value) else f"= {value:.3e} exceeds"
+            violations.append(f"{label} {verdict} {key} = {spec[key]:.3e}")
         elif key.startswith("require_") and spec.get(key) and value:
             violations.append(label)
     return violations

@@ -242,13 +242,13 @@ def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, origin_px=(640.0, 360.0),
     return frames
 
 
-def write_keypoint_files(frames, directory, prefix: str = "frame"):
-    """One JSON file per frame, named like a pose-estimator output directory."""
+def write_keypoint_files(frames, directory):
+    """One JSON file per frame, demo_<index>_keypoints.json like a pose-estimator output."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, frame in enumerate(frames):
-        p = directory / f"{prefix}_{i:012d}_keypoints.json"
+        p = directory / f"demo_{i:012d}_keypoints.json"
         p.write_text(json.dumps(frame))
         paths.append(p)
     return paths

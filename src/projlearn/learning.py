@@ -12,8 +12,10 @@ identity behind it: d = u - pi = A^+ (b - A pi) lies in the row space of
 A(x), so N(x) d = 0. For A = Lambda Phi the rows of Lambda therefore span
 the top k eigenvectors of sum z z^T with z = (Phi Phi^T)^-1 Phi d; a
 constant constraint is the case Phi = I, with z = d. That start is exact on
-clean data for every k and is then the answer. On data with no exact fit
-one Levenberg-Marquardt fit of the residuals N(x_n) d_n follows it.
+clean data for every k. For a constant constraint it is always the answer:
+the top k eigenvectors of D^T D minimise sum |N d|^2 (Ky Fan's maximum
+principle). For A = Lambda Phi on data with no exact fit one
+Levenberg-Marquardt fit of the residuals N(x_n) d_n follows it.
 
 The module also carries the two-stage approach from earlier work, used here
 as a comparison baseline: first separate a null-space component out of raw
@@ -31,8 +33,8 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
-                          constraint_angles, diagonal_selection, feature_stack,
-                          null_space_apply, pinv_apply, spherical_param_count)
+                          constraint_angles, feature_stack, null_space_apply, pinv_apply,
+                          spherical_param_count)
 from .metrics import _l1_score, _stacked
 from .simulator import Dataset
 
@@ -228,17 +230,17 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     returned as angles; it rejects a ``feature_fn``.
 
     Every learn starts from the top k eigenvectors of the row-space scatter
-    (``_row_space_start``). The start is the answer when it is an exact fit
-    (score at most 1e-8 times the summed action norm, as on clean data).
-    Otherwise one Levenberg-Marquardt fit of the residuals N(x_n) d_n
-    follows (``_fit_row_span``); for a constant constraint the start already
-    minimises them, so the fit stops after a few evaluations. No learn reads
-    ``opt``; it stays in the signature because the benchmark passes it.
-    ``objective_value`` is the score of the fitted rows. The diagnostics
-    carry the scatter eigenvalues ``spectrum`` (descending), the start's
-    score ``start_score``, the ``learner_path`` ("closed_form" or
-    "least_squares") and the ``objective_evals`` spent, score and residual
-    evaluations together.
+    (``_row_space_start``). A constant constraint takes them as they are:
+    they minimise the residuals N d_n in closed form. A "lambda" learn takes
+    them when they are an exact fit (score at most 1e-8 times the summed
+    action norm, as on clean data), and otherwise runs one
+    Levenberg-Marquardt fit of the residuals N(x_n) d_n from them
+    (``_fit_row_span``). No learn reads ``opt``; it stays in the signature
+    because the benchmark passes it. ``objective_value`` is the score of the
+    fitted rows. The diagnostics carry the scatter eigenvalues ``spectrum``
+    (descending), the start's score ``start_score``, the ``learner_path``
+    ("closed_form" or "least_squares") and the ``objective_evals`` spent,
+    score and residual evaluations together.
     """
     X, U, PI = _stacked(dataset, prior_pi)
     D = U - PI
@@ -261,7 +263,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     lam = basis[:, :k].T
     start_score = value = score(lam)
     path, nfev = "closed_form", 0
-    if start_score > _exact_fit_floor(U):
+    if representation == "lambda" and start_score > _exact_fit_floor(U):
         lam, nfev = _fit_row_span(Phi, lambda A: null_space_apply(A, D), basis, k)
         path, value = "least_squares", score(lam)
     if representation == "spherical":
@@ -288,17 +290,15 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
 
 # --- baseline: learn the selection matrix from an estimated w ---------------------
 
-def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
-                           mode: str = "continuous"):
+def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int):
     """Fit Lambda so the estimated null-space motion is annihilated by Lambda Phi.
 
     Minimises sum_n w_n^T (Lambda Phi_n)^+ (Lambda Phi_n) w_n. The sum is
     zero exactly when the rows of Lambda are orthogonal to every
-    v_n = Phi_n w_n, so mode "continuous" starts from the bottom k
-    eigenvectors of sum v v^T and runs the learner's Levenberg-Marquardt fit
+    v_n = Phi_n w_n, so the fit starts from the bottom k eigenvectors of
+    sum v v^T and runs the learner's Levenberg-Marquardt fit
     (``_fit_row_span``) of the residuals (Lambda Phi_n)^+ (Lambda Phi_n) w_n,
-    returning orthonormal rows. Mode "diagonal" enumerates the k-subsets of
-    feature rows and is mainly useful as an exhaustive cross-check.
+    returning orthonormal rows.
 
     Returns (lam, objective_value).
     """
@@ -309,22 +309,12 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int,
     if float(np.max(np.linalg.norm(W_hat, axis=1))) == 0.0:
         raise ValueError("w_hat is identically zero; nothing constrains the fit")
     Phi = feature_stack(feature_fn, X)
-    p = Phi.shape[1]
-    spherical_param_count(k, p)  # validates k
+    spherical_param_count(k, Phi.shape[1])  # validates k
     inside = lambda A: pinv_apply(A, np.einsum("skj,sj->sk", A, W_hat))  # A_n^+ A_n w_n
-    energy = lambda lam: float(np.sum(inside(lam @ Phi) ** 2))
-
-    if mode == "diagonal":
-        from itertools import combinations
-        candidates = [diagonal_selection(list(rows), p) for rows in combinations(range(p), k)]
-        return min(((lam, energy(lam)) for lam in candidates), key=lambda c: c[1])
-    if mode != "continuous":
-        raise ValueError(f"unknown mode {mode!r}")
-
     V = np.einsum("spj,sj->sp", Phi, W_hat)
     basis = np.linalg.eigh(V.T @ V)[1]  # ascending: the first k columns span the start
     lam, _ = _fit_row_span(Phi, inside, basis, k)
-    return lam, energy(lam)
+    return lam, float(np.sum(inside(lam @ Phi) ** 2))
 
 
 # --- baseline: separate w out of raw actions without a prior ----------------------

@@ -82,19 +82,6 @@ def consistency_error(model, dataset: Dataset, prior_pi=None) -> float:
                        dataset.n_samples, action_std(dataset))
 
 
-def projector_distance(N_a, N_b) -> float:
-    """Frobenius distance between two projectors.
-
-    The constraint matrix itself is only identifiable up to an orthonormal
-    re-mixing of its rows, so closeness claims are made on N, never on A.
-    """
-    N_a = np.asarray(N_a, dtype=float)
-    N_b = np.asarray(N_b, dtype=float)
-    if N_a.shape != N_b.shape:
-        raise ValueError("projector shapes differ")
-    return float(np.linalg.norm(N_a - N_b, ord="fro"))
-
-
 def eval_learned_constraint(model, test_set: Dataset) -> dict:
     """E_w and E_N of a learned model on held-out data.
 

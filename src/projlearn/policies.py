@@ -30,22 +30,24 @@ class LinearPolicy:
         return -(x @ self.L[:, :-1].T + self.L[:, -1])
 
 
+# The toy limit cycle's squared radius and angular rate.
+LIMIT_CYCLE_RHO0 = 0.75
+LIMIT_CYCLE_OMEGA = 1.0
+
+
 @dataclass(frozen=True)
 class LimitCyclePolicy:
     """Polar-coordinate limit cycle rho' = rho (rho0 - rho^2), phi' = omega."""
-
-    rho0: float = 0.75
-    omega: float = 1.0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         rho = np.hypot(x[..., 0], x[..., 1])
         phi = np.arctan2(x[..., 1], x[..., 0])
-        rho_dot = rho * (self.rho0 - rho * rho)
+        rho_dot = rho * (LIMIT_CYCLE_RHO0 - rho * rho)
         c, s = np.cos(phi), np.sin(phi)
         # rho = 0 gives phi = 0 and so an exact zero, the fixed point.
-        return np.stack([rho_dot * c - rho * self.omega * s,
-                         rho_dot * s + rho * self.omega * c], axis=-1)
+        return np.stack([rho_dot * c - rho * LIMIT_CYCLE_OMEGA * s,
+                         rho_dot * s + rho * LIMIT_CYCLE_OMEGA * c], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -71,16 +73,6 @@ class PointAttractor:
 
     def __call__(self, x):
         return self.beta * (self.target - np.asarray(x, dtype=float))
-
-
-@dataclass(frozen=True, eq=False)
-class ZeroPolicy:
-    """Always returns a zero vector; handy for degenerate-case checks."""
-
-    dim: int
-
-    def __call__(self, x):
-        return np.zeros(np.shape(x)[:-1] + (self.dim,))
 
 
 @dataclass(frozen=True, eq=False)

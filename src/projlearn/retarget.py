@@ -8,7 +8,7 @@ onto the imitator's Jacobian through a row correspondence that matches task
 coordinates by meaning.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,7 +77,7 @@ class AttractorSource:
         return plan.execution_model.lam @ (self.gain * err)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class RetargetPlan:
     """Everything needed to run a learned task with a substituted policy.
 
@@ -86,7 +86,8 @@ class RetargetPlan:
     data came from. imitator: the executing arm when it differs; its
     Jacobian replaces the demonstrator's through row_correspondence, which
     maps each feature row of the learned coefficients to the imitator
-    Jacobian row with the same task meaning.
+    Jacobian row with the same task meaning. The plan is frozen, since the
+    executing arm and execution_model are derived from these fields once.
     """
 
     constraint: SelectionConstraint
@@ -95,6 +96,8 @@ class RetargetPlan:
     demonstrator: PlanarArm
     imitator: PlanarArm | None = None
     row_correspondence: tuple = (0, 1, 2)
+    execution_model: SelectionConstraint = field(init=False, repr=False)
+    arm: PlanarArm = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.constraint, SelectionConstraint):
@@ -103,33 +106,28 @@ class RetargetPlan:
         corr = tuple(int(i) for i in self.row_correspondence)
         if len(set(corr)) != len(corr):
             raise ValueError("row correspondence must be injective")
-        self.row_correspondence = corr
+        object.__setattr__(self, "row_correspondence", corr)
+        arm, model = self.demonstrator, self.constraint
         if self.imitator is not None:
             arm, rows = self.imitator, np.array(corr)
-            self.execution_model = SelectionConstraint(
-                lam=self.constraint.lam, feature=lambda q: jacobian(arm, q)[..., rows, :])
-        else:
-            self.execution_model = self.constraint
-        self.arm = self.imitator if self.imitator is not None else self.demonstrator
+            model = SelectionConstraint(lam=model.lam,
+                                        feature=lambda q: jacobian(arm, q)[..., rows, :])
+        object.__setattr__(self, "execution_model", model)
+        object.__setattr__(self, "arm", arm)
 
 
 def _step(plan: RetargetPlan, x: np.ndarray, step: int):
-    """The retargeted action at x and the constraint matrix A(x) it was formed with."""
+    """The retargeted action u = A^+ b + N pi_robot at x, and the A(x) it was formed with.
+
+    Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
+    RANK_TOL, the same scale-free test the data rollouts use.
+    """
     A = plan.execution_model.A_at(x)
     b = np.asarray(plan.task_source.rate(plan, x, step), dtype=float)
     v, w, ratio = split_action(A[None], b[None], np.asarray(plan.pi_robot(x), dtype=float)[None])
     if ratio[0] < RANK_TOL:
         raise RankCollapseError(step, float(ratio[0]))
     return v[0] + w[0], A
-
-
-def retarget_step(plan: RetargetPlan, x, step: int = 0) -> np.ndarray:
-    """One action of the retargeted controller: u = A^+ b + N pi_robot.
-
-    Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
-    RANK_TOL, the same scale-free test the data rollouts use.
-    """
-    return _step(plan, np.asarray(x, dtype=float), step)[0]
 
 
 def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> Trajectory:
@@ -166,9 +164,6 @@ class ObstacleRegion:
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("rectangle must have positive area")
-
-    def contains(self, p) -> bool:
-        return bool(self.x_min <= p[0] <= self.x_max and self.y_min <= p[1] <= self.y_max)
 
     @property
     def corners(self) -> np.ndarray:

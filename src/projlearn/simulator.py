@@ -129,20 +129,19 @@ def add_noise(dataset: Dataset, spec: NoiseSpec, seed) -> Dataset:
     return Dataset(trajectories=out, meta=meta)
 
 
-def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None = None,
-                         r_star: float | None = None) -> Dataset:
+def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None = None) -> Dataset:
     """I.i.d. two-dimensional samples under a one-dimensional constraint.
 
     The constraint direction is a random unit vector alpha(theta) with
     theta ~ U[0, pi); states are drawn from U[-1, 1]^2 and the task policy
     is a point attractor b = r* - alpha . x toward a random target
-    r* ~ U[-2, 2]. theta and r* can be pinned for reproducibility studies.
+    r* ~ U[-2, 2]. theta can be pinned, which skips its draw.
     """
     if n_points < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     theta = float(rng.uniform(0.0, np.pi)) if theta is None else float(theta)
-    r_star = float(rng.uniform(-2.0, 2.0)) if r_star is None else float(r_star)
+    r_star = float(rng.uniform(-2.0, 2.0))
     X = rng.uniform(-1.0, 1.0, size=(n_points, 2))
     model = SphericalConstraint(theta=(theta,), k=1, n=2)
     A = model.matrix

@@ -21,8 +21,7 @@ from projlearn.ingest import (HumanArmRecording, arm_angles_from_human,
                               recording_to_dataset, synthesize_keypoint_frames)
 from projlearn.kinematics import PlanarArm, end_pose, jacobian, wrap_angle
 from projlearn.learning import learn_constraint
-from projlearn.metrics import (consistency_objective, eval_learned_constraint,
-                               projector_distance)
+from projlearn.metrics import consistency_objective, eval_learned_constraint
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (NoiseSpec, add_noise, generate_arm_dataset,
                                  generate_toy_dataset, simulate_trajectory, split_dataset)
@@ -330,7 +329,7 @@ def _property_ingest_round_trip():
     n_err = 0.0
     for q in ds.stack("x")[::6]:
         N_true = null_projector(model.A_at(q)).N
-        n_err = max(n_err, projector_distance(learned.model.projector_at(q).N, N_true))
+        n_err = max(n_err, np.linalg.norm(learned.model.projector_at(q).N - N_true))
     assert n_err <= 1e-4
     return q_err, n_err
 

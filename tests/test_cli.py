@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from projlearn import learning
+from projlearn import experiments, learning
 from projlearn.cli import ConfigError, main, validate_config, write_trials_csv
 from projlearn.experiments import (ACCEPTANCE, OPTIONAL, REQUIRED, RUNNERS, SCHEMAS,
                                    check_acceptance, config_hash, run_retarget_obstacle)
@@ -271,6 +271,12 @@ class TestAcceptanceChecks:
         assert check_acceptance({"acceptance": {key: tight}}, result) == [
             f"{label} = {value:.3e} exceeds {key} = {tight:.3e}"]
 
+    def test_nan_fails_a_max_key(self):
+        # NaN compares false with everything, so "value > threshold" let it pass
+        result = {"checks": [("e", "max_e_n", float("nan"))]}
+        assert check_acceptance({"acceptance": {"max_e_n": 1e-10}}, result) == [
+            "e is NaN, which fails max_e_n = 1.000e-10"]
+
     @pytest.mark.parametrize("key,obstacle,violation", FLIPS, ids=[k for k, _, _ in FLIPS])
     def test_require_key(self, checks, key, obstacle, violation):
         cfg = self.RUNS["retarget-obstacle"]
@@ -401,6 +407,12 @@ class TestMainExitCodes:
     def test_acceptance_violation_exits_1(self, tmp_path):
         cfg = tiny_toy_cfg(acceptance={"max_mean_e_w": 1e-40})
         path = write_cfg(tmp_path, cfg)
+        assert main(["toy", path, "--out", str(tmp_path / "out")]) == 1
+
+    def test_nan_mean_exits_1(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(experiments, "eval_learned_constraint",
+                            lambda model, test: {"e_w": float("nan"), "e_n": 0.0})
+        path = write_cfg(tmp_path, tiny_toy_cfg(acceptance={"max_mean_e_w": 1e-6}))
         assert main(["toy", path, "--out", str(tmp_path / "out")]) == 1
 
     def test_acceptance_pass_exits_0(self, tmp_path):

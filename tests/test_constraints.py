@@ -187,6 +187,12 @@ class TestNullProjector:
             proj = null_projector(A)
             assert np.max(np.abs(A @ proj.N)) < 1e-10
 
+    def test_row_mixing_invariance(self):
+        # remixing the rows of A changes A but not the projector
+        A = build_constraint_rows(np.array([0.3, 1.2, -0.4]), 2, 3)
+        R = np.array([[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]])
+        assert np.linalg.norm(null_projector(A).N - null_projector(R @ A).N) < 1e-12
+
 
 class TestBatchedProjection:
     """The stacked Gram-solve path against per-sample null_projector."""
@@ -450,13 +456,14 @@ class TestDiagonalSelection:
         assert np.array_equal(diagonal_selection((1, 0, 1)),
                               np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]))
 
-    def test_index_form(self):
-        assert np.array_equal(diagonal_selection([2], 3), np.array([[0.0, 0.0, 1.0]]))
+    def test_mask_length_is_the_feature_count(self):
+        # [0, 1] is a mask over two rows, never the index list of rows 0 and 1
+        assert np.array_equal(diagonal_selection([0, 1]), np.array([[0.0, 1.0]]))
 
     def test_rejects_bad_patterns(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="picks no rows"):
             diagonal_selection((0, 0, 0))
-        with pytest.raises(ValueError):
-            diagonal_selection([0, 0], 3)
-        with pytest.raises(ValueError):
-            diagonal_selection([5], 3)
+        # index lists and entries other than 0 and 1
+        for bad in ([2], [0, 2], [5], (1, 0.5, 0), (1, -1, 0), (1, np.nan, 0)):
+            with pytest.raises(ValueError, match="only 0s and 1s"):
+                diagonal_selection(bad)

@@ -294,7 +294,7 @@ class TestFileReading:
     def make_files(self, tmp_path, n_frames=6):
         Q_arm = np.linspace([-1.6, 0.3, 0.1], [-1.2, 0.9, -0.2], n_frames)
         frames = synthesize_keypoint_frames(HUMAN_ARM, Q_arm)
-        write_keypoint_files(frames, tmp_path / "rec", prefix="demo")
+        write_keypoint_files(frames, tmp_path / "rec")
         return Q_arm, frames
 
     def test_directory_of_numbered_files(self, tmp_path):

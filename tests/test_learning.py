@@ -13,8 +13,7 @@ from projlearn.learning import (OptimizationError, OptimizerConfig, baseline_obj
                                 baseline_separate_nullspace, learn_constraint,
                                 learn_selection_matrix, optimize)
 from projlearn.metrics import consistency_objective, eval_learned_constraint, nmse_w
-from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
-                               SinusoidalPolicy, ZeroPolicy)
+from projlearn.policies import LimitCyclePolicy, LinearPolicy, PointAttractor, SinusoidalPolicy
 from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
                                  generate_arm_dataset, generate_toy_dataset, split_dataset)
 
@@ -35,6 +34,11 @@ def restart_search(objective, dim: int, opt: OptimizerConfig):
     sampler = learning._screened_sampler(objective, dim)
     return learning.optimize(objective, sampler(np.random.default_rng(opt.seed)), opt,
                              sampler=sampler)
+
+
+def zero_prior(x):
+    """A secondary policy that is zero everywhere, for any state dimension."""
+    return np.zeros_like(np.asarray(x, dtype=float))
 
 
 def toy(seed, n_points=150, theta=None):
@@ -102,7 +106,7 @@ class TestConsistencyObjective:
             consistency_objective(cand, ds), rel=1e-14)
 
     def test_zero_prior_zeroes_every_candidate(self):
-        ds = generate_toy_dataset(50, seed=6, null_policy=ZeroPolicy(dim=2))
+        ds = generate_toy_dataset(50, seed=6, null_policy=zero_prior)
         for theta in (0.1, 0.9, 2.2):
             cand = SphericalConstraint(theta=(theta,), k=1, n=2)
             assert consistency_objective(cand, ds) == 0.0
@@ -141,7 +145,7 @@ class TestLearnToyConstraint:
         assert learned.objective_value <= 1e-8 * action_norm_sum(ds)
 
     def test_degenerate_prior_is_flagged(self):
-        ds = generate_toy_dataset(60, seed=8, null_policy=ZeroPolicy(dim=2))
+        ds = generate_toy_dataset(60, seed=8, null_policy=zero_prior)
         with pytest.warns(UserWarning):
             learned = learn_constraint(ds, k=1)
         assert learned.diagnostics["degenerate_prior_fraction"] > 0.5
@@ -172,7 +176,7 @@ class TestLearnArmConstraint:
         with pytest.raises(ValueError, match="broadcast"):
             learn_constraint(ds, k=1, representation="lambda", feature_fn=feature)
         with pytest.raises(ValueError, match="broadcast"):
-            learn_selection_matrix(ds, ds.stack("w"), feature, k=1, mode="diagonal")
+            learn_selection_matrix(ds, ds.stack("w"), feature, k=1)
 
     @pytest.mark.parametrize("representation,k", [("spherical", 0), ("spherical", -1),
                                                   ("spherical", 3), ("lambda", 0),
@@ -224,9 +228,9 @@ class TestLiftedStart:
     """The closed-form start: the top eigenvectors of the row-space scatter of d = u - pi.
 
     The slow reference is the screened-restart search of the L1 score. On
-    clean data the start, returned as it is, must score no worse than it; on
-    noisy data the least-squares fit must leave no larger residuals N d than
-    the search's answer does.
+    clean data the start, returned as it is, must score no worse than it. On
+    noisy data a "lambda" learn's least-squares fit, and a constant learn's
+    start, must leave no larger residuals N d than the search's answer does.
     """
 
     @staticmethod
@@ -249,14 +253,13 @@ class TestLiftedStart:
         A_ref = rows(searched.params)
         learned = learn_constraint(ds, k=k)
         A = learned.model.matrix
+        assert learned.diagnostics["learner_path"] == "closed_form"
         if noisy:
-            assert learned.diagnostics["learner_path"] == "least_squares"
             assert residual(A, Phi, D) <= residual(A_ref, Phi, D) * (1.0 + 1e-9)
             # for a constant constraint the least-squares optimum is the top-k PCA of d
             top = np.linalg.eigh(D.T @ D)[1][:, -k:]
             assert np.max(np.abs(A.T @ A - top @ top.T)) < 1e-8
         else:
-            assert learned.diagnostics["learner_path"] == "closed_form"
             self.assert_no_worse(learned.objective_value,
                                  learning._l1_score(PI, D, A_ref @ Phi))
 
@@ -298,6 +301,20 @@ class TestLiftedStart:
         else:
             assert learned.diagnostics["learner_path"] == "closed_form"
             self.assert_no_worse(learned.objective_value, searched.value)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
+    def test_constant_closed_form_needs_no_polish(self, n, k):
+        # Ky Fan: the top-k eigenvectors of D^T D minimise sum |N d|^2 over
+        # constant k-row constraints, so the LM fit from them finds nothing lower
+        for seed in range(5):
+            ds = constant_dataset(seed, k, n, noisy=True)
+            PI = ds.stack("pi")
+            D, Phi = ds.stack("u") - PI, identity_stack(ds.n_samples, n)
+            basis, _ = learning._row_space_start(D, Phi)
+            polished, _ = learning._fit_row_span(
+                Phi, lambda A: learning.null_space_apply(A, D), basis, k)
+            closed = learn_constraint(ds, k=k).model.matrix
+            assert residual(closed, Phi, D) <= residual(polished, Phi, D) * (1.0 + 1e-12), seed
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_start_is_exact_on_clean_constant_data(self, k):
@@ -427,10 +444,7 @@ class TestExactFitSkip:
         ds = arm_dataset(seed=42, lam_pattern=pattern, n_traj=6, points=30)
         self.assert_matches_polish(ds, 3, sum(pattern), "lambda", ARM_OPT)
 
-    @pytest.mark.parametrize("representation", [
-        pytest.param("spherical", id="spherical-least_squares"),
-        pytest.param("lambda", id="lambda-least_squares")])
-    def test_noisy_data_still_searches(self, monkeypatch, representation):
+    def test_noisy_data_still_searches(self, monkeypatch):
         # every evaluation is counted: the score's, the start's own included,
         # and the least-squares fit's residual evaluations
         calls = []
@@ -442,29 +456,41 @@ class TestExactFitSkip:
             return res
         monkeypatch.setattr(learning, "_l1_score", lambda *a: calls.append(1) or score(*a))
         monkeypatch.setattr(learning, "least_squares", counting_fit)
-        if representation == "spherical":
-            ds, feature = add_noise(toy(seed=43), ACTION_NOISE, 44), None
-        else:
-            ds = add_noise(arm_dataset(seed=43, lam_pattern=(0, 1, 0)), ACTION_NOISE, 44)
-            feature = lambda q: jacobian(ARM, q)
-        learned = learn_constraint(ds, k=1, representation=representation, feature_fn=feature)
+        ds = add_noise(arm_dataset(seed=43, lam_pattern=(0, 1, 0)), ACTION_NOISE, 44)
+        learned = learn_constraint(ds, k=1, representation="lambda",
+                                   feature_fn=lambda q: jacobian(ARM, q))
         assert learned.diagnostics["learner_path"] == "least_squares"
         assert learned.diagnostics["objective_evals"] == len(calls) > 2
+
+    def test_spherical_learn_never_calls_least_squares(self, monkeypatch):
+        # noisy constant data too: the closed form is the answer, scored once
+        calls = []
+        score = learning._l1_score
+        monkeypatch.setattr(learning, "_l1_score", lambda *a: calls.append(1) or score(*a))
+        monkeypatch.setattr(learning, "least_squares",
+                            lambda *a, **kw: pytest.fail("a spherical learn ran least_squares"))
+        for ds, k in ((add_noise(toy(seed=43), ACTION_NOISE, 44), 1),
+                      (constant_dataset(43, 2, 4, noisy=True), 2)):
+            calls.clear()
+            learned = learn_constraint(ds, k=k)
+            diag = learned.diagnostics
+            assert (diag["learner_path"], diag["objective_evals"], len(calls)) == \
+                ("closed_form", 1, 1)
+            assert learned.objective_value == diag["start_score"]
 
 
 class TestLearnSelectionMatrix:
     CASES = {"x": (1, 0, 0), "y": (0, 1, 0), "theta": (0, 0, 1),
              "xy": (1, 1, 0), "xtheta": (1, 0, 1), "ytheta": (0, 1, 1)}
 
-    def test_diagonal_mode_recovers_every_case(self):
-        # with the true w the right subset scores zero, every other one does not
+    def test_continuous_fit_recovers_every_case(self):
+        # with the true w the fit's rows span the true selection's
         for name, pattern in self.CASES.items():
             ds = arm_dataset(seed=13, lam_pattern=pattern, n_traj=1, points=25)
-            k = sum(pattern)
             lam, val = learn_selection_matrix(ds, ds.stack("w"),
-                                              lambda q: jacobian(ARM, q), k=k,
-                                              mode="diagonal")
-            assert np.array_equal(lam, diagonal_selection(pattern)), name
+                                              lambda q: jacobian(ARM, q), k=sum(pattern))
+            lam_true = diagonal_selection(pattern)
+            assert np.max(np.abs(lam.T @ lam - lam_true.T @ lam_true)) < 1e-12, name
             assert val < 1e-16 * ds.n_samples, name
 
     def test_continuous_mode_matches_projector(self):
@@ -499,13 +525,11 @@ class TestLearnSelectionMatrix:
                 assert val <= searched.value * (1.0 + 1e-6) + 1e-12 * float(np.sum(W * W)), \
                     (case, seed, val, searched.value)
 
-    @pytest.mark.parametrize("mode", ["continuous", "diagonal"])
-    def test_k_out_of_range_rejected(self, mode):
+    def test_k_out_of_range_rejected(self):
         ds = arm_dataset(seed=15, n_traj=1, points=10)
         for k in (0, 4):
             with pytest.raises(ValueError, match="1 <= k <= n"):
-                learn_selection_matrix(ds, ds.stack("w"), lambda q: jacobian(ARM, q), k=k,
-                                       mode=mode)
+                learn_selection_matrix(ds, ds.stack("w"), lambda q: jacobian(ARM, q), k=k)
 
     def test_zero_w_rejected(self):
         ds = arm_dataset(seed=15, n_traj=1, points=10)

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from projlearn.constraints import SphericalConstraint, build_constraint_rows, null_projector
-from projlearn.metrics import (consistency_error, eval_learned_constraint, nmse_w,
-                               projector_distance, summarize)
+from projlearn.constraints import SphericalConstraint
+from projlearn.metrics import consistency_error, eval_learned_constraint, nmse_w, summarize
 from projlearn.policies import LimitCyclePolicy
 from projlearn.simulator import Dataset, Trajectory, action_std, generate_toy_dataset
 
@@ -81,27 +80,6 @@ class TestConsistencyError:
         cand = SphericalConstraint(theta=(0.2,), k=1, n=2)
         with pytest.raises(ValueError, match="action spread is zero"):
             consistency_error(cand, ds, prior_pi=LimitCyclePolicy())
-
-
-class TestProjectorDistance:
-    def test_identical(self):
-        N = null_projector(build_constraint_rows(np.array([0.4]), 1, 2)).N
-        assert projector_distance(N, N) == 0.0
-
-    def test_hand_computed(self):
-        N_a = np.diag([1.0, 0.0])
-        N_b = np.diag([0.0, 1.0])
-        assert projector_distance(N_a, N_b) == pytest.approx(np.sqrt(2.0))
-
-    def test_row_mixing_invariance(self):
-        # remixing the rows of A changes A but not the projector
-        A = build_constraint_rows(np.array([0.3, 1.2, -0.4]), 2, 3)
-        R = np.array([[np.cos(0.9), -np.sin(0.9)], [np.sin(0.9), np.cos(0.9)]])
-        assert projector_distance(null_projector(A).N, null_projector(R @ A).N) < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            projector_distance(np.eye(2), np.eye(3))
 
 
 class TestEvalLearnedConstraint:

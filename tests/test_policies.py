@@ -5,8 +5,8 @@ import pytest
 
 from projlearn.kinematics import PlanarArm, end_pose
 from projlearn.policies import (LimitCyclePolicy, LinearPolicy, PointAttractor,
-                                SinusoidalPolicy, TaskPointAttractor, ZeroPolicy,
-                                policy_from_config, policy_values)
+                                SinusoidalPolicy, TaskPointAttractor, policy_from_config,
+                                policy_values)
 
 
 class TestLinearPolicy:
@@ -28,7 +28,7 @@ class TestLimitCyclePolicy:
         assert np.allclose(LimitCyclePolicy()(np.zeros(2)), 0.0)
 
     def test_on_cycle_velocity_is_tangential(self):
-        pi = LimitCyclePolicy(rho0=0.75, omega=1.0)
+        pi = LimitCyclePolicy()
         r = math.sqrt(0.75)
         for phi in np.linspace(0.0, 2 * np.pi, 9):
             x = np.array([r * math.cos(phi), r * math.sin(phi)])
@@ -117,8 +117,7 @@ class TestPolicyFromConfig:
         pi = policy_from_config({"type": "linear"})
         assert isinstance(pi, LinearPolicy)
         assert np.array_equal(pi.L, [[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]])
-        pi = policy_from_config({"type": "limit_cycle"})
-        assert (pi.rho0, pi.omega) == (0.75, 1.0)
+        assert isinstance(policy_from_config({"type": "limit_cycle"}), LimitCyclePolicy)
         assert isinstance(policy_from_config({"type": "sinusoidal"}), SinusoidalPolicy)
 
     def test_point_attractor_degrees(self):
@@ -134,13 +133,12 @@ class TestPolicyFromConfig:
 
 @pytest.mark.parametrize("policy, n", [
     (LinearPolicy(L=[[2.0, 4.0, 0.0], [1.0, 3.0, -1.0]]), 2),
-    (LimitCyclePolicy(rho0=0.6, omega=-1.5), 2),
+    (LimitCyclePolicy(), 2),
     (SinusoidalPolicy(), 2),
     (PointAttractor(target=[0.3, -0.2], beta=2.0), 2),
-    (ZeroPolicy(dim=2), 2),
     (TaskPointAttractor(arm=PlanarArm((0.4, 0.3, 0.2)), target=np.array([0.3, 0.4, 0.5]),
                         gain=2.0), 3),
-], ids=["linear", "limit_cycle", "sinusoidal", "point_attractor", "zero", "task_attractor"])
+], ids=["linear", "limit_cycle", "sinusoidal", "point_attractor", "task_attractor"])
 def test_stacked_call_matches_per_row_calls(policy, n):
     X = np.random.default_rng(0).uniform(-1.5, 1.5, size=(40, n))
     X[0] = 0.0  # the limit cycle's fixed point

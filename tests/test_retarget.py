@@ -1,17 +1,19 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
 from projlearn.constraints import SelectionConstraint, diagonal_selection, null_projector
 from projlearn.experiments import resolve
 from projlearn.kinematics import PlanarArm, jacobian, joint_positions
-from projlearn.policies import PointAttractor, TaskPointAttractor, ZeroPolicy
+from projlearn.policies import PointAttractor, TaskPointAttractor
 from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion,
-                                ReplaySource, RetargetPlan, check_obstacle_clearance,
+                                ReplaySource, RetargetPlan, _step, check_obstacle_clearance,
                                 estimate_components, estimate_task_policy,
-                                reproduce_trajectory, retarget_step,
-                                segment_rect_distance)
+                                reproduce_trajectory, segment_rect_distance)
 from projlearn.simulator import (RankCollapseError, Trajectory, generate_arm_dataset,
                                  simulate_trajectory)
+from test_learning import zero_prior
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
@@ -96,7 +98,7 @@ class TestRetargetStep:
         rng = np.random.default_rng(7)
         for step in range(0, traj.n_samples, 8):
             x = traj.x[step] + rng.normal(0.0, 0.05, size=3)
-            u = retarget_step(plan, x, step)
+            u = _step(plan, x, step)[0]
             proj = null_projector(plan.execution_model.A_at(x))
             v = proj.A_pinv @ (proj.A @ u)
             w = u - v
@@ -109,7 +111,7 @@ class TestRetargetStep:
         x0 = traj.x[0]
         kwargs = dict(constraint=true_model(), task_source=ReplaySource(traj.b),
                       demonstrator=ARM)
-        quiet = RetargetPlan(pi_robot=ZeroPolicy(dim=3), **kwargs)
+        quiet = RetargetPlan(pi_robot=zero_prior, **kwargs)
         eager = RetargetPlan(pi_robot=PointAttractor(
             target=np.deg2rad([120.0, -60.0, 90.0]), beta=2.0), **kwargs)
         ta = reproduce_trajectory(quiet, x0, dt=0.02, duration=0.8)
@@ -132,10 +134,10 @@ class TestRetargetStep:
     def test_rank_collapse_raises_with_step(self):
         plan = RetargetPlan(constraint=true_model(),
                             task_source=ReplaySource(np.zeros((5, 2))),
-                            pi_robot=ZeroPolicy(dim=3),
+                            pi_robot=zero_prior,
                             demonstrator=ARM)
         with pytest.raises(RankCollapseError) as err:
-            retarget_step(plan, np.zeros(3), step=4)
+            _step(plan, np.zeros(3), 4)
         assert err.value.step == 4
 
     def test_rank_test_ignores_length_units(self):
@@ -144,24 +146,33 @@ class TestRetargetStep:
         tiny = PlanarArm(tuple(1e-5 * l for l in ARM.link_lengths))
         plan = RetargetPlan(constraint=true_model(arm=tiny),
                             task_source=ReplaySource(np.zeros((5, 2))),
-                            pi_robot=ZeroPolicy(dim=3), demonstrator=tiny)
+                            pi_robot=zero_prior, demonstrator=tiny)
         x = np.array([0.1, 1.6, 0.1])
         s = np.linalg.svd(plan.execution_model.A_at(x), compute_uv=False)
         assert s[-1] / s[0] > 0.2
-        assert np.all(np.isfinite(retarget_step(plan, x, step=2)))
+        assert np.all(np.isfinite(_step(plan, x, 2)[0]))
         with pytest.raises(RankCollapseError) as err:
-            retarget_step(plan, np.zeros(3), step=3)
+            _step(plan, np.zeros(3), 3)
         s = np.linalg.svd(plan.execution_model.A_at(np.zeros(3)), compute_uv=False)
         assert err.value.sigma_ratio == pytest.approx(s[-1] / s[0], abs=1e-15)
 
     def test_plan_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             RetargetPlan(constraint="not a model", task_source=None,
-                         pi_robot=ZeroPolicy(dim=3), demonstrator=ARM)
+                         pi_robot=zero_prior, demonstrator=ARM)
         with pytest.raises(ValueError):
             RetargetPlan(constraint=true_model(), task_source=None,
-                         pi_robot=ZeroPolicy(dim=3), demonstrator=ARM,
+                         pi_robot=zero_prior, demonstrator=ARM,
                          row_correspondence=(0, 0, 1))
+
+    def test_plan_is_frozen(self):
+        # the executing arm and model are derived at construction; a later
+        # assignment would leave them on the old arm
+        plan = RetargetPlan(constraint=true_model(), task_source=None, pi_robot=zero_prior,
+                            demonstrator=ARM)
+        with pytest.raises(FrozenInstanceError):
+            plan.imitator = TestCrossEmbodiment.SEVEN
+        assert plan.arm is ARM and plan.execution_model is plan.constraint
 
 
 class TestCrossEmbodiment:
@@ -187,13 +198,13 @@ class TestCrossEmbodiment:
         traj = ds.trajectories[0]
         plan = self.make_plan(traj.b)
         q = np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5])
-        u = retarget_step(plan, q, step=0)
+        u = _step(plan, q, 0)[0]
         assert u.shape == (7,)
         assert np.max(np.abs(plan.execution_model.A_at(q) @ u - traj.b[0])) < 1e-10
 
 
 class TestReplayLoop:
-    """reproduce_trajectory against a step-by-step retarget_step rollout."""
+    """reproduce_trajectory against a rollout of one _step call per step."""
 
     SEVEN = TestCrossEmbodiment.SEVEN
 
@@ -201,7 +212,7 @@ class TestReplayLoop:
         x = np.asarray(x0, dtype=float)
         X, U, B = [], [], []
         for t in range(steps):
-            u = retarget_step(plan, x, t)
+            u = _step(plan, x, t)[0]
             X.append(x)
             U.append(u)
             B.append(plan.execution_model.A_at(x) @ u)
@@ -304,7 +315,7 @@ class TestAttractorSource:
         target = end_pose(ARM, q)
         plan = RetargetPlan(constraint=true_model(),
                             task_source=AttractorSource(target=target, gain=2.0),
-                            pi_robot=ZeroPolicy(dim=3), demonstrator=ARM)
+                            pi_robot=zero_prior, demonstrator=ARM)
         assert np.max(np.abs(plan.task_source.rate(plan, q, 0))) < 1e-12
 
     def test_requires_full_pose(self):
@@ -320,6 +331,10 @@ class TestReplaySource:
         assert src.rate(None, None, 99)[0] == 3.0
 
 
+def inside(region, p) -> bool:
+    return region.x_min <= p[0] <= region.x_max and region.y_min <= p[1] <= region.y_max
+
+
 def point_rect_distance(p, region):
     dx = max(region.x_min - p[0], 0.0, p[0] - region.x_max)
     dy = max(region.y_min - p[1], 0.0, p[1] - region.y_max)
@@ -332,8 +347,7 @@ class TestObstacleGeometry:
     def sampling_oracle(self, p, q, n=1000):
         ts = np.linspace(0.0, 1.0, n)
         pts = p[None, :] + ts[:, None] * (q - p)[None, :]
-        inside = [self.region.contains(pt) for pt in pts]
-        if any(inside):
+        if any(inside(self.region, pt) for pt in pts):
             return 0.0
         return min(point_rect_distance(pt, self.region) for pt in pts)
 
@@ -429,7 +443,7 @@ def ref_segment_segment_distance(p1, q1, p2, q2) -> float:
 def ref_segment_rect_distance(p, q, region) -> float:
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    if region.contains(p) or region.contains(q):
+    if inside(region, p) or inside(region, q):
         return 0.0
     corners = region.corners
     dist = np.inf

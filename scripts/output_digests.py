@@ -26,7 +26,7 @@ def main() -> int:
             cfg = json.loads(path.read_text())
             experiment = cfg["experiment"]
             out = Path(tmp) / path.stem
-            write_outputs(RUNNERS[experiment](cfg), cfg, out, False, experiment)
+            write_outputs(RUNNERS[experiment](cfg), out, False, experiment)
             for f in sorted(p for p in out.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(f.read_bytes()).hexdigest()
                 print(f"{digest}  {path.stem}/{f.relative_to(out).as_posix()}")

@@ -85,7 +85,7 @@ def write_gnuplot(out_dir: Path, result: dict, experiment: str):
         (out_dir / "trajectories" / "plot_traces.gp").write_text(GNUPLOT_TRACES)
 
 
-def write_outputs(result: dict, cfg: dict, out_dir: Path, gnuplot: bool, experiment: str):
+def write_outputs(result: dict, out_dir: Path, gnuplot: bool, experiment: str):
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(result["report"], out_dir / "report.json")
     write_trials_csv(result["rows"], out_dir / "trials.csv")
@@ -184,7 +184,7 @@ def main(argv=None) -> int:
 
     log.info("running %s (config hash %s)", args.command, config_hash(cfg))
     result = RUNNERS[args.command](cfg)
-    write_outputs(result, cfg, out_dir, args.gnuplot, args.command)
+    write_outputs(result, out_dir, args.gnuplot, args.command)
     log.info("wrote %s", out_dir / "report.json")
 
     for label, _, value in result["checks"]:

@@ -364,9 +364,7 @@ class SphericalConstraint:
         return np.broadcast_to(self.matrix, (len(X), self.k, self.n))
 
     def projector_at(self, x=None) -> Projector:
-        A = self.matrix
-        # Orthonormal rows make the pseudo-inverse a plain transpose.
-        return Projector(A=A, A_pinv=A.T.copy(), N=np.eye(self.n) - A.T @ A, sigma_ratio=1.0)
+        return null_projector(self.matrix)
 
     def to_config(self) -> dict:
         return {"form": "spherical", "theta_rad": list(self.theta), "k": self.k, "n": self.n}

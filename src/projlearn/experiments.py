@@ -75,9 +75,6 @@ _TYPES = {
     "number": ("a number", lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "string": ("a string", lambda v: isinstance(v, str)),
-    "paths": ("a path or a non-empty list of paths",
-              lambda v: isinstance(v, str) or (isinstance(v, list) and v != []
-                                               and all(isinstance(p, str) for p in v))),
     "list": ("a list", lambda v: isinstance(v, list)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
@@ -163,11 +160,10 @@ def _obstacle_bounds(cfg):
         _fail("obstacle", "min bounds must be strictly below max bounds")
 
 
-def _inputs_exist(cfg):
-    single = isinstance(cfg["inputs"], str)
-    for i, path in enumerate([cfg["inputs"]] if single else cfg["inputs"]):
-        if not os.path.exists(path):
-            _fail("inputs" if single else f"inputs[{i}]", f"no such file or directory: {path!r}")
+def _input_dirs_exist(cfg):
+    for i, path in enumerate(cfg["inputs"]):
+        if not os.path.isdir(path):
+            _fail(f"inputs[{i}]", f"no such directory: {path!r}")
 
 
 def _imitator_joints(cfg):
@@ -274,10 +270,6 @@ SCHEMAS = {
     "toy": _schema({
         "policies": Key("list", list(TOY_POLICIES), nonempty=True, distinct=True,
                         item=Key("string", choices=tuple(TOY_POLICIES))),
-        "noise": Key("object", table={
-            "epsilon": Key("number", REQUIRED, lo=0.0),
-            "target": Key("string", "actions", choices=("actions", "prior_policy")),
-        }),
         **TOY_KEYS,
     }, TRIAL_ACCEPTANCE, trials=50),
     "sweep": _schema({
@@ -330,7 +322,7 @@ SCHEMAS = {
         }),
     }, ("max_trace_rmse",), [_ordered_ranges, _imitator_joints, _enough_steps]),
     "ingest-learn": _schema({
-        "inputs": Key("paths", REQUIRED),
+        "inputs": Key("list", REQUIRED, nonempty=True, item=Key("string")),
         "side": Key("string", "right", choices=("left", "right")),
         "fps": Key("number", 30.0, lo=POSITIVE),
         "scale": Key("number", 300.0, lo=POSITIVE),
@@ -339,7 +331,7 @@ SCHEMAS = {
         "k": Key("int", 2, lo=1, hi=2),
         "pi": _attractor({"type": "point_attractor", "beta": 1.0,
                           "target_deg_human": [-90.0, 90.0, 0.0]}, "target_deg_human"),
-    }, ("max_e_n",), [_inputs_exist]),
+    }, ("max_e_n",), [_input_dirs_exist]),
 }
 
 
@@ -643,19 +635,12 @@ def run_retarget_embodiment(cfg: dict) -> dict:
 def run_ingest_learn(cfg: dict) -> dict:
     """Learn a constraint from pose-keypoint recordings with an ergonomic prior."""
     raw, cfg = cfg, resolve(cfg, "ingest-learn")
-    inputs = cfg["inputs"]
-    if isinstance(inputs, str):
-        inputs = [inputs]
-    side = cfg["side"]
-    fps = float(cfg["fps"])
-    scale = float(cfg["scale"])
-    floor = float(cfg["confidence_floor"])
-
     trajs = []
     lengths = []
-    for path in inputs:
-        rec = read_keypoint_dir(path, side=side, fps=fps)
-        ds_one, arm_one = recording_to_dataset(rec, scale=scale, confidence_floor=floor)
+    for path in cfg["inputs"]:
+        rec = read_keypoint_dir(path, side=cfg["side"], fps=cfg["fps"])
+        ds_one, arm_one = recording_to_dataset(rec, scale=cfg["scale"],
+                                               confidence_floor=cfg["confidence_floor"])
         trajs.extend(ds_one.trajectories)
         lengths.append(arm_one.link_lengths)
     arm = PlanarArm(tuple(np.mean(np.array(lengths), axis=0)))

@@ -1,10 +1,11 @@
 """Turn 2D pose-keypoint JSON into planar-arm demonstrations.
 
-Input is the common pose-estimator layout: one JSON object per frame with a
-``people`` list, each person carrying a flat ``pose_keypoints_2d`` array of
-(x, y, confidence) triples in the 25-point body format, and a
-``hand_right_keypoints_2d`` / ``hand_left_keypoints_2d`` block whose
-middle-finger knuckle is the hand point.
+Input is the common pose-estimator layout: a directory of
+``*_keypoints.json`` files, read in name order, each holding the JSON object
+of one frame. A frame has a ``people`` list, each person carrying a flat
+``pose_keypoints_2d`` array of (x, y, confidence) triples in the 25-point
+body format, and a ``hand_right_keypoints_2d`` / ``hand_left_keypoints_2d``
+block whose middle-finger knuckle is the hand point.
 
 A recording is one float array of shape (F, 5, 3): x, y and confidence of
 the shoulder, elbow, wrist, hip and hand of the configured side, rows in
@@ -65,17 +66,8 @@ def _triple(flat, index):
     return triple if len(triple) == 3 else (np.nan,) * 3
 
 
-def _frame_objects(data) -> list:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        data = json.loads(data)
-    return data if isinstance(data, list) else [data]
-
-
-def parse_keypoint_json(data, side: str = "right") -> np.ndarray:
-    """Keypoint array (F, 5, 3) from raw JSON bytes/text or decoded JSON; accepts
-    one frame object or a list.
+def parse_keypoint_json(frames: list, side: str = "right") -> np.ndarray:
+    """Keypoint array (F, 5, 3) from a list of decoded frame objects.
 
     Takes the first person of each frame. Frames with an empty people list
     stay as all-NaN rows, with a warning, so frame indexing downstream
@@ -84,7 +76,7 @@ def parse_keypoint_json(data, side: str = "right") -> np.ndarray:
     if side not in SIDE_POINTS:
         raise ValueError("side must be 'right' or 'left'")
     rows, empty = [], 0
-    for obj in _frame_objects(data):
+    for obj in frames:
         people = obj.get("people", [])
         empty += not people
         person = people[0] if people else {}
@@ -101,18 +93,15 @@ def parse_keypoint_json(data, side: str = "right") -> np.ndarray:
 
 
 def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmRecording:
-    """Read a recording: a directory of *_keypoints.json files, or one file
-    holding the concatenated frame array."""
-    path = Path(path)
-    if path.is_file():
-        files = [path]
-    else:
-        files = sorted(path.glob("*_keypoints.json")) or sorted(path.glob("*.json"))
+    """Read a recording: a directory of *_keypoints.json files, one frame object each."""
+    files = sorted(Path(path).glob("*_keypoints.json"))
     if not files:
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
-    frame_objs = [obj for f in files for obj in _frame_objects(f.read_bytes())]
-    return HumanArmRecording(frames=parse_keypoint_json(frame_objs, side=side),
-                             fps=float(fps))
+    frames = [json.loads(f.read_bytes()) for f in files]
+    for f, frame in zip(files, frames):
+        if not isinstance(frame, dict):
+            raise ValueError(f"{f} holds a JSON {type(frame).__name__}, not one frame object")
+    return HumanArmRecording(frames=parse_keypoint_json(frames, side=side), fps=float(fps))
 
 
 def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 0.3):

@@ -212,10 +212,10 @@ def _exact_fit_floor(U) -> float:
     return 1e-8 * float(np.sum(np.linalg.norm(U, axis=1)))
 
 
-def _degenerate_prior_fraction(A_stack, PI, scale: float, rel: float = 1e-9) -> float:
-    """Share of samples whose N(x) pi is below rel times max(scale, 1), scale the median |pi|."""
+def _degenerate_prior_fraction(A_stack, PI, scale: float) -> float:
+    """Share of samples whose N(x) pi is below 1e-9 times max(scale, 1), scale the median |pi|."""
     norms = np.linalg.norm(null_space_apply(A_stack, PI), axis=1)
-    return float(np.mean(norms < rel * max(scale, 1.0)))
+    return float(np.mean(norms < 1e-9 * max(scale, 1.0)))
 
 
 def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
@@ -332,7 +332,6 @@ BASELINE_REL_TOL = 1e-12
 @dataclass
 class BaselineResult:
     w_hat: np.ndarray
-    v_hat: np.ndarray
     weights: np.ndarray
     centers: np.ndarray
     width: float
@@ -404,5 +403,5 @@ def baseline_separate_nullspace(dataset: Dataset, seed) -> BaselineResult:
         if len(history) > 2 and abs(history[-2] - obj) < 1e-15 * max(1.0, obj):
             break
     _, weights, w_hat = best
-    return BaselineResult(w_hat=w_hat, v_hat=U - w_hat, weights=weights,
-                          centers=centers, width=width, objective_history=history)
+    return BaselineResult(w_hat=w_hat, weights=weights, centers=centers, width=width,
+                          objective_history=history)

@@ -31,20 +31,12 @@ def nmse_w(true_w, est_w, sigma) -> float:
 def _stacked(dataset: Dataset, prior_pi):
     """States, actions and prior values (X, U, PI) of a dataset.
 
-    prior_pi None reads the recorded pi, an array must match the action
-    array's shape, anything else is a policy evaluated at the states.
+    prior_pi None reads the recorded pi; otherwise it is a policy evaluated
+    at the states.
     """
     X = dataset.stack("x")
-    U = dataset.stack("u")
-    if prior_pi is None:
-        PI = dataset.stack("pi")
-    elif isinstance(prior_pi, np.ndarray):
-        PI = prior_pi
-        if PI.shape != U.shape:
-            raise ValueError("prior value array must match the action array shape")
-    else:
-        PI = policy_values(prior_pi, X)
-    return X, U, PI
+    PI = dataset.stack("pi") if prior_pi is None else policy_values(prior_pi, X)
+    return X, dataset.stack("u"), PI
 
 
 def _l1_score(PI, D, A_stack) -> float:

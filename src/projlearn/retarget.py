@@ -18,14 +18,13 @@ from .metrics import _stacked
 from .simulator import RANK_TOL, Dataset, RankCollapseError, Trajectory, _step_count
 
 
-def estimate_components(dataset: Dataset, model, prior_pi=None):
+def estimate_components(dataset: Dataset, model):
     """Split observed actions into estimated null-space and task parts.
 
-    w-hat = N(x) pi and v-hat = u - w-hat. Returns (w_hat, v_hat) arrays.
-    The prior resolves as in learn_constraint: None reads the recorded pi, an
-    array must match the action array's shape, anything else is a policy.
+    w-hat = N(x) pi with the recorded pi, and v-hat = u - w-hat. Returns
+    (w_hat, v_hat) arrays.
     """
-    X, U, PI = _stacked(dataset, prior_pi)
+    X, U, PI = _stacked(dataset, None)
     w_hat = null_space_apply(model.A_stack(X), PI)
     return w_hat, U - w_hat
 
@@ -109,6 +108,10 @@ class RetargetPlan:
         object.__setattr__(self, "row_correspondence", corr)
         arm, model = self.demonstrator, self.constraint
         if self.imitator is not None:
+            p = self.constraint.lam.shape[1]
+            if len(corr) != p or not set(corr) <= {0, 1, 2}:
+                raise ValueError(f"row_correspondence needs one imitator Jacobian row (0, 1 or "
+                                 f"2: x, y, theta) per learned feature row ({p}), got {corr}")
             arm, rows = self.imitator, np.array(corr)
             model = SelectionConstraint(lam=model.lam,
                                         feature=lambda q: jacobian(arm, q)[..., rows, :])
@@ -196,10 +199,10 @@ def _on_segment(a, b, c):
 def segment_rect_distance(p, q, region: ObstacleRegion):
     """Distance from segments p-q to a rectangle; zero when they touch or overlap.
 
-    One segment (2,) gives a float, stacks (..., 2) give an array (...). An
-    endpoint inside, or a crossing of any edge (orientation test with 1e-15
-    tolerances), gives zero; otherwise the smallest endpoint-to-segment
-    distance over the four edges.
+    Endpoints of shape (..., 2) give numpy distances of shape (...), a numpy
+    scalar for one segment. An endpoint inside, or a crossing of any edge
+    (orientation test with 1e-15 tolerances), gives zero; otherwise the
+    smallest endpoint-to-segment distance over the four edges.
     """
     p = np.asarray(p, dtype=float)[..., None, :]
     q = np.asarray(q, dtype=float)[..., None, :]
@@ -213,8 +216,7 @@ def segment_rect_distance(p, q, region: ObstacleRegion):
         np.all((a[0] <= p) & (p <= a[2]), axis=-1) | np.all((a[0] <= q) & (q <= a[2]), axis=-1)
     apart = np.minimum(np.minimum(_point_distance(p, q, a), _point_distance(p, q, b)),
                        np.minimum(_point_distance(a, b, p), _point_distance(a, b, q)))
-    dist = np.where(touch, 0.0, apart).min(axis=-1)
-    return float(dist) if dist.ndim == 0 else dist
+    return np.where(touch, 0.0, apart).min(axis=-1)
 
 
 @dataclass

@@ -68,7 +68,7 @@ class Trajectory:
 
 @dataclass(eq=False)
 class Dataset:
-    """A list of trajectories plus metadata: the toy's true constraint and its noise."""
+    """A list of trajectories plus metadata: the toy's true constraint under "constraint"."""
 
     trajectories: list
     meta: dict = field(default_factory=dict)
@@ -124,23 +124,21 @@ def add_noise(dataset: Dataset, spec: NoiseSpec, seed) -> Dataset:
                 raise ValueError("cannot noise the prior: trajectory stores no pi values")
             out.append(Trajectory(dt=traj.dt, x=traj.x, u=traj.u,
                                   v=traj.v, w=traj.w, b=traj.b, pi=traj.pi + noise))
-    meta = dict(dataset.meta)
-    meta["noise"] = {"epsilon": spec.epsilon, "target": spec.target}
-    return Dataset(trajectories=out, meta=meta)
+    return Dataset(trajectories=out, meta=dict(dataset.meta))
 
 
-def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None = None) -> Dataset:
+def generate_toy_dataset(n_points: int, seed, null_policy) -> Dataset:
     """I.i.d. two-dimensional samples under a one-dimensional constraint.
 
     The constraint direction is a random unit vector alpha(theta) with
     theta ~ U[0, pi); states are drawn from U[-1, 1]^2 and the task policy
     is a point attractor b = r* - alpha . x toward a random target
-    r* ~ U[-2, 2]. theta can be pinned, which skips its draw.
+    r* ~ U[-2, 2]. The dataset's meta holds the drawn constraint.
     """
     if n_points < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
-    theta = float(rng.uniform(0.0, np.pi)) if theta is None else float(theta)
+    theta = float(rng.uniform(0.0, np.pi))
     r_star = float(rng.uniform(-2.0, 2.0))
     X = rng.uniform(-1.0, 1.0, size=(n_points, 2))
     model = SphericalConstraint(theta=(theta,), k=1, n=2)
@@ -152,7 +150,7 @@ def generate_toy_dataset(n_points: int, seed, null_policy, theta: float | None =
     W = PI @ N.T
     U = V + W
     traj = Trajectory(dt=1.0, x=X, u=U, v=V, w=W, b=B[:, None], pi=PI)
-    return Dataset(trajectories=[traj], meta={"constraint": model.to_config(), "noise": None})
+    return Dataset(trajectories=[traj], meta={"constraint": model.to_config()})
 
 
 # Rollouts stop when sigma_min/sigma_max of A(x) falls below this: a

@@ -49,9 +49,9 @@ class TestValidation:
             validate_config(tiny_toy_cfg(), "sweep")
 
     def test_nested_path_in_message(self):
-        cfg = tiny_toy_cfg(noise={"epsilon": -1.0})
-        with pytest.raises(ConfigError, match=r"noise\.epsilon"):
-            validate_config(cfg, "toy")
+        cfg = {"pi": {"type": "point_attractor", "beta": -1.0, "target_deg": [0.0] * 3}}
+        with pytest.raises(ConfigError, match=r"pi\.beta"):
+            validate_config(cfg, "three-link")
 
     def test_bad_policy_name(self):
         with pytest.raises(ConfigError, match=r"policies\[0\]"):
@@ -79,7 +79,7 @@ SMALL = {
                           "demo_duration_s": 0.5, "optimizer": dict(TINY_OPT)},
     "retarget-embodiment": {"train_trajectories": 2, "points_per_traj": 20,
                             "demo_duration_s": 0.5, "optimizer": dict(TINY_OPT)},
-    "ingest-learn": {"inputs": str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0"),
+    "ingest-learn": {"inputs": [str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0")],
                      "optimizer": dict(TINY_OPT)},
     "compare-baseline": {"train_duration_s": 0.2, "gt_duration_s": 0.2,
                          "optimizer": dict(TINY_OPT)},
@@ -114,9 +114,15 @@ BAD_CONFIGS = [
     ("ingest-learn", {"k": 3}, "k"),
     ("sweep", {"axes": {"data_size": [2.7]}}, "axes.data_size[0]"),
     ("toy", {"acceptance": {"max_e_n": 1e-40}}, "acceptance.max_e_n"),
-    ("ingest-learn", {"inputs": "no/such/dir"}, "inputs"),
+    # toy trials learn from clean data; noise is the sweep's axes
+    ("toy", {"noise": {"epsilon": 0.1, "target": "actions"}}, "noise"),
+    # inputs is a list of recordings; a bare path, even an existing one, is an error
+    ("ingest-learn", {"inputs": str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0")},
+     "inputs"),
     ("ingest-learn", {"inputs": [str(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0"),
                                  "no/such/dir"]}, "inputs[1]"),
+    # a recording is a directory; a file fails validation, not the run
+    ("ingest-learn", {"inputs": [str(CONFIG_DIR / "toy.json")]}, "inputs[0]"),
     # single-run experiments take no trial count
     ("compare-baseline", {"trials": 3}, "trials"),
     ("retarget-obstacle", {"trials": 3}, "trials"),

@@ -195,17 +195,9 @@ class TestConventionMaps:
 
 
 class TestParser:
-    def test_single_object_and_list_forms(self):
-        frames = synthesize_keypoint_frames(HUMAN_ARM, np.deg2rad([[10.0, 20.0, 5.0]]))
-        one = parse_keypoint_json(json.dumps(frames[0]))
-        many = parse_keypoint_json(json.dumps(frames))
-        assert one.shape == many.shape == (1, 5, 3)
-        assert np.array_equal(one, many)
-
     def test_empty_people_becomes_gap_with_warning(self):
-        payload = json.dumps([{"people": []}, {"people": []}])
         with pytest.warns(UserWarning):
-            frames = parse_keypoint_json(payload)
+            frames = parse_keypoint_json([{"people": []}, {"people": []}])
         assert frames.shape == (2, 5, 3) and np.isnan(frames).all()
 
     def test_absent_points_are_nan(self):
@@ -216,22 +208,22 @@ class TestParser:
         del person["hand_right_keypoints_2d"]
         person["pose_keypoints_2d"][3 * SIDE_POINTS["right"][ELBOW] + 2] = 0.0
         del person["pose_keypoints_2d"][3 * SIDE_POINTS["right"][WRIST]:]
-        (parsed,) = parse_keypoint_json(payload)
+        (parsed,) = parse_keypoint_json([payload])
         assert np.isnan(parsed[[ELBOW, WRIST, HAND]]).all()
         assert not np.isnan(parsed[SHOULDER]).any()
 
     def test_side_selection(self):
         q = np.deg2rad([[30.0, 40.0, 10.0]])
         left = synthesize_keypoint_frames(HUMAN_ARM, q, side="left")
-        parsed = parse_keypoint_json(json.dumps(left[0]), side="left")
+        parsed = parse_keypoint_json(left, side="left")
         assert parsed[0, SHOULDER, 2] == 1.0
         # the right-side slots of a left-side file are empty
-        parsed_wrong = parse_keypoint_json(json.dumps(left[0]), side="right")
+        parsed_wrong = parse_keypoint_json(left, side="right")
         assert np.isnan(parsed_wrong).all()
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
-            parse_keypoint_json("{}", side="front")
+            parse_keypoint_json([{}], side="front")
 
 
 class TestSynthesisRoundTrip:
@@ -305,13 +297,26 @@ class TestFileReading:
         assert np.max(np.abs(arm_angles_from_human(q_human) - Q_arm)) < 1e-6
 
     def test_single_concatenated_file(self, tmp_path):
-        Q_arm, frames = self.make_files(tmp_path)
-        single = tmp_path / "all.json"
+        # one file per frame: the frame array concatenated into one file is no
+        # recording, neither given as the path nor among a directory's files
+        _, frames = self.make_files(tmp_path)
+        single = tmp_path / "all_keypoints.json"
         single.write_text(json.dumps(frames))
-        rec = read_keypoint_dir(single)
-        assert len(rec.frames) == 6
-        q_human, _ = keypoints_to_joint_angles(rec)
-        assert np.max(np.abs(arm_angles_from_human(q_human) - Q_arm)) < 1e-6
+        with pytest.raises(FileNotFoundError):
+            read_keypoint_dir(single)
+        (tmp_path / "rec" / single.name).write_text(single.read_text())
+        with pytest.raises(ValueError, match="all_keypoints.json holds a JSON list"):
+            read_keypoint_dir(tmp_path / "rec")
+
+    def test_only_keypoint_files_are_read(self, tmp_path):
+        # other JSON files in a directory are not frames, with or without keypoint files
+        _, frames = self.make_files(tmp_path)
+        (tmp_path / "rec" / "meta.json").write_text(json.dumps({"fps": 30}))
+        assert len(read_keypoint_dir(tmp_path / "rec").frames) == 6
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "plain" / "0.json").write_text(json.dumps(frames[0]))
+        with pytest.raises(FileNotFoundError):
+            read_keypoint_dir(tmp_path / "plain")
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -348,7 +353,7 @@ class TestPipeline:
         payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
         payload[5] = {"people": []}
         with pytest.warns(UserWarning):
-            frames = parse_keypoint_json(json.dumps(payload))
+            frames = parse_keypoint_json(payload)
         ds, _ = recording_to_dataset(recording(frames, fps=10.0))
         assert [traj.n_samples for traj in ds.trajectories] == [4, 3]
         assert np.max(np.abs(ds.stack("u")[:, 1] - 10.0 / 6.0)) < 1e-9
@@ -362,7 +367,7 @@ class TestPipeline:
         Q = np.column_stack([np.full(10, -1.2), 0.4 + t / 6.0, np.full(10, 0.3)])
         payload = synthesize_keypoint_frames(HUMAN_ARM, Q)
         del payload[5]["people"][0]["hand_right_keypoints_2d"]
-        frames = parse_keypoint_json(json.dumps(payload))
+        frames = parse_keypoint_json(payload)
         _, kept = keypoints_to_joint_angles(recording(frames))
         assert list(kept) == [0, 1, 2, 3, 4, 6, 7, 8, 9]
         ds, _ = recording_to_dataset(recording(frames, fps=10.0))
@@ -389,7 +394,7 @@ class TestPipeline:
         payload = synthesize_keypoint_frames(HUMAN_ARM, np.zeros((5, 3)))
         payload[1] = payload[3] = {"people": []}
         with pytest.warns(UserWarning):
-            frames = parse_keypoint_json(json.dumps(payload))
+            frames = parse_keypoint_json(payload)
         with pytest.raises(ValueError, match="consecutive"):
             recording_to_dataset(recording(frames))
 

@@ -41,9 +41,13 @@ def zero_prior(x):
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-def toy(seed, n_points=150, theta=None):
-    return generate_toy_dataset(n_points, seed=seed, null_policy=LimitCyclePolicy(),
-                                theta=theta)
+def toy(seed, n_points=150):
+    return generate_toy_dataset(n_points, seed=seed, null_policy=LimitCyclePolicy())
+
+
+def toy_theta(ds) -> float:
+    """The constraint angle a toy dataset was drawn with."""
+    return ds.meta["constraint"]["theta_rad"][0]
 
 
 def arm_dataset(seed, lam_pattern=(1, 1, 0), n_traj=2, points=30):
@@ -81,13 +85,13 @@ class TestConsistencyObjective:
         assert consistency_objective(true, ds) <= 1e-10 * action_norm_sum(ds)
 
     def test_positive_away_from_truth(self):
-        ds = toy(seed=2, theta=0.3)
-        off = SphericalConstraint(theta=(0.3 + np.deg2rad(30.0),), k=1, n=2)
+        ds = toy(seed=2)
+        off = SphericalConstraint(theta=(toy_theta(ds) + np.deg2rad(30.0),), k=1, n=2)
         assert consistency_objective(off, ds) > 1e-2
 
     def test_matches_loop_oracle_spherical(self):
-        ds = toy(seed=3, theta=1.1)
-        cand = SphericalConstraint(theta=(0.4,), k=1, n=2)
+        ds = toy(seed=3)
+        cand = SphericalConstraint(theta=(toy_theta(ds) - 0.7,), k=1, n=2)
         fast = consistency_objective(cand, ds)
         assert fast == pytest.approx(loop_objective(cand, ds), rel=1e-12)
 
@@ -97,13 +101,6 @@ class TestConsistencyObjective:
         cand = SelectionConstraint(lam=lam, feature=lambda q: jacobian(ARM, q))
         fast = consistency_objective(cand, ds)
         assert fast == pytest.approx(loop_objective(cand, ds), rel=1e-10)
-
-    def test_prior_as_array_matches_policy(self):
-        ds = toy(seed=5)
-        cand = SphericalConstraint(theta=(0.7,), k=1, n=2)
-        PI = ds.stack("pi")
-        assert consistency_objective(cand, ds, prior_pi=PI) == pytest.approx(
-            consistency_objective(cand, ds), rel=1e-14)
 
     def test_zero_prior_zeroes_every_candidate(self):
         ds = generate_toy_dataset(50, seed=6, null_policy=zero_prior)
@@ -568,7 +565,6 @@ class TestBaselineSeparation:
         res = baseline_separate_nullspace(ds, 0)
         U = ds.stack("u")
         assert float(np.max(np.linalg.norm(res.w_hat - U, axis=1))) < 1e-6
-        assert float(np.max(np.linalg.norm(res.v_hat, axis=1))) < 1e-6
 
     def test_best_iterate_is_kept(self):
         ds = toy(seed=19, n_points=60)

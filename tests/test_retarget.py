@@ -45,19 +45,6 @@ class TestEstimateComponents:
         w_hat, v_hat = estimate_components(ds, wrong)
         assert np.max(np.abs(w_hat + v_hat - ds.stack("u"))) < 1e-14
 
-    def test_prior_array_form(self):
-        ds = demo_dataset(seed=3)
-        w_a, _ = estimate_components(ds, true_model(), prior_pi=ds.stack("pi"))
-        w_b, _ = estimate_components(ds, true_model())
-        assert np.array_equal(w_a, w_b)
-
-    @pytest.mark.parametrize("rows", [slice(0, 1), 0], ids=["one_row", "flat"])
-    def test_wrong_shaped_prior_array_rejected(self, rows):
-        # a (1, n) array would broadcast to every sample; an (n,) one fail inside einsum
-        ds = demo_dataset(seed=3, points=20)
-        with pytest.raises(ValueError, match="must match the action array shape"):
-            estimate_components(ds, true_model(), prior_pi=ds.stack("pi")[rows])
-
 
 class TestEstimateTaskPolicy:
     def test_recovers_recorded_rates(self):
@@ -184,6 +171,17 @@ class TestCrossEmbodiment:
                             pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
                             demonstrator=ARM, imitator=self.SEVEN,
                             row_correspondence=(0, 1, 2))
+
+    @pytest.mark.parametrize("rows", [(0, 1), (0, 1, 5), (0, 1, -1)],
+                             ids=["too_few", "past_theta", "negative"])
+    def test_unrunnable_row_correspondence_rejected(self, rows):
+        # one imitator Jacobian row (0, 1 or 2) per learned feature row, checked
+        # at construction: (0, 1) used to fail in the first step's matmul and
+        # (0, 1, 5) with an IndexError
+        with pytest.raises(ValueError, match="row_correspondence"):
+            RetargetPlan(constraint=true_model(), task_source=ReplaySource(np.zeros((3, 2))),
+                         pi_robot=zero_prior, demonstrator=ARM, imitator=self.SEVEN,
+                         row_correspondence=rows)
 
     def test_execution_model_uses_imitator_jacobian(self):
         plan = self.make_plan(np.zeros((3, 2)))
@@ -503,7 +501,7 @@ class TestBatchedClearanceMatchesReference:
     def test_single_segments_match_exactly(self):
         for p, q in self.special_segments() + self.random_segments():
             fast = segment_rect_distance(p, q, self.region)
-            assert isinstance(fast, float)
+            assert isinstance(fast, np.float64) and fast.shape == ()
             assert fast == ref_segment_rect_distance(p, q, self.region), (p, q)
 
     def test_stacked_segments_match_exactly(self):

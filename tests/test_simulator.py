@@ -102,9 +102,11 @@ class TestNoise:
     def test_original_untouched(self):
         ds = generate_toy_dataset(100, seed=12, null_policy=LimitCyclePolicy())
         before = ds.trajectories[0].u.copy()
-        add_noise(ds, NoiseSpec(epsilon=0.5), seed=13)
+        noisy = add_noise(ds, NoiseSpec(epsilon=0.5), seed=13)
         assert np.array_equal(ds.trajectories[0].u, before)
-        assert ds.meta["noise"] is None
+        # the meta holds the drawn constraint alone, and noising copies it
+        assert list(ds.meta) == ["constraint"]
+        assert noisy.meta == ds.meta and noisy.meta is not ds.meta
 
 
 class TestSimulateTrajectory:

@@ -5,7 +5,9 @@ config (exit code 2 on any problem, with the offending key path in the
 message), runs the named experiment, and writes a report plus per-trial
 CSV into the output directory. Every check the runner returns is logged
 and compared with the acceptance thresholds embedded in the config;
-violations exit with code 1.
+violations exit with code 1. A run that fails on its input (a recording it
+cannot read or use, a file it cannot write, a rollout whose constraint loses
+rank) prints one ``run error:`` line and exits with code 3.
 """
 
 import argparse
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from .experiments import RUNNERS, SCHEMAS, ConfigError, check_acceptance, config_hash
 from .experiments import resolve as validate_config
-from .simulator import save_trajectory_csv
+from .simulator import RankCollapseError, save_trajectory_csv
 
 log = logging.getLogger("projlearn")
 
@@ -183,8 +185,12 @@ def main(argv=None) -> int:
         return 2
 
     log.info("running %s (config hash %s)", args.command, config_hash(cfg))
-    result = RUNNERS[args.command](cfg)
-    write_outputs(result, out_dir, args.gnuplot, args.command)
+    try:
+        result = RUNNERS[args.command](cfg)
+        write_outputs(result, out_dir, args.gnuplot, args.command)
+    except (ValueError, OSError, RankCollapseError) as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        return 3
     log.info("wrote %s", out_dir / "report.json")
 
     for label, _, value in result["checks"]:

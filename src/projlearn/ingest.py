@@ -97,10 +97,15 @@ def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmR
     files = sorted(Path(path).glob("*_keypoints.json"))
     if not files:
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
-    frames = [json.loads(f.read_bytes()) for f in files]
-    for f, frame in zip(files, frames):
+    frames = []
+    for f in files:
+        try:
+            frame = json.loads(f.read_bytes())
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+            raise ValueError(f"{f} is not valid JSON: {exc}") from exc
         if not isinstance(frame, dict):
             raise ValueError(f"{f} holds a JSON {type(frame).__name__}, not one frame object")
+        frames.append(frame)
     return HumanArmRecording(frames=parse_keypoint_json(frames, side=side), fps=float(fps))
 
 

@@ -1,8 +1,8 @@
 """Planar revolute-chain kinematics.
 
 joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of states.
-end_pose and jacobian take a scalar path for a single state (n,) that gives
-the same bits as a row of the batched call.
+end_pose and jacobian take a scalar path for a single state, (n,) or a stack
+of one (1, n), that gives the same bits as a row of the batched call.
 """
 
 import math
@@ -65,10 +65,16 @@ def _check_states(arm: PlanarArm, q) -> np.ndarray:
     if q.ndim == 0 or q.shape[-1] != arm.n:
         raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
     # One state: a loop over floats costs less than numpy's per-call overhead.
-    finite = all(map(math.isfinite, q.tolist())) if q.ndim == 1 else np.isfinite(q).all()
+    finite = (all(map(math.isfinite, q.ravel().tolist())) if q.size == arm.n
+              else np.isfinite(q).all())
     if not finite:
         raise ValueError("joint angles must be finite")
     return q
+
+
+def _is_one_state(q: np.ndarray) -> bool:
+    """True for one state (n,) or a stack of one state (1, n)."""
+    return q.ndim == 1 or q.ndim == 2 and len(q) == 1
 
 
 def _link_terms(arm: PlanarArm, q: np.ndarray):
@@ -112,11 +118,14 @@ def end_pose(arm: PlanarArm, q) -> np.ndarray:
     orientation is the plain angle sum wrapped to (-pi, pi]. q of shape
     (..., n) gives (..., 3).
     """
-    if np.ndim(q) == 1:
+    q = np.asarray(q, dtype=float)
+    if _is_one_state(q):
         q = _check_states(arm, q)
-        coss, sins = _link_terms(arm, q)
-        # q.sum(), not a running sum: np.sum adds pairwise.
-        return np.array([reduce(add, coss), reduce(add, sins), wrap_angle(q.sum())])
+        one = q.reshape(arm.n)
+        coss, sins = _link_terms(arm, one)
+        # one.sum(), not a running sum: np.sum adds pairwise.
+        pose = np.array([reduce(add, coss), reduce(add, sins), wrap_angle(one.sum())])
+        return pose.reshape(q.shape[:-1] + (3,))
     pts = joint_positions(arm, q)
     pose = np.empty(pts.shape[:-2] + (3,))
     pose[..., :2] = pts[..., -1, :]
@@ -136,10 +145,11 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
     """
     q = _check_states(arm, q)
     # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); a reverse cumsum keeps it O(n).
-    if q.ndim == 1:
-        coss, sins = _link_terms(arm, q)
-        return np.array([[-s for s in accumulate(sins[::-1])][::-1],
-                         [*accumulate(coss[::-1])][::-1], [1.0] * arm.n])
+    if _is_one_state(q):
+        coss, sins = _link_terms(arm, q.reshape(arm.n))
+        J = np.array([[-s for s in accumulate(sins[::-1])][::-1],
+                      [*accumulate(coss[::-1])][::-1], [1.0] * arm.n])
+        return J.reshape(q.shape[:-1] + (3, arm.n))
     angles = q.cumsum(-1)
     lengths = np.asarray(arm.link_lengths)
     sins = lengths * np.sin(angles)

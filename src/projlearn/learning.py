@@ -29,14 +29,31 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-# minimize is looked up here by optimize and patched here by the benchmark's tracer.
-from scipy.optimize import least_squares, minimize
 
 from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
                           constraint_angles, feature_stack, null_space_apply, pinv_apply,
                           spherical_param_count)
 from .metrics import _l1_score, _stacked
 from .simulator import Dataset
+
+
+# --- scipy, loaded on first use -------------------------------------------------
+# Most runs never fit: clean data is learned in closed form. Importing
+# scipy.optimize costs more than the rest of the package together, so these
+# two import it when first called. Both are module globals, looked up at call
+# time: tests patch least_squares here, and the benchmark's tracer patches
+# minimize here.
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call."""
+    from scipy.optimize import least_squares as fit
+    return fit(*args, **kwargs)
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call."""
+    from scipy.optimize import minimize as search
+    return search(*args, **kwargs)
 
 
 # --- derivative-free optimisation ----------------------------------------------

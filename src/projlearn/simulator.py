@@ -229,20 +229,6 @@ def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_po
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))
 
 
-def sample_arm_start(rng) -> np.ndarray:
-    lo = np.deg2rad([r[0] for r in THREE_LINK_START_RANGES_DEG])
-    hi = np.deg2rad([r[1] for r in THREE_LINK_START_RANGES_DEG])
-    return rng.uniform(lo, hi)
-
-
-def sample_task_target(rng, x_range, y_range, theta_range_deg) -> np.ndarray:
-    return np.array([
-        rng.uniform(*x_range),
-        rng.uniform(*y_range),
-        rng.uniform(np.deg2rad(theta_range_deg[0]), np.deg2rad(theta_range_deg[1])),
-    ])
-
-
 def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_trajectories: int,
                          points_per_traj: int, dt: float, seed, target_cfg: dict) -> Dataset:
     """Batch of arm trajectories under a fixed selection constraint.
@@ -250,19 +236,20 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
     Each trajectory gets a fresh start drawn from THREE_LINK_START_RANGES_DEG
     and a fresh task target drawn from the x_range, y_range and
     theta_range_deg of `target_cfg`, so b varies across the data while the
-    constraint stays put. All trajectories are rolled out in lockstep; each
-    equals simulate_trajectory from its own start toward its own target.
+    constraint stays put. One draw call fills a row per trajectory: its three
+    start angles, then its target's x, y and theta. All trajectories are
+    rolled out in lockstep; each equals simulate_trajectory from its own
+    start toward its own target.
     """
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     rng = np.random.default_rng(seed)
     model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q))
-    starts, targets = [], []
-    for _ in range(n_trajectories):
-        starts.append(sample_arm_start(rng))
-        targets.append(sample_task_target(rng, **target_cfg))
-    task = TaskPointAttractor(arm=arm, target=np.array(targets))
-    trajs = _rollout(model, task, null_policy, np.array(starts), dt,
+    ranges = np.array([*np.deg2rad(THREE_LINK_START_RANGES_DEG), target_cfg["x_range"],
+                       target_cfg["y_range"], np.deg2rad(target_cfg["theta_range_deg"])])
+    draws = rng.uniform(ranges[:, 0], ranges[:, 1], size=(n_trajectories, 6))
+    task = TaskPointAttractor(arm=arm, target=draws[:, 3:])
+    trajs = _rollout(model, task, null_policy, draws[:, :3], dt,
                      _step_count(dt, points_per_traj * dt))
     return Dataset(trajectories=trajs)
 

@@ -200,6 +200,49 @@ def test_experiments_import_loads_no_process_pool():
     assert out.stdout.strip() == "False"
 
 
+# Runs the toy and three-link commands on clean data, then one noisy Lambda
+# learn, and prints whether scipy.optimize was loaded after each.
+SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from projlearn.cli import main
+from projlearn.constraints import diagonal_selection
+from projlearn.experiments import resolve
+from projlearn.kinematics import PlanarArm, jacobian
+from projlearn.learning import learn_constraint
+from projlearn.policies import PointAttractor
+from projlearn.simulator import NoiseSpec, add_noise, generate_arm_dataset
+import numpy as np
+loaded = lambda: "scipy.optimize" in sys.modules
+seen = {"import": loaded()}
+for experiment, path, out in json.loads(sys.argv[2]):
+    assert main(["-q", experiment, path, "--out", out]) == 0
+    seen[experiment] = loaded()
+arm = PlanarArm((0.1, 0.1, 0.1))
+ds = generate_arm_dataset(arm, diagonal_selection((1, 1, 0)),
+                          PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
+                          n_trajectories=2, points_per_traj=30, dt=0.02, seed=43,
+                          target_cfg=resolve({}, "three-link")["target_ranges"])
+learned = learn_constraint(add_noise(ds, NoiseSpec(epsilon=0.01), 44), k=2,
+                           representation="lambda", feature_fn=lambda q: jacobian(arm, q))
+seen["noisy"] = loaded()
+seen["learner_path"] = learned.diagnostics["learner_path"]
+print(json.dumps(seen))
+"""
+
+
+def test_scipy_optimize_loads_only_for_a_fit(tmp_path):
+    # clean toy and three-link runs learn in closed form and never import
+    # scipy.optimize; a noisy Lambda learn runs the LM fit, which does
+    runs = [(experiment, write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment),
+                                   name=f"{experiment}.json"), str(tmp_path / experiment))
+            for experiment in ("toy", "three-link")]
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(REPO / "src"), json.dumps(runs)],
+                         check=True, capture_output=True, text=True, timeout=300)
+    assert json.loads(out.stdout) == {"import": False, "toy": False, "three-link": False,
+                                      "noisy": True, "learner_path": "least_squares"}
+
+
 def shipped(name):
     return json.loads((CONFIG_DIR / name).read_text())
 
@@ -425,6 +468,25 @@ class TestMainExitCodes:
         cfg = tiny_toy_cfg(acceptance={"max_mean_e_w": 1e-6})
         path = write_cfg(tmp_path, cfg)
         assert main(["toy", path, "--out", str(tmp_path / "out")]) == 0
+
+    def test_run_that_fails_on_its_input_exits_3(self, tmp_path, capsys):
+        # a valid config over a recording with no confident hand: the run
+        # fails, no threshold is violated, and no traceback is printed
+        rec = tmp_path / "no_hand"
+        rec.mkdir()
+        for f in sorted((CONFIG_DIR / "data" / "keypoints_demo" / "traj_0").glob("*.json")):
+            frame = json.loads(f.read_text())
+            for person in frame["people"]:
+                person.pop("hand_right_keypoints_2d")
+            (rec / f.name).write_text(json.dumps(frame))
+        path = write_cfg(tmp_path, dict(SMALL["ingest-learn"], experiment="ingest-learn",
+                                        inputs=[str(rec)]))
+        assert main(["ingest-learn", path, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "run error: no frame has a confident hand point; the wrist angle needs one"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputs:

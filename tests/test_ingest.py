@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +323,15 @@ class TestFileReading:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_keypoint_dir(tmp_path / "nothing")
+
+    def test_file_that_is_not_json_is_named(self, tmp_path):
+        rec = tmp_path / "traj_0"
+        shutil.copytree(BUNDLED / "traj_0", rec)
+        bad = sorted(rec.glob("*_keypoints.json"))[7]
+        bad.write_text('{"people": [')
+        with pytest.raises(ValueError, match=f"{re.escape(str(bad))} is not valid JSON") as err:
+            read_keypoint_dir(rec)
+        assert isinstance(err.value.__cause__, json.JSONDecodeError)
 
 
 class TestPipeline:

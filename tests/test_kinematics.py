@@ -142,7 +142,8 @@ def same_bits(a, b):
 
 
 class TestOneStatePath:
-    """A single state (n,) takes a scalar path; it must give the bits of the batched call."""
+    """One state, (n,) or a stack of one (1, n), takes a scalar path; it must give the
+    bits of the batched call."""
 
     @staticmethod
     def states(n, seed):
@@ -164,6 +165,18 @@ class TestOneStatePath:
         for i, q in enumerate(Q):
             assert same_bits(fn(arm, q), stacked[i]), (i, q)
 
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("fn", [jacobian, end_pose])
+    def test_stack_of_one_equals_single_state_and_batched_row(self, fn, n):
+        arm = PlanarArm(tuple(np.random.default_rng(10 + n).uniform(0.05, 1.5, n)))
+        Q = self.states(n, seed=80 + n)
+        stacked = fn(arm, Q)
+        for i, q in enumerate(Q):
+            one = fn(arm, Q[i:i + 1])
+            assert one.shape == (1,) + stacked.shape[1:]
+            assert same_bits(one[0], fn(arm, q)), (i, q)
+            assert same_bits(one[0], stacked[i]), (i, q)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
     def test_sum_of_plus_or_minus_pi_wraps_to_plus_pi(self, n):
         arm = PlanarArm((0.2,) * n)
@@ -180,12 +193,13 @@ class TestOneStatePath:
 
     @pytest.mark.parametrize("fn", [jacobian, end_pose])
     def test_single_state_rejects_bad_input(self, fn):
-        with pytest.raises(ValueError):
-            fn(ARM3, np.zeros(2))
-        with pytest.raises(ValueError):
-            fn(ARM3, np.array([0.1, np.nan, 0.2]))
-        with pytest.raises(ValueError):
-            fn(ARM3, np.array([0.1, np.inf, 0.2]))
+        for one in (lambda q: q, lambda q: q[None]):  # (n,) and a stack of one (1, n)
+            with pytest.raises(ValueError):
+                fn(ARM3, one(np.zeros(2)))
+            with pytest.raises(ValueError):
+                fn(ARM3, one(np.array([0.1, np.nan, 0.2])))
+            with pytest.raises(ValueError):
+                fn(ARM3, one(np.array([0.1, np.inf, 0.2])))
 
 
 class TestPlanarArm:

@@ -9,11 +9,27 @@ from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (Dataset, NoiseSpec, RankCollapseError, Trajectory,
                                  action_std, add_noise, generate_arm_dataset,
-                                 generate_toy_dataset, sample_arm_start, sample_task_target,
-                                 save_trajectory_csv, simulate_trajectory, split_dataset)
+                                 generate_toy_dataset, save_trajectory_csv,
+                                 simulate_trajectory, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
+
+
+# The per-trajectory draws that generate_arm_dataset's single draw call replaces:
+# a start, then a target, one trajectory at a time.
+def sample_arm_start(rng) -> np.ndarray:
+    lo = np.deg2rad([r[0] for r in simulator.THREE_LINK_START_RANGES_DEG])
+    hi = np.deg2rad([r[1] for r in simulator.THREE_LINK_START_RANGES_DEG])
+    return rng.uniform(lo, hi)
+
+
+def sample_task_target(rng, x_range, y_range, theta_range_deg) -> np.ndarray:
+    return np.array([
+        rng.uniform(*x_range),
+        rng.uniform(*y_range),
+        rng.uniform(np.deg2rad(theta_range_deg[0]), np.deg2rad(theta_range_deg[1])),
+    ])
 
 
 def make_arm_dataset(seed=0, n_traj=3, points=40, lam_pattern=(1, 1, 0)):
@@ -139,8 +155,10 @@ class TestSimulateTrajectory:
 
 class TestLockstepRollout:
     def test_matches_per_trajectory_rollouts(self):
-        # generate_arm_dataset steps every trajectory at once; each one must
-        # equal a separate simulate_trajectory from the same start and target
+        # generate_arm_dataset draws every start and target in one call and
+        # steps every trajectory at once; each one must equal, bit for bit, a
+        # separate simulate_trajectory from the start and target the
+        # per-trajectory draw loop gives
         lam = diagonal_selection((1, 0, 1))
         pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
         target_cfg = {"x_range": (-0.05, 0.05), "y_range": (0.0, 0.1),
@@ -154,8 +172,23 @@ class TestLockstepRollout:
             task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **target_cfg))
             ref = simulate_trajectory(ARM, model, task, pi, q0, dt=0.02, duration=30 * 0.02)
             for name in ("x", "u", "v", "w", "b", "pi"):
-                np.testing.assert_allclose(getattr(traj, name), getattr(ref, name),
-                                           rtol=0.0, atol=1e-12, err_msg=name)
+                np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
+                                              err_msg=name)
+
+    def test_one_draw_call_gives_the_per_trajectory_stream(self):
+        # with lam = I the first sample shows the start (x) and the whole
+        # target error (b), so both draws are compared for many seeds
+        lam = np.eye(3)
+        pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
+        for seed in range(100):
+            ds = generate_arm_dataset(ARM, lam, pi, n_trajectories=4, points_per_traj=1,
+                                      dt=0.02, seed=seed, target_cfg=TARGET_RANGES)
+            rng = np.random.default_rng(seed)
+            for traj in ds.trajectories:
+                q0 = sample_arm_start(rng)
+                task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **TARGET_RANGES))
+                assert np.array_equal(traj.x[0], q0), seed
+                assert np.array_equal(traj.b[0], task(q0)), seed
 
     def test_matches_per_step_projector_near_singularity(self):
         # rows (1, 0, 0) and (1, q_3, 0): trajectory 0 sits at a

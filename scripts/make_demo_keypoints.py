@@ -43,8 +43,9 @@ def reach_frames(reach: dict) -> list:
 def main():
     out_root = Path(__file__).resolve().parent.parent / "configs" / "data" / "keypoints_demo"
     for i, reach in enumerate(REACHES):
-        paths = write_keypoint_files(reach_frames(reach), out_root / f"traj_{i}")
-        print(f"traj_{i}: {len(paths)} frames -> {paths[0].parent}")
+        frames, directory = reach_frames(reach), out_root / f"traj_{i}"
+        write_keypoint_files(frames, directory)
+        print(f"traj_{i}: {len(frames)} frames -> {directory}")
 
 
 if __name__ == "__main__":

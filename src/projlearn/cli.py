@@ -16,35 +16,27 @@ import logging
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import RUNNERS, SCHEMAS, ConfigError, check_acceptance, config_hash
 from .experiments import resolve as validate_config
-from .simulator import RankCollapseError, save_trajectory_csv
+from .ingest import read_json_object
+from .simulator import RankCollapseError
 
 log = logging.getLogger("projlearn")
 
 
 # --- output writers ----------------------------------------------------------------
 
-def write_trials_csv(rows, path: Path):
-    lines = ["trial,case,seed,e_w,e_n,objective"]
-    for r in rows:
-        lines.append(",".join([str(r["trial"]), r["case"], "/".join(str(s) for s in r["seed"]),
-                               repr(float(r["e_w"])), repr(float(r["e_n"])),
-                               repr(float(r["objective"]))]))
+def write_csv(path: Path, header: str, rows):
+    """Write the header line, then one comma-separated line per row, each ending in "\\n".
+
+    A string cell is written as it is, any other as repr(float(cell)), which
+    reads back to the same double.
+    """
+    lines = [header]
+    lines += [",".join(c if isinstance(c, str) else repr(float(c)) for c in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def write_sweep_csv(points, path: Path):
-    lines = ["axis,value,e_w_mean,e_w_sd,e_n_mean,e_n_sd"]
-    for p in points:
-        lines.append(",".join([p["axis"], repr(float(p["value"])),
-                               repr(float(p["e_w"]["mean"])), repr(float(p["e_w"]["sd"])),
-                               repr(float(p["e_n"]["mean"])), repr(float(p["e_n"]["sd"]))]))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_report(report: dict, path: Path):
-    path.write_text(json.dumps(report, indent=2) + "\n")
 
 
 GNUPLOT_TRIALS = """\
@@ -89,15 +81,25 @@ def write_gnuplot(out_dir: Path, result: dict, experiment: str):
 
 def write_outputs(result: dict, out_dir: Path, gnuplot: bool, experiment: str):
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(result["report"], out_dir / "report.json")
-    write_trials_csv(result["rows"], out_dir / "trials.csv")
+    (out_dir / "report.json").write_text(json.dumps(result["report"], indent=2) + "\n")
+    write_csv(out_dir / "trials.csv", "trial,case,seed,e_w,e_n,objective",
+              ([str(r["trial"]), r["case"], "/".join(str(s) for s in r["seed"]),
+                r["e_w"], r["e_n"], r["objective"]] for r in result["rows"]))
     if experiment == "sweep":
-        write_sweep_csv(result["report"]["points"], out_dir / "sweep.csv")
+        write_csv(out_dir / "sweep.csv", "axis,value,e_w_mean,e_w_sd,e_n_mean,e_n_sd",
+                  ([p["axis"], p["value"], p["e_w"]["mean"], p["e_w"]["sd"],
+                    p["e_n"]["mean"], p["e_n"]["sd"]] for p in result["report"]["points"]))
     if "trajectories" in result:
         traj_dir = out_dir / "trajectories"
         traj_dir.mkdir(exist_ok=True)
         for name, traj in result["trajectories"].items():
-            save_trajectory_csv(traj, traj_dir / f"{name}.csv")
+            # Columns t, x1..xn, u1..un, then v, w, b and pi where the trajectory has them.
+            blocks = {key: a for key in ("x", "u", "v", "w", "b", "pi")
+                      if (a := getattr(traj, key)) is not None}
+            header = ["t"] + [f"{k}{i + 1}" for k, a in blocks.items() for i in range(a.shape[1])]
+            t = np.arange(traj.n_samples) * traj.dt
+            write_csv(traj_dir / f"{name}.csv", ",".join(header),
+                      np.column_stack([t, *blocks.values()]))
     if gnuplot:
         write_gnuplot(out_dir, result, experiment)
 
@@ -141,22 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def load_config(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _apply_overrides(cfg: dict, args) -> dict:
-    cfg = dict(cfg)
-    for key in ("seed", "trials"):
-        value = getattr(args, key, None)
-        if value is not None:
-            cfg[key] = value
-    return cfg
+        return read_json_object(Path(path))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
@@ -171,13 +163,14 @@ def main(argv=None) -> int:
             experiment = args.experiment or cfg.get("experiment")
             if experiment is None:
                 raise ConfigError("experiment: missing key and no --experiment given")
-            if experiment not in RUNNERS:
+            if not isinstance(experiment, str) or experiment not in RUNNERS:
                 raise ConfigError(f"experiment: unknown experiment {experiment!r}; "
                                   f"choose from {sorted(RUNNERS)}")
             validate_config(cfg, experiment)
             print(f"OK {experiment} config_hash={config_hash(cfg)}")
             return 0
-        cfg = _apply_overrides(cfg, args)
+        cfg.update((key, value) for key in ("seed", "trials")
+                   if (value := getattr(args, key, None)) is not None)
         validate_config(cfg, args.command)
         out_dir = Path(args.out or cfg.get("out") or f"results/{args.command}")
     except ConfigError as exc:

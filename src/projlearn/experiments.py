@@ -136,8 +136,6 @@ def resolve(cfg: dict, experiment: str) -> dict:
     Raises ConfigError naming the offending key path. Returns a new dict;
     every value present in `cfg` passes through unchanged.
     """
-    if not isinstance(cfg, dict):
-        _fail("(root)", f"expected a JSON object, got {type(cfg).__name__}")
     if "experiment" in cfg and cfg["experiment"] != experiment:
         _fail("experiment", f"config names {cfg['experiment']!r} but the "
               f"{experiment!r} command was invoked")

@@ -66,23 +66,36 @@ def _triple(flat, index):
     return triple if len(triple) == 3 else (np.nan,) * 3
 
 
+def _typed(value, kind: type, name: str, frame: int):
+    """value, or an empty `kind` when it is absent or null; ValueError for another type."""
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ValueError(f"frame {frame}: {name} is a JSON {type(value).__name__}, "
+                         f"not a {kind.__name__}")
+    return value
+
+
 def parse_keypoint_json(frames: list, side: str = "right") -> np.ndarray:
     """Keypoint array (F, 5, 3) from a list of decoded frame objects.
 
-    Takes the first person of each frame. Frames with an empty people list
+    Takes the first person of each frame. A field that is absent or null
+    reads as empty, so its points are absent; a field of another wrong type
+    raises ValueError naming the frame. Frames with an empty people list
     stay as all-NaN rows, with a warning, so frame indexing downstream
     stays aligned with the files.
     """
     if side not in SIDE_POINTS:
         raise ValueError("side must be 'right' or 'left'")
     rows, empty = [], 0
-    for obj in frames:
-        people = obj.get("people", [])
+    for i, obj in enumerate(frames):
+        people = _typed(obj.get("people"), list, "people", i)
         empty += not people
-        person = people[0] if people else {}
-        body = person.get("pose_keypoints_2d", [])
+        person = _typed(people[0] if people else None, dict, "people[0]", i)
+        body = _typed(person.get("pose_keypoints_2d"), list, "pose_keypoints_2d", i)
         rows += [_triple(body, index) for index in SIDE_POINTS[side]]
-        rows.append(_triple(person.get(HAND_KEY[side]) or (), HAND_MIDDLE_KNUCKLE))
+        hand = _typed(person.get(HAND_KEY[side]), list, HAND_KEY[side], i)
+        rows.append(_triple(hand, HAND_MIDDLE_KNUCKLE))
     points = np.array(rows, dtype=float).reshape(-1, 5, 3)
     # Estimators write (0, 0, 0) for a point they did not detect.
     points[points[:, :, 2] == 0.0] = np.nan
@@ -92,20 +105,27 @@ def parse_keypoint_json(frames: list, side: str = "right") -> np.ndarray:
     return points
 
 
+def read_json_object(path: Path) -> dict:
+    """The JSON object in the file at `path`, parsed from its bytes.
+
+    Raises ValueError naming the file when the bytes are not JSON text
+    (UTF-8, -16 or -32) or when the top level is not an object.
+    """
+    try:
+        obj = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
+        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path} holds a JSON {type(obj).__name__}, not an object")
+    return obj
+
+
 def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmRecording:
     """Read a recording: a directory of *_keypoints.json files, one frame object each."""
     files = sorted(Path(path).glob("*_keypoints.json"))
     if not files:
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
-    frames = []
-    for f in files:
-        try:
-            frame = json.loads(f.read_bytes())
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8/16/32
-            raise ValueError(f"{f} is not valid JSON: {exc}") from exc
-        if not isinstance(frame, dict):
-            raise ValueError(f"{f} holds a JSON {type(frame).__name__}, not one frame object")
-        frames.append(frame)
+    frames = [read_json_object(f) for f in files]
     return HumanArmRecording(frames=parse_keypoint_json(frames, side=side), fps=float(fps))
 
 
@@ -203,20 +223,23 @@ def recording_to_dataset(rec: HumanArmRecording, scale: float = 300.0,
 
 # --- synthesis (the exact inverse of the parser, for round-trip checks) -----------
 
-def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, origin_px=(640.0, 360.0),
-                               scale: float = 300.0, hip_drop: float = 0.5,
+ORIGIN_PX = (640.0, 360.0)  # where synthesized frames put the shoulder, in pixels
+HIP_DROP = 0.5  # how far below the shoulder they put the hip, in arm units
+
+
+def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, scale: float = 300.0,
                                side: str = "right") -> list:
     """Per-frame JSON dicts for a chain-convention joint trajectory.
 
-    The shoulder sits at origin_px with the hip straight below it, positions
-    are arm units times scale, and image y is flipped. Confidence is 1.0
-    everywhere. Useful for tests and demo data; the output parses back to
-    the generating angles.
+    The shoulder sits at ORIGIN_PX with the hip HIP_DROP straight below it,
+    positions are arm units times scale, and image y is flipped. Confidence
+    is 1.0 everywhere. Useful for tests and demo data; the output parses
+    back to the generating angles.
     """
     if arm.n != 3:
         raise ValueError("synthesis expects a 3-link arm (upper, fore, hand)")
     Q_arm = np.atleast_2d(np.asarray(Q_arm, dtype=float))
-    ox, oy = float(origin_px[0]), float(origin_px[1])
+    ox, oy = ORIGIN_PX
 
     def to_px(p_math):
         return (ox + scale * p_math[0], oy - scale * p_math[1])
@@ -225,7 +248,7 @@ def synthesize_keypoint_frames(arm: PlanarArm, Q_arm, origin_px=(640.0, 360.0),
     for q in Q_arm:
         pts = joint_positions(arm, q)
         body = [0.0] * 75
-        named = (to_px(pts[0]), to_px(pts[1]), to_px(pts[2]), (ox, oy + scale * hip_drop))
+        named = (to_px(pts[0]), to_px(pts[1]), to_px(pts[2]), (ox, oy + scale * HIP_DROP))
         for kp_index, (px, py) in zip(SIDE_POINTS[side], named):
             body[3 * kp_index:3 * kp_index + 3] = [px, py, 1.0]
         hand = [0.0] * 63
@@ -240,9 +263,5 @@ def write_keypoint_files(frames, directory):
     """One JSON file per frame, demo_<index>_keypoints.json like a pose-estimator output."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
     for i, frame in enumerate(frames):
-        p = directory / f"demo_{i:012d}_keypoints.json"
-        p.write_text(json.dumps(frame))
-        paths.append(p)
-    return paths
+        (directory / f"demo_{i:012d}_keypoints.json").write_text(json.dumps(frame))

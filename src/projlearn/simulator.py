@@ -1,4 +1,4 @@
-"""Synthetic constrained-motion data: generation, noise and CSV output.
+"""Synthetic constrained-motion data: generation and noise.
 
 Every sample is produced by the decomposition u = A^+ b + N pi, so the
 ground-truth split into task part v and null-space part w is stored next to
@@ -6,9 +6,7 @@ the observations. Datasets are plain containers; generation is deterministic
 given the seed.
 """
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -55,10 +53,6 @@ class Trajectory:
     @property
     def n_samples(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     def slice(self, start: int, stop: int) -> "Trajectory":
         pick = lambda a: None if a is None else a[start:stop]
@@ -271,29 +265,4 @@ def split_dataset(dataset: Dataset, n_first: int) -> tuple:
         parts = (dataset.trajectories[:n_first], dataset.trajectories[n_first:])
     return (Dataset(trajectories=parts[0], meta=dict(dataset.meta)),
             Dataset(trajectories=parts[1], meta=dict(dataset.meta)))
-
-
-# --- CSV output -------------------------------------------------------------
-
-def save_trajectory_csv(traj: Trajectory, path):
-    """Write one trajectory as CSV: t, x1..xn, u1..un and any ground truth."""
-    path = Path(path)
-    n = traj.dim
-    header = ["t"]
-    header += [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(n)]
-    blocks = [("v", traj.v), ("w", traj.w), ("b", traj.b), ("pi", traj.pi)]
-    for name, arr in blocks:
-        if arr is not None:
-            header += [f"{name}{i+1}" for i in range(arr.shape[1])]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(traj.n_samples):
-            row = [repr(float(i * traj.dt))]
-            row += [repr(float(val)) for val in traj.x[i]]
-            row += [repr(float(val)) for val in traj.u[i]]
-            for _, arr in blocks:
-                if arr is not None:
-                    row += [repr(float(val)) for val in arr[i]]
-            writer.writerow(row)
 

@@ -1,6 +1,8 @@
 import copy
+import csv
 import json
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from projlearn import experiments, learning
-from projlearn.cli import ConfigError, main, validate_config, write_trials_csv
+from projlearn.cli import ConfigError, main, validate_config, write_outputs
 from projlearn.experiments import (ACCEPTANCE, OPTIONAL, REQUIRED, RUNNERS, SCHEMAS,
                                    check_acceptance, config_hash, run_retarget_obstacle)
 
@@ -436,6 +438,31 @@ class TestMainExitCodes:
         assert main(["toy", str(p)]) == 2
         assert "not valid JSON" in capsys.readouterr().err
 
+    # A config file holds one JSON object; `[]` once ran a default toy experiment.
+    @pytest.mark.parametrize("content,message", [
+        (b"[]", "holds a JSON list, not an object"),
+        (b"[1, 2]", "holds a JSON list, not an object"),
+        (b'"toy"', "holds a JSON str, not an object"),
+        (b"\xff\xfe{}", "is not valid JSON"),
+    ], ids=["empty-list", "list", "string", "not-utf8"])
+    @pytest.mark.parametrize("command", ["toy", "validate-config"])
+    def test_config_that_is_not_one_object_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                   content, message, command):
+        monkeypatch.chdir(tmp_path)  # where a run with no --out would write results/
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {path} {message}")
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_validate_config_rejects_an_experiment_that_is_not_a_name(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, tiny_toy_cfg(experiment=["toy"]))
+        assert main(["validate-config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment: unknown experiment ['toy']")
+        assert "Traceback" not in err
+
     def test_unknown_key_exits_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, tiny_toy_cfg(banana=1))
         assert main(["toy", path]) == 2
@@ -488,6 +515,26 @@ class TestMainExitCodes:
             "run error: no frame has a confident hand point; the wrist angle needs one"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key,value,code,errors", [
+        ("pose_keypoints_2d", None, 0, []),  # null reads as absent: the frame is a gap
+        ("pose_keypoints_2d", {"x": 1.0}, 3,
+         ["run error: frame 7: pose_keypoints_2d is a JSON dict, not a list"]),
+    ], ids=["null", "dict"])
+    def test_keypoint_field_of_the_wrong_type(self, tmp_path, capsys, key, value, code, errors):
+        rec = tmp_path / "traj_0"
+        shutil.copytree(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0", rec)
+        path = sorted(rec.glob("*_keypoints.json"))[7]
+        frame = json.loads(path.read_text())
+        frame["people"][0][key] = value
+        path.write_text(json.dumps(frame))
+        cfg = write_cfg(tmp_path, dict(SMALL["ingest-learn"], experiment="ingest-learn",
+                                       inputs=[str(rec)]))
+        assert main(["ingest-learn", cfg, "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == errors
+        assert (tmp_path / "out").exists() == (code == 0)
+
 
 class TestOutputs:
     def run_toy(self, tmp_path, out_name="out", **extra):
@@ -506,10 +553,52 @@ class TestOutputs:
         assert len(lines) == 3
 
     def test_trials_csv_row_is_plain_text(self, tmp_path):
-        path = tmp_path / "trials.csv"
-        write_trials_csv([{"trial": 3, "case": "xy", "seed": (1, 2), "e_w": np.float64(0.5),
-                           "e_n": 0.25, "objective": np.float64(1e-9)}], path)
-        assert path.read_text() == "trial,case,seed,e_w,e_n,objective\n3,xy,1/2,0.5,0.25,1e-09\n"
+        row = {"trial": 3, "case": "xy", "seed": (1, 2), "e_w": np.float64(0.5), "e_n": 0.25,
+               "objective": np.float64(1e-9)}
+        write_outputs({"report": {}, "rows": [row]}, tmp_path, False, "toy")
+        assert (tmp_path / "trials.csv").read_bytes() == (
+            b"trial,case,seed,e_w,e_n,objective\n3,xy,1/2,0.5,0.25,1e-09\n")
+
+    @pytest.mark.parametrize("experiment", ["retarget-obstacle", "sweep"])
+    def test_every_file_ends_lines_in_newline_and_csvs_read_back_exactly(self, tmp_path,
+                                                                          experiment):
+        result = RUNNERS[experiment](dict(SMALL[experiment], experiment=experiment))
+        write_outputs(result, tmp_path, True, experiment)
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        for name in written:
+            data = (tmp_path / name).read_bytes()
+            assert data.endswith(b"\n") and b"\r" not in data, name
+
+        def cells(name):
+            with open(tmp_path / name, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            return header, rows
+
+        def exact(rows, expected):
+            # the text of a float cell reads back to the same double
+            return np.array_equal(np.array(rows, dtype=float), np.array(expected, dtype=float),
+                                  equal_nan=True)
+
+        header, rows = cells("trials.csv")
+        assert header == ["trial", "case", "seed", "e_w", "e_n", "objective"]
+        assert [r[:3] for r in rows] == [
+            [str(r["trial"]), r["case"], "/".join(map(str, r["seed"]))] for r in result["rows"]]
+        assert exact([r[3:] for r in rows],
+                     [[r["e_w"], r["e_n"], r["objective"]] for r in result["rows"]])
+        if experiment == "sweep":
+            header, rows = cells("sweep.csv")
+            assert header == ["axis", "value", "e_w_mean", "e_w_sd", "e_n_mean", "e_n_sd"]
+            points = result["report"]["points"]
+            assert [r[0] for r in rows] == [p["axis"] for p in points]
+            assert exact([r[1:] for r in rows],
+                         [[p["value"], p["e_w"]["mean"], p["e_w"]["sd"], p["e_n"]["mean"],
+                           p["e_n"]["sd"]] for p in points])
+        for name, traj in result.get("trajectories", {}).items():
+            _, rows = cells(f"trajectories/{name}.csv")
+            parts = [a for a in (traj.x, traj.u, traj.v, traj.w, traj.b, traj.pi) if a is not None]
+            assert exact(rows, np.column_stack([np.arange(traj.n_samples) * traj.dt, *parts]))
+        assert ("trajectories/demonstration.csv" in written) == (experiment != "sweep")
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a = self.run_toy(tmp_path, "out_a")

@@ -333,6 +333,41 @@ class TestFileReading:
             read_keypoint_dir(rec)
         assert isinstance(err.value.__cause__, json.JSONDecodeError)
 
+    @staticmethod
+    def edited_copy(tmp_path, edit):
+        """A copy of the bundled traj_0 whose frame 7 is changed by edit(frame object)."""
+        rec = tmp_path / "traj_0"
+        shutil.copytree(BUNDLED / "traj_0", rec)
+        path = sorted(rec.glob("*_keypoints.json"))[7]
+        obj = json.loads(path.read_bytes())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        return rec
+
+    def test_null_body_array_makes_the_frame_a_gap(self, tmp_path):
+        # null reads as absent, as for a hand block: every body point of the frame is NaN
+        rec = self.edited_copy(tmp_path, lambda f: f["people"][0].update(pose_keypoints_2d=None))
+        frames = read_keypoint_dir(rec).frames
+        whole = read_keypoint_dir(BUNDLED / "traj_0").frames
+        assert np.isnan(frames[7, :HAND]).all()
+        assert np.array_equal(np.delete(frames, 7, axis=0), np.delete(whole, 7, axis=0))
+        assert np.array_equal(frames[7, HAND], whole[7, HAND])
+        ds, _ = recording_to_dataset(read_keypoint_dir(rec))
+        assert [t.n_samples for t in ds.trajectories] == [6, len(whole) - 9]
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda f: f.update(people={"0": {}}), "people is a JSON dict, not a list"),
+        (lambda f: f.update(people=[3]), "people[0] is a JSON int, not a dict"),
+        (lambda f: f["people"][0].update(pose_keypoints_2d="0,0,0"),
+         "pose_keypoints_2d is a JSON str, not a list"),
+        (lambda f: f["people"][0].update(hand_right_keypoints_2d={"x": 1.0}),
+         "hand_right_keypoints_2d is a JSON dict, not a list"),
+    ], ids=["people", "person", "body", "hand"])
+    def test_field_of_another_wrong_type_is_named(self, tmp_path, edit, message):
+        rec = self.edited_copy(tmp_path, edit)
+        with pytest.raises(ValueError, match=re.escape(f"frame 7: {message}")):
+            read_keypoint_dir(rec)
+
 
 class TestPipeline:
     def constrained_human_motion(self, seed=0, points=60):

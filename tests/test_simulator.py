@@ -4,13 +4,13 @@ import pytest
 from projlearn.constraints import (SelectionConstraint, build_constraint_rows,
                                    diagonal_selection, null_projector)
 from projlearn import simulator
+from projlearn.cli import write_outputs
 from projlearn.experiments import resolve
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.policies import LimitCyclePolicy, PointAttractor, TaskPointAttractor
 from projlearn.simulator import (Dataset, NoiseSpec, RankCollapseError, Trajectory,
                                  action_std, add_noise, generate_arm_dataset,
-                                 generate_toy_dataset, save_trajectory_csv,
-                                 simulate_trajectory, split_dataset)
+                                 generate_toy_dataset, simulate_trajectory, split_dataset)
 
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
@@ -314,11 +314,17 @@ class TestSplitDataset:
             split_dataset(ds, 10)
 
 
+def save_trajectory_csv(traj, out_dir):
+    """The CSV the CLI writes for a run whose one trajectory is traj."""
+    write_outputs({"report": {}, "rows": [], "trajectories": {"traj": traj}}, out_dir,
+                  False, "three-link")
+    return out_dir / "trajectories" / "traj.csv"
+
+
 class TestSerialisation:
     def test_csv_header_layout(self, tmp_path):
         ds = make_arm_dataset(seed=17, n_traj=1, points=5)
-        path = tmp_path / "traj.csv"
-        save_trajectory_csv(ds.trajectories[0], path)
+        path = save_trajectory_csv(ds.trajectories[0], tmp_path)
         header = path.read_text().splitlines()[0].split(",")
         assert header[:7] == ["t", "x1", "x2", "x3", "u1", "u2", "u3"]
         assert header[7:13] == ["v1", "v2", "v3", "w1", "w2", "w3"]
@@ -327,9 +333,8 @@ class TestSerialisation:
 
     def test_trajectory_round_trip_is_exact(self, tmp_path):
         ds = make_arm_dataset(seed=18, n_traj=1, points=12)
-        path = tmp_path / "traj.csv"
         orig = ds.trajectories[0]
-        save_trajectory_csv(orig, path)
+        path = save_trajectory_csv(orig, tmp_path)
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(back[:, 0], np.arange(orig.n_samples) * orig.dt)
         expected = np.hstack([orig.x, orig.u, orig.v, orig.w, orig.b, orig.pi])

@@ -11,7 +11,8 @@ A recording is one float array of shape (F, 5, 3): x, y and confidence of
 the shoulder, elbow, wrist, hip and hand of the configured side, rows in
 the order of the module constants SHOULDER ... HAND. Every absent point is
 NaN: a frame with no person, a missing hand block, an index past a short
-array, or a triple whose confidence is 0. NaN fails every confidence test,
+array, a triple whose confidence is 0, or a triple holding a value that is
+not finite (a JSON null, NaN or Infinity). NaN fails every confidence test,
 so no floor admits a point the estimator did not report. A frame is kept
 when all five points reach the floor. The hand is required: a recording
 with no confident hand raises.
@@ -66,22 +67,23 @@ def _triple(flat, index):
     return triple if len(triple) == 3 else (np.nan,) * 3
 
 
-def _typed(value, kind: type, name: str, frame: int):
+def _typed(value, kind: type, name: str):
     """value, or an empty `kind` when it is absent or null; ValueError for another type."""
     if value is None:
         return kind()
     if not isinstance(value, kind):
-        raise ValueError(f"frame {frame}: {name} is a JSON {type(value).__name__}, "
-                         f"not a {kind.__name__}")
+        raise ValueError(f"{name} is a JSON {type(value).__name__}, not a {kind.__name__}")
     return value
 
 
-def parse_keypoint_json(frames: list, side: str = "right") -> np.ndarray:
+def parse_keypoint_json(frames: list, side: str = "right", files=None) -> np.ndarray:
     """Keypoint array (F, 5, 3) from a list of decoded frame objects.
 
     Takes the first person of each frame. A field that is absent or null
     reads as empty, so its points are absent; a field of another wrong type
-    raises ValueError naming the frame. Frames with an empty people list
+    raises ValueError naming the frame, and its file when ``files`` gives
+    the path of each frame. A triple holding a value that is not finite is
+    absent, like one of confidence 0. Frames with an empty people list
     stay as all-NaN rows, with a warning, so frame indexing downstream
     stays aligned with the files.
     """
@@ -89,16 +91,21 @@ def parse_keypoint_json(frames: list, side: str = "right") -> np.ndarray:
         raise ValueError("side must be 'right' or 'left'")
     rows, empty = [], 0
     for i, obj in enumerate(frames):
-        people = _typed(obj.get("people"), list, "people", i)
+        try:
+            people = _typed(obj.get("people"), list, "people")
+            person = _typed(people[0] if people else None, dict, "people[0]")
+            body = _typed(person.get("pose_keypoints_2d"), list, "pose_keypoints_2d")
+            hand = _typed(person.get(HAND_KEY[side]), list, HAND_KEY[side])
+        except ValueError as exc:
+            where = f"frame {i}" if files is None else f"{files[i]}: frame {i}"
+            raise ValueError(f"{where}: {exc}") from None
         empty += not people
-        person = _typed(people[0] if people else None, dict, "people[0]", i)
-        body = _typed(person.get("pose_keypoints_2d"), list, "pose_keypoints_2d", i)
         rows += [_triple(body, index) for index in SIDE_POINTS[side]]
-        hand = _typed(person.get(HAND_KEY[side]), list, HAND_KEY[side], i)
         rows.append(_triple(hand, HAND_MIDDLE_KNUCKLE))
     points = np.array(rows, dtype=float).reshape(-1, 5, 3)
-    # Estimators write (0, 0, 0) for a point they did not detect.
-    points[points[:, :, 2] == 0.0] = np.nan
+    # Estimators write (0, 0, 0) for a point they did not detect. A null
+    # coordinate reads as NaN: a point with a value that is not finite is absent too.
+    points[(points[:, :, 2] == 0.0) | ~np.isfinite(points).all(axis=2)] = np.nan
     if empty:
         warnings.warn(f"{empty} frame(s) contained no people and were kept as gaps",
                       stacklevel=2)
@@ -126,7 +133,8 @@ def read_keypoint_dir(path, side: str = "right", fps: float = 30.0) -> HumanArmR
     if not files:
         raise FileNotFoundError(f"no keypoint JSON files under {path}")
     frames = [read_json_object(f) for f in files]
-    return HumanArmRecording(frames=parse_keypoint_json(frames, side=side), fps=float(fps))
+    return HumanArmRecording(frames=parse_keypoint_json(frames, side=side, files=files),
+                             fps=float(fps))
 
 
 def keypoints_to_joint_angles(rec: HumanArmRecording, confidence_floor: float = 0.3):

@@ -224,6 +224,21 @@ class LearnedConstraint:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _median(values) -> float:
+    """np.median of a 1-d array, bit for bit and NaN included, without loading numpy.ma.
+
+    np.median imports numpy.ma on its first call, which adds about 2 MiB to
+    the process. This makes np.median's own partition, so ties and signed
+    zeros land where they land there, and takes the same middle.
+    """
+    m, odd = divmod(len(values), 2)
+    part = np.partition(values, [m, -1] if odd else [m - 1, m, -1])
+    if np.isnan(part[-1]):  # NaN partitions last, and np.median returns it
+        return float(part[-1])
+    # np.median takes np.mean of the middle, which sums onto +0.0, then divides.
+    return float(0.0 + part[m] if odd else (0.0 + part[m - 1] + part[m]) / 2.0)
+
+
 def _exact_fit_floor(U) -> float:
     """Scores below 1e-8 times the summed action norm count as an exact fit."""
     return 1e-8 * float(np.sum(np.linalg.norm(U, axis=1)))
@@ -289,7 +304,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     else:
         model = SelectionConstraint(lam=lam, feature=feature_fn)
 
-    prior_median = float(np.median(np.linalg.norm(PI, axis=1)))
+    prior_median = _median(np.linalg.norm(PI, axis=1))
     diag = {
         "degenerate_prior_fraction": _degenerate_prior_fraction(lam @ Phi, PI, prior_median),
         "prior_norm_median": prior_median,
@@ -396,7 +411,7 @@ def baseline_separate_nullspace(dataset: Dataset, seed) -> BaselineResult:
         centers = X.copy()
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
-    med = float(np.median(dists[np.triu_indices(len(centers), k=1)]))
+    med = _median(dists[np.triu_indices(len(centers), k=1)])
     width = BASELINE_WIDTH_SCALE * med if med > 0.0 else 1.0
     feats = _rbf_features(X, centers, width)
 

@@ -216,10 +216,12 @@ from projlearn.policies import PointAttractor
 from projlearn.simulator import NoiseSpec, add_noise, generate_arm_dataset
 import numpy as np
 loaded = lambda: "scipy.optimize" in sys.modules
-seen = {"import": loaded()}
+ma = lambda: "numpy.ma" in sys.modules
+seen = {"import": loaded(), "import numpy.ma": ma()}
 for experiment, path, out in json.loads(sys.argv[2]):
     assert main(["-q", experiment, path, "--out", out]) == 0
     seen[experiment] = loaded()
+    seen[experiment + " numpy.ma"] = ma()
 arm = PlanarArm((0.1, 0.1, 0.1))
 ds = generate_arm_dataset(arm, diagonal_selection((1, 1, 0)),
                           PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
@@ -235,14 +237,17 @@ print(json.dumps(seen))
 
 def test_scipy_optimize_loads_only_for_a_fit(tmp_path):
     # clean toy and three-link runs learn in closed form and never import
-    # scipy.optimize; a noisy Lambda learn runs the LM fit, which does
+    # scipy.optimize; a noisy Lambda learn runs the LM fit, which does.
+    # Neither import nor clean run loads numpy.ma, which np.median would.
     runs = [(experiment, write_cfg(tmp_path, dict(SMALL[experiment], experiment=experiment),
                                    name=f"{experiment}.json"), str(tmp_path / experiment))
             for experiment in ("toy", "three-link")]
     out = subprocess.run([sys.executable, "-c", SCIPY_PROBE, str(REPO / "src"), json.dumps(runs)],
                          check=True, capture_output=True, text=True, timeout=300)
     assert json.loads(out.stdout) == {"import": False, "toy": False, "three-link": False,
-                                      "noisy": True, "learner_path": "least_squares"}
+                                      "noisy": True, "learner_path": "least_squares",
+                                      "import numpy.ma": False, "toy numpy.ma": False,
+                                      "three-link numpy.ma": False}
 
 
 def shipped(name):
@@ -515,24 +520,28 @@ class TestMainExitCodes:
             "run error: no frame has a confident hand point; the wrist angle needs one"]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key,value,code,errors", [
-        ("pose_keypoints_2d", None, 0, []),  # null reads as absent: the frame is a gap
-        ("pose_keypoints_2d", {"x": 1.0}, 3,
-         ["run error: frame 7: pose_keypoints_2d is a JSON dict, not a list"]),
-    ], ids=["null", "dict"])
-    def test_keypoint_field_of_the_wrong_type(self, tmp_path, capsys, key, value, code, errors):
+    @pytest.mark.parametrize("edit,code,errors", [
+        # null reads as absent: the frame is a gap
+        (lambda person: person.update(pose_keypoints_2d=None), 0, []),
+        # a null coordinate (the right shoulder's x) makes the point absent: a gap too
+        (lambda person: person["pose_keypoints_2d"].__setitem__(6, None), 0, []),
+        (lambda person: person.update(pose_keypoints_2d={"x": 1.0}), 3,
+         ["run error: {path}: frame 7: pose_keypoints_2d is a JSON dict, not a list"]),
+    ], ids=["null", "null_coordinate", "dict"])
+    def test_keypoint_field_of_the_wrong_type(self, tmp_path, capsys, edit, code, errors):
         rec = tmp_path / "traj_0"
         shutil.copytree(CONFIG_DIR / "data" / "keypoints_demo" / "traj_0", rec)
         path = sorted(rec.glob("*_keypoints.json"))[7]
         frame = json.loads(path.read_text())
-        frame["people"][0][key] = value
+        edit(frame["people"][0])
         path.write_text(json.dumps(frame))
         cfg = write_cfg(tmp_path, dict(SMALL["ingest-learn"], experiment="ingest-learn",
                                        inputs=[str(rec)]))
         assert main(["ingest-learn", cfg, "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        assert [line for line in err.splitlines() if "error" in line] == errors
+        assert [line for line in err.splitlines() if "error" in line] == [
+            e.format(path=path) for e in errors]
         assert (tmp_path / "out").exists() == (code == 0)
 
 

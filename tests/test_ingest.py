@@ -11,9 +11,9 @@ from projlearn.constraints import diagonal_selection, null_projector
 from projlearn.ingest import (ELBOW, HAND, HAND_KEY, HAND_MIDDLE_KNUCKLE, SHOULDER, SIDE_POINTS,
                               WRIST, HumanArmRecording, arm_angles_from_human,
                               estimate_link_lengths, finite_difference_velocities,
-                              keypoints_to_joint_angles, parse_keypoint_json, read_keypoint_dir,
-                              recording_to_dataset, synthesize_keypoint_frames,
-                              write_keypoint_files)
+                              keypoints_to_joint_angles, parse_keypoint_json, read_json_object,
+                              read_keypoint_dir, recording_to_dataset,
+                              synthesize_keypoint_frames, write_keypoint_files)
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import learn_constraint
 from projlearn.policies import PointAttractor, TaskPointAttractor
@@ -355,6 +355,22 @@ class TestFileReading:
         ds, _ = recording_to_dataset(read_keypoint_dir(rec))
         assert [t.n_samples for t in ds.trajectories] == [6, len(whole) - 9]
 
+    @pytest.mark.parametrize("value", [None, float("nan"), float("inf")],
+                             ids=["null", "nan", "infinity"])
+    def test_non_finite_coordinate_makes_the_point_absent(self, tmp_path, value):
+        # index 6 is the right shoulder's x: frame 7 loses its shoulder and becomes a gap
+        def edit(f):
+            f["people"][0]["pose_keypoints_2d"][6] = value
+        rec = self.edited_copy(tmp_path, edit)
+        frames = read_keypoint_dir(rec).frames
+        whole = read_keypoint_dir(BUNDLED / "traj_0").frames
+        assert np.isnan(frames[7, SHOULDER]).all()
+        expected = whole.copy()
+        expected[7, SHOULDER] = np.nan
+        assert np.array_equal(frames, expected, equal_nan=True)
+        ds, _ = recording_to_dataset(read_keypoint_dir(rec))
+        assert [t.n_samples for t in ds.trajectories] == [6, len(whole) - 9]
+
     @pytest.mark.parametrize("edit,message", [
         (lambda f: f.update(people={"0": {}}), "people is a JSON dict, not a list"),
         (lambda f: f.update(people=[3]), "people[0] is a JSON int, not a dict"),
@@ -364,9 +380,13 @@ class TestFileReading:
          "hand_right_keypoints_2d is a JSON dict, not a list"),
     ], ids=["people", "person", "body", "hand"])
     def test_field_of_another_wrong_type_is_named(self, tmp_path, edit, message):
+        # the error names the file as well as the frame, as for bytes that are not JSON
         rec = self.edited_copy(tmp_path, edit)
-        with pytest.raises(ValueError, match=re.escape(f"frame 7: {message}")):
+        files = sorted(rec.glob("*_keypoints.json"))
+        with pytest.raises(ValueError, match=re.escape(f"{files[7]}: frame 7: {message}")):
             read_keypoint_dir(rec)
+        with pytest.raises(ValueError, match=re.escape(f"frame 7: {message}")):
+            parse_keypoint_json([read_json_object(f) for f in files])
 
 
 class TestPipeline:

@@ -578,6 +578,27 @@ class TestBaselineSeparation:
             baseline_separate_nullspace(ds, 0)
 
 
+class TestMedian:
+    """learning._median against np.median, the reference it replaces, bit for bit."""
+
+    @staticmethod
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 10, 101, 1000])
+    def test_equals_np_median(self, size):
+        rng = np.random.default_rng(size)
+        for i in range(200):
+            v = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300)
+            if i % 4 == 1:  # ties: a few distinct values, signed zeros among them
+                v = rng.choice([-0.0, 0.0, 1.5, -2.25, 1e-300], size=size)
+            elif i % 4 == 2:
+                v[rng.integers(size)] = np.nan
+            elif i % 4 == 3:
+                v = np.abs(v)  # norms and distances, the callers' inputs
+            assert self.bits(learning._median(v)) == self.bits(float(np.median(v))), (size, i)
+
+
 class TestOptimize:
     def test_quadratic_bowl(self):
         target = np.array([1.3, -0.4, 0.8])

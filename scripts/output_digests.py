@@ -2,7 +2,8 @@
 
 Each config under configs/ runs through its experiment's runner in this one
 process, and its outputs are written as the CLI writes them: report.json,
-trials.csv, sweep.csv for a sweep and one CSV per trajectory. One line per
+trials.csv, one CSV per table the result carries (sweep.csv for a sweep) and
+one CSV per trajectory. One line per
 file, `<sha256>  <config>/<file>`, sorted. Two checkouts whose outputs are
 byte-identical print the same lines, so a diff of this script's output
 before and after a change checks that claim. Run from the repository root:
@@ -24,9 +25,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for path in sorted(Path("configs").glob("*.json")):
             cfg = json.loads(path.read_text())
-            experiment = cfg["experiment"]
             out = Path(tmp) / path.stem
-            write_outputs(RUNNERS[experiment](cfg), out, False, experiment)
+            write_outputs(RUNNERS[cfg["experiment"]](cfg), out, False)
             for f in sorted(p for p in out.rglob("*") if p.is_file()):
                 digest = hashlib.sha256(f.read_bytes()).hexdigest()
                 print(f"{digest}  {path.stem}/{f.relative_to(out).as_posix()}")

@@ -2,8 +2,10 @@
 
 Every experiment is driven by a JSON config file. The CLI validates the
 config (exit code 2 on any problem, with the offending key path in the
-message), runs the named experiment, and writes a report plus per-trial
-CSV into the output directory. Every check the runner returns is logged
+message), runs the named experiment (one subcommand per entry of
+experiments.RUNNERS), and writes what the runner returns into the output
+directory: the report, the per-trial CSV, and any further table or
+trajectory CSVs. Every check the runner returns is logged
 and compared with the acceptance thresholds embedded in the config;
 violations exit with code 1. A run that fails on its input (a recording it
 cannot read or use, a file it cannot write, a rollout whose constraint loses
@@ -50,17 +52,6 @@ plot "trials.csv" using 1:4 with points pt 7 title "e_w", \\
      "trials.csv" using 1:5 with points pt 5 title "e_n"
 """
 
-GNUPLOT_SWEEP = """\
-# Mean error against the sweep value. Run: gnuplot -p plot_sweep.gp
-set datafile separator ","
-set logscale y
-set xlabel "sweep value"
-set ylabel "mean normalised error"
-set key outside
-plot "sweep.csv" using 2:3 with linespoints pt 7 title "e_w", \\
-     "sweep.csv" using 2:5 with linespoints pt 5 title "e_n"
-"""
-
 GNUPLOT_TRACES = """\
 # Joint trajectories from each rollout CSV. Run: gnuplot -p plot_traces.gp
 set datafile separator ","
@@ -71,37 +62,35 @@ plot for [f in system("ls *.csv")] f using 1:2 with lines title f
 """
 
 
-def write_gnuplot(out_dir: Path, result: dict, experiment: str):
+def write_gnuplot(out_dir: Path, result: dict):
     (out_dir / "plot_trials.gp").write_text(GNUPLOT_TRIALS)
-    if experiment == "sweep":
-        (out_dir / "plot_sweep.gp").write_text(GNUPLOT_SWEEP)
+    for name, (_, _, script) in result.get("tables", {}).items():
+        (out_dir / f"plot_{name}.gp").write_text(script)
     if "trajectories" in result:
         (out_dir / "trajectories" / "plot_traces.gp").write_text(GNUPLOT_TRACES)
 
 
-def write_outputs(result: dict, out_dir: Path, gnuplot: bool, experiment: str):
+def write_outputs(result: dict, out_dir: Path, gnuplot: bool):
+    """Write report.json, trials.csv, every table the result carries and its trajectories."""
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(json.dumps(result["report"], indent=2) + "\n")
     write_csv(out_dir / "trials.csv", "trial,case,seed,e_w,e_n,objective",
               ([str(r["trial"]), r["case"], "/".join(str(s) for s in r["seed"]),
                 r["e_w"], r["e_n"], r["objective"]] for r in result["rows"]))
-    if experiment == "sweep":
-        write_csv(out_dir / "sweep.csv", "axis,value,e_w_mean,e_w_sd,e_n_mean,e_n_sd",
-                  ([p["axis"], p["value"], p["e_w"]["mean"], p["e_w"]["sd"],
-                    p["e_n"]["mean"], p["e_n"]["sd"]] for p in result["report"]["points"]))
+    for name, (header, rows, _) in result.get("tables", {}).items():
+        write_csv(out_dir / f"{name}.csv", header, rows)
     if "trajectories" in result:
         traj_dir = out_dir / "trajectories"
         traj_dir.mkdir(exist_ok=True)
         for name, traj in result["trajectories"].items():
-            # Columns t, x1..xn, u1..un, then v, w, b and pi where the trajectory has them.
-            blocks = {key: a for key in ("x", "u", "v", "w", "b", "pi")
-                      if (a := getattr(traj, key)) is not None}
+            # Columns t, then each array the trajectory has: x1..xn, u1..un, v1..vn, ...
+            blocks = traj.arrays()
             header = ["t"] + [f"{k}{i + 1}" for k, a in blocks.items() for i in range(a.shape[1])]
             t = np.arange(traj.n_samples) * traj.dt
             write_csv(traj_dir / f"{name}.csv", ",".join(header),
                       np.column_stack([t, *blocks.values()]))
     if gnuplot:
-        write_gnuplot(out_dir, result, experiment)
+        write_gnuplot(out_dir, result)
 
 
 # --- argument parsing ---------------------------------------------------------------
@@ -115,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-q", "--quiet", action="store_true", help="warnings only")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_command(name, summary):
-        p = sub.add_parser(name, help=summary)
+    for name, runner in RUNNERS.items():
+        p = sub.add_parser(name, help=runner.__doc__.partition("\n")[0])
         p.add_argument("config", help="path to a JSON config file")
         p.add_argument("--out", help="output directory (default: from config, "
                                      "else results/<experiment>)")
@@ -125,15 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--trials", type=int, help="override the trial count")
         p.add_argument("--gnuplot", action="store_true",
                        help="also write gnuplot scripts next to the CSVs")
-        return p
-
-    add_run_command("toy", "constraint recovery on the 2D toy system")
-    add_run_command("sweep", "toy-system sweeps over data size and noise")
-    add_run_command("three-link", "selection-constraint recovery on a 3-link arm")
-    add_run_command("compare-baseline", "head-to-head against the prior-free learner")
-    add_run_command("retarget-obstacle", "null-space swap around an obstacle")
-    add_run_command("retarget-embodiment", "task transfer to a 7-link arm")
-    add_run_command("ingest-learn", "learn from pose-keypoint recordings")
 
     v = sub.add_parser("validate-config", help="check a config file and exit")
     v.add_argument("config", help="path to a JSON config file")
@@ -180,7 +160,7 @@ def main(argv=None) -> int:
     log.info("running %s (config hash %s)", args.command, config_hash(cfg))
     try:
         result = RUNNERS[args.command](cfg)
-        write_outputs(result, out_dir, args.gnuplot, args.command)
+        write_outputs(result, out_dir, args.gnuplot)
     except (ValueError, OSError, RankCollapseError) as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 3

@@ -205,8 +205,9 @@ def _gram_solve(G, B):
     scale-free test since det <= prod(diag) for a Gram matrix: for k = 1 a
     nonzero row, for k = 2 rows more than about 1e-3 rad from parallel.
     Closed forms for k <= 2 keep the inner loops off LAPACK's per-matrix
-    overhead; larger k solve the trusted samples in one call. Untrusted
-    samples get z = 0.
+    overhead; larger k solve the trusted samples in one call. z of an
+    untrusted sample is unspecified for k <= 2 (the closed form with det set
+    to 1) and zero for k >= 3; every caller drops or replaces it.
     """
     k = B.shape[1]
     # prod(diag G) spelled out for k <= 2: per-call overhead dominates one-state steps.

@@ -3,10 +3,13 @@
 Each runner takes a config dict and first passes it through `resolve`, which
 checks it against the experiment's schema below and fills in every default,
 so the CLI and tests calling a runner directly with a partial dict get the
-same run. The runner returns a report dict, which echoes the config as
-given, per-trial rows and its own acceptance checks, (label, acceptance
-key, value) triples for check_acceptance. All randomness derives from
-(master seed, case index, trial index, stream), so results are
+same run. The runner returns a dict: the report, which echoes the config as
+given; per-trial rows; its own acceptance checks, (label, acceptance key,
+value) triples for check_acceptance; and, where it has them, "trajectories"
+and "tables", each by file stem, for the CLI to write as CSVs. A table is
+(header, rows, gnuplot script). The CLI offers one subcommand per entry of
+RUNNERS, with the runner's first docstring line as its help. All randomness
+derives from (master seed, case index, trial index, stream), so results are
 reproducible sample for sample.
 """
 
@@ -22,7 +25,7 @@ import numpy as np
 from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
-from .kinematics import PlanarArm, end_pose, jacobian
+from .kinematics import PlanarArm, end_pose, jacobian, wrap_angle
 from .learning import baseline_separate_nullspace, learn_constraint, learn_selection_matrix
 from .metrics import consistency_error, eval_learned_constraint, summarize
 from .policies import TOY_POLICIES, PointAttractor, TaskPointAttractor, policy_from_config
@@ -409,6 +412,19 @@ def run_toy(cfg: dict) -> dict:
     return _run_cases("toy", raw, cfg, cases, _toy_trial)
 
 
+# plot_sweep.gp, which --gnuplot writes next to sweep.csv.
+SWEEP_GNUPLOT = """\
+# Mean error against the sweep value. Run: gnuplot -p plot_sweep.gp
+set datafile separator ","
+set logscale y
+set xlabel "sweep value"
+set ylabel "mean normalised error"
+set key outside
+plot "sweep.csv" using 2:3 with linespoints pt 7 title "e_w", \\
+     "sweep.csv" using 2:5 with linespoints pt 5 title "e_n"
+"""
+
+
 def run_sweep(cfg: dict) -> dict:
     """Toy-system robustness sweeps: training-set size, action noise, prior noise."""
     raw, cfg = cfg, resolve(cfg, "sweep")
@@ -430,6 +446,10 @@ def run_sweep(cfg: dict) -> dict:
     stats = report.pop("cases")
     report["points"] = [{"axis": a, "value": v, **stats[f"{a}={v}"]} for a, v, _ in points]
     report["trial_seeds"] = report.pop("trial_seeds")
+    result["tables"] = {"sweep": (
+        "axis,value,e_w_mean,e_w_sd,e_n_mean,e_n_sd",
+        [[p["axis"], p["value"], p["e_w"]["mean"], p["e_w"]["sd"], p["e_n"]["mean"],
+          p["e_n"]["sd"]] for p in report["points"]], SWEEP_GNUPLOT)}
     return result
 
 
@@ -517,7 +537,7 @@ def run_compare_baseline(cfg: dict) -> dict:
 
     def task_error(traj):
         err = target - end_pose(arm, traj.x[-1])
-        err[2] = float(np.arctan2(np.sin(err[2]), np.cos(err[2])))
+        err[2] = wrap_angle(err[2])
         return float(np.linalg.norm(err[sel]))
 
     def summary(traj):

@@ -17,16 +17,21 @@ import numpy as np
 def wrap_angle(theta):
     """Wrap an angle (or array of angles) to the half-open interval (-pi, pi].
 
-    A float (np.float64 included) gives a Python float; anything else goes
-    through numpy and gives an ndarray.
+    An angle with |theta| < pi comes back unchanged, -0.0 included: the
+    modulo would move a negative one by up to half an ulp of 2 pi. A float
+    (np.float64 included) gives a Python float; anything else goes through
+    numpy and gives an ndarray.
     """
     if isinstance(theta, float):  # np.float64 included
+        if abs(theta) < np.pi:
+            return float(theta)
         # Python's % rounds as np.mod does, without numpy's per-call overhead.
         wrapped = float(theta) % (2.0 * np.pi)
         return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
     wrapped = np.mod(theta, 2.0 * np.pi)
     # np.mod returns [0, 2pi); fold the upper half down, keeping +pi itself.
-    return np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+    return np.where(np.abs(theta) < np.pi, theta, wrapped)
 
 
 def dot_last(a, b):

@@ -174,8 +174,18 @@ def _screened_sampler(objective, dim, draws: int = 32):
 
 # --- closed-form start and least-squares fit ---------------------------------------
 
+def _signed(rows):
+    """Each row flipped so that its largest-magnitude entry (the first, on a tie) is positive.
+
+    eigh and svd return a vector with whichever sign LAPACK reaches, so without
+    this a rounding-level change to their input could flip a learned row.
+    """
+    lead = rows[np.arange(len(rows)), np.abs(rows).argmax(axis=1)]
+    return rows * np.copysign(1.0, lead)[:, None]  # a product with -1.0 or 1.0 is exact
+
+
 def _row_space_start(D, Phi):
-    """Eigenvectors (columns) and eigenvalues, largest first, of the row-space scatter.
+    """Eigenvectors (_signed columns) and eigenvalues, largest first, of the row-space scatter.
 
     Every d_n = u_n - pi_n lies in the row space of A(x_n) = Lambda Phi_n,
     so z_n = G_n^-1 Phi_n d_n with G_n = Phi_n Phi_n^T lies in the row
@@ -190,7 +200,7 @@ def _row_space_start(D, Phi):
                          "representation needs Phi(x) of full row rank")
     Z = Z[ok]
     vals, vecs = np.linalg.eigh(Z.T @ Z)
-    return vecs[:, ::-1], vals[::-1]
+    return _signed(vecs[:, ::-1].T).T, vals[::-1]
 
 
 def _fit_row_span(Phi, residual_of, basis, k: int):
@@ -204,7 +214,7 @@ def _fit_row_span(Phi, residual_of, basis, k: int):
     Lambda = L0 + B Q around the start, L0 the first k columns of basis and
     Q the rest (Absil, Mahony & Sepulchre 2008). The spherical angles would
     not do: at k = 2 their Jacobian is singular at the optimum. The rows are
-    orthonormalised once, at the end.
+    orthonormalised once, at the end, and _signed.
     """
     L0, Q = basis[:, :k].T, basis[:, k:].T
 
@@ -212,7 +222,8 @@ def _fit_row_span(Phi, residual_of, basis, k: int):
         return residual_of((L0 + b.reshape(k, -1) @ Q) @ Phi).ravel()
 
     res = least_squares(residual, np.zeros(k * len(Q)), method="lm")
-    return np.linalg.svd(L0 + res.x.reshape(k, -1) @ Q, full_matrices=False)[2], res.nfev
+    rows = np.linalg.svd(L0 + res.x.reshape(k, -1) @ Q, full_matrices=False)[2]
+    return _signed(rows), res.nfev
 
 
 # --- learning the constraint when the prior is known ------------------------------

@@ -6,7 +6,7 @@ the observations. Datasets are plain containers; generation is deterministic
 given the seed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -36,28 +36,29 @@ class Trajectory:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        u = np.atleast_2d(np.asarray(self.u, dtype=float))
-        if x.shape != u.shape:
+        arrays = {name: np.atleast_2d(np.asarray(a, dtype=float))
+                  for name, a in self.arrays().items()}
+        rows = arrays["x"].shape[0]
+        if arrays["u"].shape != arrays["x"].shape:
             raise ValueError("x and u must have matching shapes")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "u", u)
-        for name in ("v", "w", "b", "pi"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.atleast_2d(np.asarray(val, dtype=float))
-                if val.shape[0] != x.shape[0]:
-                    raise ValueError(f"{name} has {val.shape[0]} rows, expected {x.shape[0]}")
-                object.__setattr__(self, name, val)
+        for name, a in arrays.items():
+            if a.shape[0] != rows:
+                raise ValueError(f"{name} has {a.shape[0]} rows, expected {rows}")
+            object.__setattr__(self, name, a)
+
+    def arrays(self) -> dict:
+        """The arrays present (every field but dt), by field name in field order."""
+        return {name: a for name in _ARRAY_FIELDS if (a := getattr(self, name)) is not None}
 
     @property
     def n_samples(self) -> int:
         return self.x.shape[0]
 
     def slice(self, start: int, stop: int) -> "Trajectory":
-        pick = lambda a: None if a is None else a[start:stop]
-        return Trajectory(dt=self.dt, x=self.x[start:stop], u=self.u[start:stop],
-                          v=pick(self.v), w=pick(self.w), b=pick(self.b), pi=pick(self.pi))
+        return Trajectory(dt=self.dt, **{name: a[start:stop] for name, a in self.arrays().items()})
+
+
+_ARRAY_FIELDS = tuple(f.name for f in fields(Trajectory) if f.name != "dt")
 
 
 @dataclass(eq=False)
@@ -111,13 +112,11 @@ def add_noise(dataset: Dataset, spec: NoiseSpec, seed) -> Dataset:
     for traj in dataset.trajectories:
         noise = rng.normal(0.0, 1.0, size=traj.u.shape) * scale
         if spec.target == "actions":
-            out.append(Trajectory(dt=traj.dt, x=traj.x, u=traj.u + noise,
-                                  v=traj.v, w=traj.w, b=traj.b, pi=traj.pi))
+            out.append(replace(traj, u=traj.u + noise))
         else:
             if traj.pi is None:
                 raise ValueError("cannot noise the prior: trajectory stores no pi values")
-            out.append(Trajectory(dt=traj.dt, x=traj.x, u=traj.u,
-                                  v=traj.v, w=traj.w, b=traj.b, pi=traj.pi + noise))
+            out.append(replace(traj, pi=traj.pi + noise))
     return Dataset(trajectories=out, meta=dict(dataset.meta))
 
 

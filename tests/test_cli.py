@@ -415,6 +415,33 @@ class TestDocsMatchSchema:
             assert documented[path] == default, path
 
 
+def help_text(capsys, *argv) -> str:
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestCommandList:
+    """RUNNERS is the one list of experiments: the CLI offers one subcommand per entry."""
+
+    def test_help_names_every_runner_in_order_then_validate_config(self, capsys):
+        commands = re.search(r"\{([^}]*)\}", help_text(capsys)).group(1)
+        assert commands.split(",") == [*RUNNERS, "validate-config"]
+
+    @pytest.mark.parametrize("experiment", list(RUNNERS))
+    def test_help_of_a_command_is_its_runner_docstring_summary(self, capsys, experiment):
+        summary = RUNNERS[experiment].__doc__.partition("\n")[0]
+        # argparse rewraps the text, at spaces and hyphens
+        assert re.sub(r"\s", "", summary) in re.sub(r"\s", "", help_text(capsys))
+
+    @pytest.mark.parametrize("experiment", list(RUNNERS))
+    def test_run_command_flags(self, capsys, experiment):
+        flags = set(re.findall(r"--[a-z]+", help_text(capsys, experiment)))
+        trials = {"--trials"} if experiment in ("toy", "sweep", "three-link") else set()
+        assert flags == {"--help", "--out", "--seed", "--gnuplot"} | trials
+
+
 class TestMainExitCodes:
     @pytest.mark.parametrize("experiment", ["compare-baseline", "retarget-obstacle",
                                             "retarget-embodiment", "ingest-learn"])
@@ -564,7 +591,7 @@ class TestOutputs:
     def test_trials_csv_row_is_plain_text(self, tmp_path):
         row = {"trial": 3, "case": "xy", "seed": (1, 2), "e_w": np.float64(0.5), "e_n": 0.25,
                "objective": np.float64(1e-9)}
-        write_outputs({"report": {}, "rows": [row]}, tmp_path, False, "toy")
+        write_outputs({"report": {}, "rows": [row]}, tmp_path, False)
         assert (tmp_path / "trials.csv").read_bytes() == (
             b"trial,case,seed,e_w,e_n,objective\n3,xy,1/2,0.5,0.25,1e-09\n")
 
@@ -572,7 +599,7 @@ class TestOutputs:
     def test_every_file_ends_lines_in_newline_and_csvs_read_back_exactly(self, tmp_path,
                                                                           experiment):
         result = RUNNERS[experiment](dict(SMALL[experiment], experiment=experiment))
-        write_outputs(result, tmp_path, True, experiment)
+        write_outputs(result, tmp_path, True)
         written = sorted(p.relative_to(tmp_path).as_posix()
                          for p in tmp_path.rglob("*") if p.is_file())
         for name in written:

@@ -86,6 +86,15 @@ class TestTaskPose:
             assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-12)
             assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-12)
 
+    def test_angle_inside_the_range_comes_back_unchanged(self):
+        # the modulo alone turned -1e-20 into 0.0 and -5.488052710500568e-06
+        # into -5.4880527109446575e-06
+        a = np.concatenate([[-1e-20, -5.488052710500568e-06, -0.0, 1e-300],
+                            np.random.default_rng(8).uniform(-np.pi, np.pi, 2000)])
+        assert same_bits(wrap_angle(a), a)
+        for x in a:
+            assert same_bits(wrap_angle(float(x)), x), x
+
 
 class TestJacobian:
     def test_zero_posture_rows(self):

@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, constraint_angles,
                                    diagonal_selection, null_projector, spherical_param_count)
 from projlearn import learning
-from projlearn.experiments import THREE_LINK_CASES, resolve
+from projlearn.experiments import THREE_LINK_CASES, resolve, run_ingest_learn
 from projlearn.kinematics import PlanarArm, jacobian
 from projlearn.learning import (OptimizationError, OptimizerConfig, baseline_objective,
                                 baseline_separate_nullspace, learn_constraint,
@@ -17,6 +19,7 @@ from projlearn.policies import LimitCyclePolicy, LinearPolicy, PointAttractor, S
 from projlearn.simulator import (Dataset, NoiseSpec, Trajectory, add_noise,
                                  generate_arm_dataset, generate_toy_dataset, split_dataset)
 
+REPO = Path(__file__).resolve().parent.parent
 ARM = PlanarArm((0.1, 0.1, 0.1))
 TARGET_RANGES = resolve({}, "three-link")["target_ranges"]
 TOY_OPT = OptimizerConfig(restarts=8, max_iters=600, objective_tol=1e-13,
@@ -539,6 +542,39 @@ class TestLearnSelectionMatrix:
         with pytest.raises(ValueError):
             learn_selection_matrix(ds, np.ones((4, 3)),
                                    lambda q: jacobian(ARM, q), k=2)
+
+
+def leading_entries(lam) -> np.ndarray:
+    """Each row's largest-magnitude entry, the first one on a tie."""
+    lam = np.asarray(lam, dtype=float)
+    return lam[np.arange(len(lam)), np.argmax(np.abs(lam), axis=1)]
+
+
+class TestRowSign:
+    """A learned row leaves the learner with its largest-magnitude entry positive,
+    so a rounding-level change to the data cannot flip it."""
+
+    def test_ingest_learn_rows(self, monkeypatch):
+        # with the sign LAPACK picks, the first row read [-0.980..., 0.197..., -0.0]
+        monkeypatch.chdir(REPO)
+        lam = run_ingest_learn(json.loads((REPO / "configs" / "ingest_learn.json").read_text()))[
+            "report"]["lam"]
+        assert np.all(leading_entries(lam) > 0.0), lam
+
+    @pytest.mark.parametrize("case", list(THREE_LINK_CASES))
+    def test_learn_selection_matrix_rows(self, case):
+        pattern = THREE_LINK_CASES[case]
+        for seed in range(3):
+            ds = arm_dataset(seed=(seed, 52), lam_pattern=pattern, n_traj=1, points=40)
+            for W in (ds.stack("w"), baseline_separate_nullspace(ds, 0).w_hat):
+                lam, _ = learn_selection_matrix(ds, W, lambda q: jacobian(ARM, q),
+                                                k=sum(pattern))
+                assert np.all(leading_entries(lam) > 0.0), (case, seed, lam)
+
+    def test_a_tie_makes_the_first_entry_positive(self):
+        rows = np.array([[-0.5, 0.5, 0.0], [0.0, -0.6, 0.6], [0.0, -0.0, -1.0]])
+        assert np.array_equal(learning._signed(rows),
+                              [[0.5, -0.5, -0.0], [0.0, 0.6, -0.6], [-0.0, 0.0, 1.0]])
 
 
 def pure_nullspace_dataset(seed, n_points=80):

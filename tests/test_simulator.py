@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,27 @@ def make_arm_dataset(seed=0, n_traj=3, points=40, lam_pattern=(1, 1, 0)):
                                 PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0])),
                                 n_trajectories=n_traj, points_per_traj=points,
                                 dt=0.02, seed=seed, target_cfg=TARGET_RANGES)
+
+
+def assert_keeps_fields(got, want, rows=slice(None), changed=()):
+    """got has want's dt and every array want has, in rows `rows`, bar the changed ones."""
+    for f in fields(Trajectory):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "dt":
+            assert a == b
+        elif b is None:
+            assert a is None, f.name
+        elif f.name in changed:
+            assert a.shape == b[rows].shape and not np.array_equal(a, b[rows]), f.name
+        else:
+            assert np.array_equal(a, b[rows]), f.name
+
+
+def partial_trajectory(n=6):
+    """A trajectory with dt != 1 that lacks v, w and b."""
+    rng = np.random.default_rng(3)
+    return Trajectory(dt=0.05, x=rng.normal(size=(n, 3)), u=rng.normal(size=(n, 3)),
+                      pi=rng.normal(size=(n, 3)))
 
 
 class TestDecompositionIdentities:
@@ -103,6 +126,12 @@ class TestNoise:
         noisy = add_noise(ds, NoiseSpec(epsilon=0.04, target="prior_policy"), seed=9)
         assert np.array_equal(noisy.trajectories[0].u, ds.trajectories[0].u)
         assert not np.array_equal(noisy.trajectories[0].pi, ds.trajectories[0].pi)
+        # and keeps dt and every other array, of a full and of a partial trajectory
+        for ds in (make_arm_dataset(seed=9, n_traj=2, points=8),
+                   Dataset(trajectories=[partial_trajectory()])):
+            noisy = add_noise(ds, NoiseSpec(epsilon=0.04, target="prior_policy"), seed=9)
+            for got, want in zip(noisy.trajectories, ds.trajectories):
+                assert_keeps_fields(got, want, changed=("pi",))
 
     def test_zero_epsilon_is_identity(self):
         ds = generate_toy_dataset(100, seed=10, null_policy=LimitCyclePolicy())
@@ -120,6 +149,12 @@ class TestNoise:
         before = ds.trajectories[0].u.copy()
         noisy = add_noise(ds, NoiseSpec(epsilon=0.5), seed=13)
         assert np.array_equal(ds.trajectories[0].u, before)
+        assert_keeps_fields(noisy.trajectories[0], ds.trajectories[0], changed=("u",))
+        for ds_more in (make_arm_dataset(seed=13, n_traj=2, points=8),
+                        Dataset(trajectories=[partial_trajectory()])):
+            noisy_more = add_noise(ds_more, NoiseSpec(epsilon=0.5), seed=13)
+            for got, want in zip(noisy_more.trajectories, ds_more.trajectories):
+                assert_keeps_fields(got, want, changed=("u",))
         # the meta holds the drawn constraint alone, and noising copies it
         assert list(ds.meta) == ["constraint"]
         assert noisy.meta == ds.meta and noisy.meta is not ds.meta
@@ -301,6 +336,13 @@ class TestSplitDataset:
         assert train.n_samples == 60 and test.n_samples == 40
         joined = np.vstack([train.trajectories[0].x, test.trajectories[0].x])
         assert np.array_equal(joined, ds.trajectories[0].x)
+        assert_keeps_fields(train.trajectories[0], ds.trajectories[0], slice(0, 60))
+        assert_keeps_fields(test.trajectories[0], ds.trajectories[0], slice(60, 100))
+        # Trajectory.slice keeps dt and every array of an arm trajectory, and
+        # leaves absent arrays absent
+        for traj in (make_arm_dataset(seed=14, n_traj=1, points=10).trajectories[0],
+                     partial_trajectory()):
+            assert_keeps_fields(traj.slice(2, 5), traj, slice(2, 5))
 
     def test_multi_trajectory_splits_whole_rollouts(self):
         ds = make_arm_dataset(seed=15, n_traj=4, points=10)
@@ -316,8 +358,7 @@ class TestSplitDataset:
 
 def save_trajectory_csv(traj, out_dir):
     """The CSV the CLI writes for a run whose one trajectory is traj."""
-    write_outputs({"report": {}, "rows": [], "trajectories": {"traj": traj}}, out_dir,
-                  False, "three-link")
+    write_outputs({"report": {}, "rows": [], "trajectories": {"traj": traj}}, out_dir, False)
     return out_dir / "trajectories" / "traj.csv"
 
 

@@ -1,7 +1,7 @@
 """Run the benchmark in alternating parent/change pairs and append one BENCH entry.
 
 The change is this checkout's working tree and the parent is its HEAD,
-checked out with `git worktree` into a temporary directory that is removed
+extracted with `git archive` into a temporary directory that is removed
 afterwards. Each tree runs its own perfbench/run.py with `--trace 0` for
 BENCHMARK.json's run_seconds, one process at a time, for PAIRS pairs at
 seeds --first-seed, +1, ...: the parent runs first in even pairs and the
@@ -107,27 +107,27 @@ def main(argv=None) -> int:
     runs, machine = [], None
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_tree = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_tree), parent_commit)
-        try:
-            trees = {"parent": parent_tree, "change": ROOT}
-            for tree in trees.values():
-                compile_tree(tree)
-            for pair, seed in enumerate(seeds):
-                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-                for side in order:
-                    out = run_once(trees[side], args.workload, seed, seconds)
-                    result = out["result"]
-                    if side == "change" and machine is None:
-                        machine = out["report"]["machine"]
-                    runs.append({"pair": pair, "seed": seed, "side": side,
-                                 "attempted": result["attempted"], "failed": result["failed"],
-                                 "correct": result["correct"],
-                                 "digest": out["report"]["digest"],
-                                 "metrics": {k: round(v["value"], 6)
-                                             for k, v in result["metrics"].items()}})
-                    print(f"pair {pair} seed {seed} {side}: {runs[-1]['metrics']}", flush=True)
-        finally:
-            git("worktree", "remove", "--force", str(parent_tree))
+        parent_tree.mkdir()
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_tree)], input=archive, check=True)
+        trees = {"parent": parent_tree, "change": ROOT}
+        for tree in trees.values():
+            compile_tree(tree)
+        for pair, seed in enumerate(seeds):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                out = run_once(trees[side], args.workload, seed, seconds)
+                result = out["result"]
+                if side == "change" and machine is None:
+                    machine = out["report"]["machine"]
+                runs.append({"pair": pair, "seed": seed, "side": side,
+                             "attempted": result["attempted"], "failed": result["failed"],
+                             "correct": result["correct"],
+                             "digest": out["report"]["digest"],
+                             "metrics": {k: round(v["value"], 6)
+                                         for k, v in result["metrics"].items()}})
+                print(f"pair {pair} seed {seed} {side}: {runs[-1]['metrics']}", flush=True)
 
     machine["git_commit"] = None  # run.py reads HEAD, the parent; the change is no commit yet
     end_to_end = {m["name"]: summarise(m, runs) for m in bench["end_to_end"]}

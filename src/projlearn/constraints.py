@@ -193,7 +193,7 @@ def null_projector(A) -> Projector:
     return Projector(A=A, A_pinv=pinv, N=N, sigma_ratio=ratio[()])
 
 
-# The k = 2 closed form loses about eps * g00 g11 / det of relative accuracy,
+# The closed forms lose about eps * prod(diag G) / det of relative accuracy,
 # so Gram systems whose det / prod(diag) is below this go to the SVD instead.
 GRAM_DET_TOL = 1e-6
 
@@ -204,22 +204,30 @@ def _gram_solve(G, B):
     A sample is trusted when det G > GRAM_DET_TOL * prod(diag G), a
     scale-free test since det <= prod(diag) for a Gram matrix: for k = 1 a
     nonzero row, for k = 2 rows more than about 1e-3 rad from parallel.
-    Closed forms for k <= 2 keep the inner loops off LAPACK's per-matrix
-    overhead; larger k solve the trusted samples in one call. z of an
-    untrusted sample is unspecified for k <= 2 (the closed form with det set
-    to 1) and zero for k >= 3; every caller drops or replaces it.
+    Closed forms for k <= 3 keep the inner loops off LAPACK's per-matrix
+    overhead: the adjugate for k = 3, with det expanded along the first
+    row. Larger k take np.linalg.det and solve the trusted samples in one
+    call. z of an untrusted sample is unspecified for k <= 2 (the closed
+    form with det set to 1) and zero for k >= 3; every caller drops or
+    replaces it.
     """
     k = B.shape[1]
-    # prod(diag G) spelled out for k <= 2: per-call overhead dominates one-state steps.
+    # det and prod(diag G) spelled out for k <= 3: LAPACK's per-matrix overhead costs
+    # more than the arithmetic, and per-call overhead dominates one-state steps.
     if k == 1:
         det = diag = G[:, 0, 0]
     elif k == 2:
         diag = G[:, 0, 0] * G[:, 1, 1]
         det = diag - G[:, 0, 1] * G[:, 1, 0]
+    elif k == 3:
+        g00, g01, g02, g10, g11, g12, g20, g21, g22 = G.reshape(-1, 9).T
+        c00, c01, c02 = g11 * g22 - g12 * g21, g12 * g20 - g10 * g22, g10 * g21 - g11 * g20
+        diag = g00 * g11 * g22
+        det = g00 * c00 + g01 * c01 + g02 * c02
     else:
         det, diag = np.linalg.det(G), np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
     ok = det > GRAM_DET_TOL * diag
-    if k > 2:
+    if k > 3:
         Z = np.zeros(B.shape)
         Z[ok] = np.linalg.solve(G[ok], B[ok][:, :, None])[:, :, 0]
         return Z, ok
@@ -227,8 +235,17 @@ def _gram_solve(G, B):
     if k == 1:
         return B / det[:, None], ok
     Z = np.empty(B.shape)
-    Z[:, 0] = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
-    Z[:, 1] = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
+    if k == 2:
+        Z[:, 0] = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
+        Z[:, 1] = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
+        return Z, ok
+    # z = adj(G) b / det; adj(G) is the transposed cofactor matrix.
+    b0, b1, b2 = B.T
+    Z[:, 0] = (c00 * b0 + (g02 * g21 - g01 * g22) * b1 + (g01 * g12 - g02 * g11) * b2) / det
+    Z[:, 1] = (c01 * b0 + (g00 * g22 - g02 * g20) * b1 + (g02 * g10 - g00 * g12) * b2) / det
+    Z[:, 2] = (c02 * b0 + (g01 * g20 - g00 * g21) * b1 + (g00 * g11 - g01 * g10) * b2) / det
+    if not ok.all():
+        Z[~ok] = 0.0
     return Z, ok
 
 

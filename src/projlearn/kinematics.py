@@ -1,6 +1,9 @@
 """Planar revolute-chain kinematics.
 
 joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of states.
+All three build on one pass of link terms, l_i cos and l_i sin of the
+cumulative joint angles; pose_and_jacobian returns the pose and the
+Jacobian of a stack from a single pass, bit for bit the two separate calls.
 end_pose and jacobian take a scalar path for a single state, (n,) or a stack
 of one (1, n), that gives the same bits as a row of the batched call.
 """
@@ -28,10 +31,13 @@ def wrap_angle(theta):
         # Python's % rounds as np.mod does, without numpy's per-call overhead.
         wrapped = float(theta) % (2.0 * np.pi)
         return wrapped - 2.0 * np.pi if wrapped > np.pi else wrapped
-    wrapped = np.mod(theta, 2.0 * np.pi)
-    # np.mod returns [0, 2pi); fold the upper half down, keeping +pi itself.
-    wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
-    return np.where(np.abs(theta) < np.pi, theta, wrapped)
+    out = np.array(theta, dtype=float)
+    big = np.abs(out) >= np.pi  # NaN stays as it is, as the modulo would leave it
+    if big.any():
+        wrapped = np.mod(out[big], 2.0 * np.pi)
+        # np.mod returns [0, 2pi); fold the upper half down, keeping +pi itself.
+        out[big] = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+    return out
 
 
 def dot_last(a, b):
@@ -95,6 +101,18 @@ def _link_terms(arm: PlanarArm, q: np.ndarray):
             [l * s for l, s in zip(arm.link_lengths, np.sin(angles).tolist())])
 
 
+def _chain_terms(arm: PlanarArm, q: np.ndarray):
+    """l_i cos(q_1 + ... + q_i) and l_i sin(...) of a checked stack of states (..., n).
+
+    The one pass of link terms that the batched joint_positions, end_pose
+    and jacobian share.
+    """
+    # Method calls, not np.cumsum: a single state is all per-call overhead.
+    angles = q.cumsum(-1)
+    lengths = np.asarray(arm.link_lengths)
+    return lengths * np.cos(angles), lengths * np.sin(angles)
+
+
 def joint_positions(arm: PlanarArm, q) -> np.ndarray:
     """Cartesian positions of the base and every joint/end point.
 
@@ -107,13 +125,29 @@ def joint_positions(arm: PlanarArm, q) -> np.ndarray:
         the base at the origin, row i is the far end of link i.
     """
     q = _check_states(arm, q)
-    # Method calls, not np.cumsum: a single state is all per-call overhead.
-    angles = q.cumsum(-1)
-    lengths = np.asarray(arm.link_lengths)
+    coss, sins = _chain_terms(arm, q)
     pts = np.zeros(q.shape[:-1] + (arm.n + 1, 2))
-    pts[..., 1:, 0] = (lengths * np.cos(angles)).cumsum(-1)
-    pts[..., 1:, 1] = (lengths * np.sin(angles)).cumsum(-1)
+    pts[..., 1:, 0] = coss.cumsum(-1)
+    pts[..., 1:, 1] = sins.cumsum(-1)
     return pts
+
+
+def _stack_pose(q, coss, sins) -> np.ndarray:
+    """end_pose of a checked stack from its link terms: the last joint_positions row."""
+    pose = np.empty(q.shape[:-1] + (3,))
+    pose[..., 0] = coss.cumsum(-1)[..., -1]
+    pose[..., 1] = sins.cumsum(-1)[..., -1]
+    pose[..., 2] = wrap_angle(np.sum(q, axis=-1))
+    return pose
+
+
+def _stack_jacobian(q, coss, sins) -> np.ndarray:
+    """jacobian of a checked stack from its link terms."""
+    # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); a reverse cumsum keeps it O(n).
+    J = np.ones(q.shape[:-1] + (3, q.shape[-1]))
+    J[..., 0, :] = -sins[..., ::-1].cumsum(-1)[..., ::-1]
+    J[..., 1, :] = coss[..., ::-1].cumsum(-1)[..., ::-1]
+    return J
 
 
 def end_pose(arm: PlanarArm, q) -> np.ndarray:
@@ -123,19 +157,14 @@ def end_pose(arm: PlanarArm, q) -> np.ndarray:
     orientation is the plain angle sum wrapped to (-pi, pi]. q of shape
     (..., n) gives (..., 3).
     """
-    q = np.asarray(q, dtype=float)
+    q = _check_states(arm, q)
     if _is_one_state(q):
-        q = _check_states(arm, q)
         one = q.reshape(arm.n)
         coss, sins = _link_terms(arm, one)
         # one.sum(), not a running sum: np.sum adds pairwise.
         pose = np.array([reduce(add, coss), reduce(add, sins), wrap_angle(one.sum())])
         return pose.reshape(q.shape[:-1] + (3,))
-    pts = joint_positions(arm, q)
-    pose = np.empty(pts.shape[:-2] + (3,))
-    pose[..., :2] = pts[..., -1, :]
-    pose[..., 2] = wrap_angle(np.sum(q, axis=-1))
-    return pose
+    return _stack_pose(q, *_chain_terms(arm, q))
 
 
 def jacobian(arm: PlanarArm, q) -> np.ndarray:
@@ -149,17 +178,20 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
     contributes its rate directly to the end-effector orientation.
     """
     q = _check_states(arm, q)
-    # dx/dq_j = -sum_{i>=j} l_i sin(angle_i); a reverse cumsum keeps it O(n).
     if _is_one_state(q):
         coss, sins = _link_terms(arm, q.reshape(arm.n))
         J = np.array([[-s for s in accumulate(sins[::-1])][::-1],
                       [*accumulate(coss[::-1])][::-1], [1.0] * arm.n])
         return J.reshape(q.shape[:-1] + (3, arm.n))
-    angles = q.cumsum(-1)
-    lengths = np.asarray(arm.link_lengths)
-    sins = lengths * np.sin(angles)
-    coss = lengths * np.cos(angles)
-    J = np.ones(q.shape[:-1] + (3, arm.n))
-    J[..., 0, :] = -sins[..., ::-1].cumsum(-1)[..., ::-1]
-    J[..., 1, :] = coss[..., ::-1].cumsum(-1)[..., ::-1]
-    return J
+    return _stack_jacobian(q, *_chain_terms(arm, q))
+
+
+def pose_and_jacobian(arm: PlanarArm, q) -> tuple:
+    """end_pose and jacobian of the same states from one pass of link terms.
+
+    A lockstep rollout needs both at every step. This takes the batched
+    path for every input, which gives the bits of the two separate calls.
+    """
+    q = _check_states(arm, q)
+    coss, sins = _chain_terms(arm, q)
+    return _stack_pose(q, coss, sins), _stack_jacobian(q, coss, sins)

@@ -99,8 +99,15 @@ class TaskPointAttractor:
         object.__setattr__(self, "target", target)
 
     def __call__(self, q):
-        err = self.target - end_pose(self.arm, q)
-        err[..., 2] = wrap_angle(err[..., 2])
+        return self.at_pose(end_pose(self.arm, q))
+
+    def at_pose(self, pose):
+        """The rates at end-effector poses already computed, (3,) or a stack (m, 3)."""
+        err = self.target - pose
+        if err.size == 3:  # one state: the float branch of wrap_angle gives the same bits
+            err.flat[2] = wrap_angle(err.flat[2])
+        else:
+            err[..., 2] = wrap_angle(err[..., 2])
         return self.gain * err
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constraints import SelectionConstraint, SphericalConstraint, split_action
-from .kinematics import PlanarArm, jacobian
+from .kinematics import PlanarArm, jacobian, pose_and_jacobian
 from .policies import TaskPointAttractor, policy_values
 
 
@@ -36,8 +36,10 @@ class Trajectory:
     def __post_init__(self):
         if not np.isfinite(self.dt) or self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        arrays = {name: np.atleast_2d(np.asarray(a, dtype=float))
-                  for name, a in self.arrays().items()}
+        arrays = {}
+        for name, a in self.arrays().items():
+            a = np.asarray(a, dtype=float)
+            arrays[name] = a if a.ndim >= 2 else a.reshape(1, -1)  # np.atleast_2d, cheaper
         rows = arrays["x"].shape[0]
         if arrays["u"].shape != arrays["x"].shape:
             raise ValueError("x and u must have matching shapes")
@@ -161,35 +163,34 @@ class RankCollapseError(RuntimeError):
         self.sigma_ratio = sigma_ratio
 
 
-def _rollout(constraint: SelectionConstraint, task_rates, null_policy, Q0, dt: float,
-             steps: int) -> list:
+def _rollout(terms, null_policy, Q0, dt: float, steps: int) -> list:
     """Explicit-Euler rollout of m trajectories in lockstep, u = A^+ b + N pi.
 
-    Q0 holds the m start states, (m, n). task_rates(Q) gives the full
-    task-space rates of every state, (m, p); the constraint selects the
-    coordinates it governs. Every step takes v, w and the rank test of the m
+    Q0 holds the m start states, (m, n). terms(Q) gives the constraint
+    matrices of every state and their task rates in constraint coordinates,
+    (m, k, n) and (m, k). Every step takes v, w and the rank test of the m
     constraint matrices from one split_action call, and raises
     RankCollapseError with the worst sigma_min/sigma_max when one falls
     below RANK_TOL. Returns one Trajectory per start.
     """
     Q = np.array(Q0, dtype=float)
     m, n = Q.shape
-    k = constraint.k
     X, U, V, W, PI = (np.empty((m, steps, n)) for _ in range(5))
-    B = np.empty((m, steps, k))
+    B = []
     for t in range(steps):
-        b = constraint.select_rates(task_rates(Q))
+        A, b = terms(Q)
         pi = policy_values(null_policy, Q)
-        v, w, ratio = split_action(constraint.A_stack(Q), b, pi)
+        v, w, ratio = split_action(A, b, pi)
         if ratio.min() < RANK_TOL:
             raise RankCollapseError(t, float(ratio.min()))
         X[:, t] = Q
         U[:, t] = v + w
         V[:, t] = v
         W[:, t] = w
-        B[:, t] = b
+        B.append(b)
         PI[:, t] = pi
         Q = Q + dt * U[:, t]
+    B = np.stack(B, axis=1)
     return [Trajectory(dt=dt, x=X[i], u=U[i], v=V[i], w=W[i], b=B[i], pi=PI[i])
             for i in range(m)]
 
@@ -215,8 +216,11 @@ def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_po
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (arm.n,):
         raise ValueError(f"expected {arm.n} joint angles, got shape {q0.shape}")
-    return _rollout(constraint, lambda Q: policy_values(task_policy, Q), null_policy,
-                    q0[None], dt, steps)[0]
+
+    def terms(Q):
+        return constraint.A_stack(Q), constraint.select_rates(policy_values(task_policy, Q))
+
+    return _rollout(terms, null_policy, q0[None], dt, steps)[0]
 
 
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))
@@ -242,8 +246,13 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
                        target_cfg["y_range"], np.deg2rad(target_cfg["theta_range_deg"])])
     draws = rng.uniform(ranges[:, 0], ranges[:, 1], size=(n_trajectories, 6))
     task = TaskPointAttractor(arm=arm, target=draws[:, 3:])
-    trajs = _rollout(model, task, null_policy, draws[:, :3], dt,
-                     _step_count(dt, points_per_traj * dt))
+
+    def terms(Q):
+        # model.A_stack(Q) and the selected task rates from one kinematics pass.
+        pose, J = pose_and_jacobian(arm, Q)
+        return model.lam @ J, model.select_rates(task.at_pose(pose))
+
+    trajs = _rollout(terms, null_policy, draws[:, :3], dt, _step_count(dt, points_per_traj * dt))
     return Dataset(trajectories=trajs)
 
 

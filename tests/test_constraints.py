@@ -10,7 +10,7 @@ from projlearn.constraints import (GRAM_DET_TOL, Projector, SelectionConstraint,
                                    null_projector, null_space_apply,
                                    pinv_apply, pseudo_inverse, spherical_from_unit,
                                    spherical_param_count, split_action)
-from projlearn.kinematics import PlanarArm, jacobian
+from projlearn.kinematics import PlanarArm, dot_last, jacobian
 from test_kinematics import same_bits
 
 
@@ -284,6 +284,56 @@ class TestBatchedProjection:
         A = np.array([[1.0, 0.0, 0.0], [0.0, 0.19, 0.0]])
         assert null_projector(A).sigma_ratio == pytest.approx(0.19)
         assert null_projector(1e-10 * A).sigma_ratio == pytest.approx(0.19)
+
+
+class TestGramSolveK3:
+    """The k = 3 adjugate closed form of _gram_solve against np.linalg.det and solve."""
+
+    @staticmethod
+    def reference(G, B):
+        # the LAPACK path that k >= 4 still takes, with the same trust test
+        diag = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
+        ok = np.linalg.det(G) > GRAM_DET_TOL * diag
+        Z = np.zeros(B.shape)
+        Z[ok] = np.linalg.solve(G[ok], B[ok][:, :, None])[:, :, 0]
+        return Z, ok
+
+    @staticmethod
+    def rows(seed, size, near_parallel):
+        # three rows in R^4 per sample, each scaled by 1e-6 .. 1e6; with
+        # near_parallel, two of them (in random places) are 1e-5 to 3e-3 rad
+        # apart, so det / prod(diag) straddles GRAM_DET_TOL
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(size, 3, 4))
+        if near_parallel:
+            a = A[:, 0] / np.linalg.norm(A[:, 0], axis=1, keepdims=True)
+            c = A[:, 1] - dot_last(A[:, 1], a)[:, None] * a
+            c /= np.linalg.norm(c, axis=1, keepdims=True)
+            t = 10.0 ** rng.uniform(-5.0, -2.5, size)[:, None]
+            A[:, 0], A[:, 1] = a, np.cos(t) * a + np.sin(t) * c
+            A[-1, 1] = A[-1, 0]  # exactly parallel
+            order = rng.permuted(np.tile([0, 1, 2], (size, 1)), axis=1)
+            A = np.take_along_axis(A, order[:, :, None], axis=1)
+        A[-2] = 0.0  # a zero matrix
+        A *= 10.0 ** rng.uniform(-6.0, 6.0, (size, 3, 1))
+        G = np.einsum("skj,slj->skl", A, A)
+        return G, rng.normal(size=(size, 3)) * np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+
+    @pytest.mark.parametrize("near_parallel", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lapack(self, seed, near_parallel):
+        G, B = self.rows(seed, 5000, near_parallel)
+        Z, ok = _gram_solve(G, B)
+        Z_ref, ok_ref = self.reference(G, B)
+        assert np.array_equal(ok, ok_ref)
+        assert 0 < ok.sum() < len(ok) if near_parallel else ok.sum() == len(ok) - 1
+        assert np.array_equal(Z[~ok], np.zeros((np.count_nonzero(~ok), 3)))
+        # compared in the units sqrt(diag G) z, where both solves lose about
+        # eps * prod(diag G) / det <= 2.2e-10; the worst seen over 200,000
+        # near-parallel samples was 4.6e-10
+        s = np.sqrt(np.diagonal(G, axis1=1, axis2=2))[ok]
+        err = np.linalg.norm(s * (Z[ok] - Z_ref[ok]), axis=1)
+        assert np.all(err <= 1e-8 * np.linalg.norm(s * Z_ref[ok], axis=1))
 
 
 class TestSplitAction:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from projlearn.kinematics import PlanarArm, end_pose, jacobian, joint_positions, wrap_angle
+from projlearn.kinematics import (PlanarArm, end_pose, jacobian, joint_positions,
+                                  pose_and_jacobian, wrap_angle)
 
 ARM3 = PlanarArm((0.1, 0.1, 0.1))
 
@@ -199,6 +200,40 @@ class TestOneStatePath:
                             np.pi * np.arange(-6, 7), [-0.0]])
         for x, w in zip(a, wrap_angle(a)):
             assert same_bits(wrap_angle(x), w), x
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
+    def test_pose_and_jacobian_equal_the_separate_calls(self, n):
+        # one pass of link terms serves both; a single state and a stack of
+        # one take the batched path here and the scalar path in end_pose and
+        # jacobian
+        arm = PlanarArm(tuple(np.random.default_rng(n).uniform(0.05, 1.5, n)))
+        Q = self.states(n, seed=60 + n)
+        pose, J = pose_and_jacobian(arm, Q)
+        assert same_bits(pose, end_pose(arm, Q)) and same_bits(J, jacobian(arm, Q))
+        for i, q in enumerate(Q):
+            for one in (q, Q[i:i + 1]):
+                pose, J = pose_and_jacobian(arm, one)
+                assert pose.shape == one.shape[:-1] + (3,) and J.shape == one.shape[:-1] + (3, n)
+                assert same_bits(pose, end_pose(arm, one)), (i, q)
+                assert same_bits(J, jacobian(arm, one)), (i, q)
+
+    def test_wrap_angle_array_equals_the_three_call_formula(self):
+        # the array branch sends only |theta| >= pi through the modulo; the
+        # formula it replaced ran np.mod and two np.where over every entry
+        def three_calls(theta):
+            wrapped = np.mod(theta, 2.0 * np.pi)
+            wrapped = np.where(wrapped > np.pi, wrapped - 2.0 * np.pi, wrapped)
+            return np.where(np.abs(theta) < np.pi, theta, wrapped)
+
+        edges = np.concatenate([np.pi * np.arange(-9, 10), [-0.0, np.nan, -np.nan]])
+        edges = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)])
+        cases = [edges, edges.reshape(3, -1), np.random.default_rng(8).uniform(-40, 40, 500),
+                 np.random.default_rng(9).uniform(-3.0, 3.0, 50), np.array(-np.pi),
+                 np.array(-0.0)]
+        for theta in cases:
+            got, ref = wrap_angle(theta), three_calls(theta)
+            assert isinstance(got, np.ndarray) and got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
     @pytest.mark.parametrize("fn", [jacobian, end_pose])
     def test_single_state_rejects_bad_input(self, fn):

@@ -111,6 +111,24 @@ class TestTaskPointAttractor:
         with pytest.raises(ValueError):
             TaskPointAttractor(arm=self.arm, target=np.zeros(2))
 
+    def test_one_state_equals_the_batched_row(self):
+        # one state, (3,) or a stack of one (1, 3), wraps its orientation
+        # error through wrap_angle's float branch; that must give the bits of
+        # the array branch the stack takes, errors of +-pi and beyond included
+        rng = np.random.default_rng(5)
+        Q = np.concatenate([rng.uniform(-2.0 * np.pi, 2.0 * np.pi, (300, 3)), np.zeros((4, 3))])
+        targets = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, (len(Q), 3))
+        targets[-4:, 2] = [np.pi, -np.pi, 3.0 * np.pi, -0.0]
+        stacked = TaskPointAttractor(arm=self.arm, target=targets, gain=1.5)(Q)
+        for i, q in enumerate(Q):
+            for one, target in ((q, targets[i]), (Q[i:i + 1], targets[i:i + 1])):
+                got = TaskPointAttractor(arm=self.arm, target=target, gain=1.5)(one)
+                assert got.shape == target.shape
+                assert np.array_equal(got.reshape(3).view(np.int64), stacked[i].view(np.int64)), i
+        pose = end_pose(self.arm, Q)
+        task = TaskPointAttractor(arm=self.arm, target=targets, gain=1.5)
+        assert np.array_equal(task.at_pose(pose), stacked)
+
 
 class TestPolicyFromConfig:
     def test_toy_policies(self):

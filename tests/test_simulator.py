@@ -188,6 +188,11 @@ class TestSimulateTrajectory:
                                 q0=np.zeros(3), dt=-0.02, duration=1.0)
 
 
+def constraint_terms(constraint, task_rates):
+    """_rollout's terms for a constraint and a map from states to full task-space rates."""
+    return lambda Q: (constraint.A_stack(Q), constraint.select_rates(task_rates(Q)))
+
+
 class TestLockstepRollout:
     def test_matches_per_trajectory_rollouts(self):
         # generate_arm_dataset draws every start and target in one call and
@@ -239,8 +244,8 @@ class TestLockstepRollout:
         pi = PointAttractor(target=np.array([0.3, -0.4, 3e-9]))
         Q0 = np.array([[0.0, 0.0, 2e-9], [0.1, 0.2, 0.5]])
         rates = np.array([0.3, -0.2])
-        trajs = simulator._rollout(model, lambda Q: np.tile(rates, (len(Q), 1)), pi,
-                                   Q0, 0.02, 4)
+        trajs = simulator._rollout(constraint_terms(model, lambda Q: np.tile(rates, (len(Q), 1))),
+                                   pi, Q0, 0.02, 4)
         for traj, q in zip(trajs, Q0):
             for t in range(4):
                 proj = null_projector(model.A_at(q))
@@ -258,7 +263,7 @@ class TestLockstepRollout:
                                     feature=lambda q: jacobian(ARM, q))
         task = TaskPointAttractor(arm=ARM, target=np.zeros((2, 3)))
         with pytest.raises(RankCollapseError) as err:
-            simulator._rollout(model, task, PointAttractor(target=np.zeros(3)),
+            simulator._rollout(constraint_terms(model, task), PointAttractor(target=np.zeros(3)),
                                np.array([[0.1, 1.6, 0.1], [0.0, 0.0, 0.0]]), 0.02, 5)
         assert err.value.step == 0
         assert err.value.sigma_ratio < 1e-10
@@ -294,7 +299,7 @@ class TestRolloutAgainstSvdReference:
         task = TaskPointAttractor(arm=ARM, target=np.array([[0.0, 0.15, 0.3]] * 8), gain=2.0)
         pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
         Q0 = rng.uniform(-np.pi, np.pi, size=(8, 3))
-        trajs = simulator._rollout(model, task, pi, Q0, 0.02, 40)
+        trajs = simulator._rollout(constraint_terms(model, task), pi, Q0, 0.02, 40)
         for name, ref in zip(("x", "u", "v", "w"), svd_rollout(model, task, pi, Q0, 0.02, 40)):
             got = np.array([getattr(t, name) for t in trajs])
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-9, err_msg=name)
@@ -323,7 +328,7 @@ class TestRolloutAgainstSvdReference:
         with pytest.raises(RankCollapseError) as ref:
             svd_rollout(model, rates, pi, Q0, 0.02, 60)
         with pytest.raises(RankCollapseError) as got:
-            simulator._rollout(model, rates, pi, Q0, 0.02, 60)
+            simulator._rollout(constraint_terms(model, rates), pi, Q0, 0.02, 60)
         assert ref.value.step > 3
         assert got.value.step == ref.value.step
         assert got.value.sigma_ratio == pytest.approx(ref.value.sigma_ratio, rel=1e-6)

@@ -147,8 +147,6 @@ def _svd_pinv(M):
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix must be finite")
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0:
-        return np.swapaxes(M, -1, -2).copy(), s
     cutoff = PINV_REL_TOL * s[..., :1]
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
     return (np.swapaxes(Vt, -1, -2) * inv[..., None, :]) @ np.swapaxes(U, -1, -2), s

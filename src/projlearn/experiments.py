@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__
 from .constraints import SelectionConstraint, diagonal_selection
 from .ingest import arm_angles_from_human, read_keypoint_dir, recording_to_dataset
-from .kinematics import PlanarArm, end_pose, jacobian, wrap_angle
+from .kinematics import PlanarArm, end_pose, jacobian
 from .learning import baseline_separate_nullspace, learn_constraint, learn_selection_matrix
 from .metrics import consistency_error, eval_learned_constraint, summarize
 from .policies import TOY_POLICIES, PointAttractor, TaskPointAttractor, policy_from_config
@@ -535,10 +535,10 @@ def run_compare_baseline(cfg: dict) -> dict:
     baseline = replay(SelectionConstraint(lam=lam_base, feature=feature), base.predict)
     sel = [i for i, v in enumerate(THREE_LINK_CASES[case]) if v]
 
+    reach = TaskPointAttractor(arm=arm, target=target)
+
     def task_error(traj):
-        err = target - end_pose(arm, traj.x[-1])
-        err[2] = wrap_angle(err[2])
-        return float(np.linalg.norm(err[sel]))
+        return float(np.linalg.norm(reach(traj.x[-1])[sel]))
 
     def summary(traj):
         return {"final_task_error": task_error(traj),

@@ -57,7 +57,9 @@ def minimize(*args, **kwargs):
 
 
 # --- derivative-free optimisation ----------------------------------------------
-# No command reaches this section; the benchmark and the tests' slow reference use it.
+# No command reaches this section. The tests' slow reference (restart_search,
+# polished_from_start) runs it on finite L1 objectives, and the benchmark's
+# tracer patches optimize, _screened_sampler and minimize by name.
 
 # Built by the benchmark from its configs' optimizer blocks; read by no learner.
 @dataclass(frozen=True)
@@ -73,102 +75,45 @@ class OptimizerConfig:
             raise ValueError("need at least one restart")
 
 
-# What optimize returns; kept with it.
 @dataclass
 class OptimizeResult:
     params: np.ndarray
     value: float
-    restarts_used: int
-    failures: int
-    incumbents: list  # best value after each restart, non-increasing
 
 
-# Raised by optimize when every restart fails; kept with it.
-class OptimizationError(RuntimeError):
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
-
-
-# Abandons one restart of optimize; kept with it.
-class _NonFinite(Exception):
-    pass
-
-
-# Patched by name by the benchmark's tracer.
 def optimize(objective_fn, init_params, opt: OptimizerConfig, sampler=None) -> OptimizeResult:
-    """Simplex-type local search from several starts, keeping the best end point.
+    """Nelder-Mead from several starts, keeping the best end point.
 
-    The first restart begins at init_params, the rest at points drawn by
-    ``sampler(rng)`` (standard normal jitter around the init by default). A
-    restart whose objective turns non-finite is abandoned; if every restart
-    is abandoned the search fails with the best incumbent attached.
+    The first run starts at init_params, the next opt.restarts - 1 at draws
+    of ``sampler(rng)``, and one more at the best end point: rebuilding the
+    simplex there undoes the collapse the absolute-value kinks tend to
+    cause. Ties go to the earlier run, so runs are reproducible.
     """
-    init_params = np.atleast_1d(np.asarray(init_params, dtype=float))
     rng = np.random.default_rng(opt.seed)
-    if sampler is None:
-        sampler = lambda r: init_params + r.normal(0.0, 1.0, size=init_params.shape)
-
-    def guarded(p):
-        val = objective_fn(p)
-        if not np.isfinite(val):
-            raise _NonFinite
-        return val
-
-    def run(x0):
-        return minimize(guarded, x0, method="Nelder-Mead",
-                        options={"maxiter": opt.max_iters, "maxfev": 2 * opt.max_iters,
-                                 "fatol": opt.objective_tol, "xatol": opt.param_tol})
-
-    first = objective_fn(init_params)
-    if not np.isfinite(first):
-        raise ValueError("objective is not finite at the initial parameters")
-
-    best_params, best_val = init_params.copy(), float(first)
-    incumbents = []
-    failures = 0
-    for restart in range(opt.restarts):
-        x0 = init_params if restart == 0 else np.atleast_1d(np.asarray(sampler(rng), dtype=float))
-        try:
-            res = run(x0)
-        except _NonFinite:
-            failures += 1
-            incumbents.append(best_val)
-            continue
-        # Ties go to the earlier restart, so runs are reproducible.
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_params = np.atleast_1d(res.x).copy()
-        incumbents.append(best_val)
-    if failures == opt.restarts:
-        raise OptimizationError("every restart hit a non-finite objective",
-                                best=OptimizeResult(best_params, best_val, 0, failures, incumbents))
-    # One polish pass from the incumbent. Rebuilding the simplex there undoes
-    # the collapse the absolute-value kinks tend to cause.
-    try:
-        res = run(best_params)
-        if np.isfinite(res.fun) and res.fun < best_val:
-            best_val = float(res.fun)
-            best_params = np.atleast_1d(res.x).copy()
-    except _NonFinite:
-        pass
-    return OptimizeResult(params=best_params, value=best_val,
-                          restarts_used=opt.restarts - failures, failures=failures,
-                          incumbents=incumbents)
+    options = {"maxiter": opt.max_iters, "maxfev": 2 * opt.max_iters,
+               "fatol": opt.objective_tol, "xatol": opt.param_tol}
+    best = None
+    for run in range(opt.restarts + 1):  # the last run is the polish
+        x0 = init_params if run == 0 else best.params if run == opt.restarts else sampler(rng)
+        res = minimize(objective_fn, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                       options=options)
+        if best is None or res.fun < best.value:
+            best = OptimizeResult(params=res.x, value=float(res.fun))
+    return best
 
 
-# Patched by name by the benchmark's tracer.
-def _screened_sampler(objective, dim, draws: int = 32):
-    """Draw a batch of uniform angle vectors and hand back the best scorer.
+SCREEN_DRAWS = 32
+
+
+def _screened_sampler(objective, dim):
+    """Draw SCREEN_DRAWS uniform angle vectors and hand back the best scorer.
 
     Restarting the simplex from the most promising of a few dozen probes
     costs a handful of objective calls and skips most of the poor basins.
     """
     def sample(rng):
-        cand = rng.uniform(-np.pi, np.pi, size=(draws, dim))
-        vals = np.array([objective(c) for c in cand])
-        vals[~np.isfinite(vals)] = np.inf
-        return cand[int(np.argmin(vals))]
+        cand = rng.uniform(-np.pi, np.pi, size=(SCREEN_DRAWS, dim))
+        return cand[int(np.argmin([objective(c) for c in cand]))]
     return sample
 
 
@@ -301,14 +246,14 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
         raise ValueError(f"unknown representation {representation!r}")
     spherical_param_count(k, Phi.shape[1])  # validates k
     basis, spectrum = _row_space_start(D, Phi)
-    calls = []  # one entry per score evaluation, for the diagnostics
-    score = lambda lam: calls.append(None) or _l1_score(PI, D, lam @ Phi)
     lam = basis[:, :k].T
-    start_score = value = score(lam)
-    path, nfev = "closed_form", 0
+    A = lam @ Phi
+    start_score = value = _l1_score(PI, D, A)
+    path, evals = "closed_form", 1
     if representation == "lambda" and start_score > _exact_fit_floor(U):
         lam, nfev = _fit_row_span(Phi, lambda A: null_space_apply(A, D), basis, k)
-        path, value = "least_squares", score(lam)
+        A = lam @ Phi
+        path, value, evals = "least_squares", _l1_score(PI, D, A), nfev + 2
     if representation == "spherical":
         model = SphericalConstraint(theta=tuple(np.mod(constraint_angles(lam), 2.0 * np.pi)),
                                     k=k, n=n)
@@ -317,12 +262,12 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
 
     prior_median = _median(np.linalg.norm(PI, axis=1))
     diag = {
-        "degenerate_prior_fraction": _degenerate_prior_fraction(lam @ Phi, PI, prior_median),
+        "degenerate_prior_fraction": _degenerate_prior_fraction(A, PI, prior_median),
         "prior_norm_median": prior_median,
         "spectrum": [float(v) for v in spectrum],
         "start_score": start_score,
         "learner_path": path,
-        "objective_evals": len(calls) + nfev,
+        "objective_evals": evals,
     }
     if diag["degenerate_prior_fraction"] > 0.5:
         warnings.warn("secondary policy is (near) zero inside the learned null space "
@@ -381,10 +326,9 @@ class BaselineResult:
     objective_history: list
 
     def predict(self, x) -> np.ndarray:
-        feats = _rbf_features(np.atleast_2d(np.asarray(x, dtype=float)),
-                              self.centers, self.width)
-        out = feats @ self.weights
-        return out[0] if np.ndim(x) == 1 else out
+        """The fitted w at one state (n,)."""
+        return (_rbf_features(np.asarray(x, dtype=float)[None], self.centers, self.width)
+                @ self.weights)[0]
 
 
 def _rbf_features(X, centers, width) -> np.ndarray:

@@ -214,7 +214,8 @@ def segment_rect_distance(p, q, region: ObstacleRegion):
         ((o1 == 0) & _on_segment(p, q, a)) | ((o2 == 0) & _on_segment(p, q, b)) | \
         ((o3 == 0) & _on_segment(a, b, p)) | ((o4 == 0) & _on_segment(a, b, q)) | \
         np.all((a[0] <= p) & (p <= a[2]), axis=-1) | np.all((a[0] <= q) & (q <= a[2]), axis=-1)
-    apart = np.minimum(np.minimum(_point_distance(p, q, a), _point_distance(p, q, b)),
+    corner = _point_distance(p, q, a)  # b is a rolled, so its distances are these rolled
+    apart = np.minimum(np.minimum(corner, np.roll(corner, -1, axis=-1)),
                        np.minimum(_point_distance(a, b, p), _point_distance(a, b, q)))
     return np.where(touch, 0.0, apart).min(axis=-1)
 

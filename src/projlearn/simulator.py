@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .constraints import SelectionConstraint, SphericalConstraint, split_action
-from .kinematics import PlanarArm, jacobian, pose_and_jacobian
+from .kinematics import PlanarArm, pose_and_jacobian
 from .policies import TaskPointAttractor, policy_values
 
 
@@ -241,16 +241,16 @@ def generate_arm_dataset(arm: PlanarArm, lam: np.ndarray, null_policy, n_traject
     if n_trajectories < 1:
         raise ValueError("need at least one trajectory")
     rng = np.random.default_rng(seed)
-    model = SelectionConstraint(lam=lam, feature=lambda q: jacobian(arm, q))
+    lam = np.asarray(lam, dtype=float)
     ranges = np.array([*np.deg2rad(THREE_LINK_START_RANGES_DEG), target_cfg["x_range"],
                        target_cfg["y_range"], np.deg2rad(target_cfg["theta_range_deg"])])
     draws = rng.uniform(ranges[:, 0], ranges[:, 1], size=(n_trajectories, 6))
     task = TaskPointAttractor(arm=arm, target=draws[:, 3:])
 
     def terms(Q):
-        # model.A_stack(Q) and the selected task rates from one kinematics pass.
+        # A(x) = lam J(x) and the selected task rates from one kinematics pass.
         pose, J = pose_and_jacobian(arm, Q)
-        return model.lam @ J, model.select_rates(task.at_pose(pose))
+        return lam @ J, task.at_pose(pose) @ lam.T
 
     trajs = _rollout(terms, null_policy, draws[:, :3], dt, _step_count(dt, points_per_traj * dt))
     return Dataset(trajectories=trajs)

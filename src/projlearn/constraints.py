@@ -179,13 +179,16 @@ class Projector:
 def null_projector(A) -> Projector:
     """Null-space projector N = I - A^+ A for a (k, n) constraint matrix.
 
-    A stack (..., k, n) gives stacked fields from one batched SVD.
+    A stack (..., k, n) gives stacked fields from one batched SVD. k = 0
+    gives N = I, an (..., n, 0) pseudo-inverse and sigma_ratio 1.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2:
         raise ValueError("expected a 2-d constraint matrix or a stack of them")
     pinv, s = _svd_pinv(A)
     N = np.eye(A.shape[-1]) - pinv @ A
+    if s.shape[-1] == 0:  # no rows: full row rank, so the ratio is 1 and N = I
+        s = np.ones(s.shape[:-1] + (1,))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(s[..., 0] > 0.0, s[..., -1] / s[..., 0], 0.0)
     return Projector(A=A, A_pinv=pinv, N=N, sigma_ratio=ratio[()])

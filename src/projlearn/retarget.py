@@ -8,11 +8,14 @@ onto the imitator's Jacobian through a row correspondence that matches task
 coordinates by meaning.
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from .constraints import SelectionConstraint, null_space_apply, split_action
+from .constraints import GRAM_DET_TOL, SelectionConstraint, null_space_apply, split_action
 from .kinematics import PlanarArm, dot_last, end_pose, jacobian, joint_positions, wrap_angle
 from .metrics import _stacked
 from .simulator import RANK_TOL, Dataset, RankCollapseError, Trajectory, _step_count
@@ -51,6 +54,11 @@ class ReplaySource:
         idx = min(max(step, 0), self.b_samples.shape[0] - 1)
         return self.b_samples[idx]
 
+    def float_rate(self, plan):
+        """rate as the replay step takes it: (step, end pose) -> a list of floats."""
+        rows = self.b_samples.tolist()
+        return lambda step, x, y, angle: rows[min(max(step, 0), len(rows) - 1)]
+
 
 @dataclass(frozen=True, eq=False)
 class AttractorSource:
@@ -75,18 +83,28 @@ class AttractorSource:
         err[2] = wrap_angle(err[2])
         return plan.execution_model.lam @ (self.gain * err)
 
+    def float_rate(self, plan):
+        """rate as the replay step takes it: (step, end pose) -> a list of floats."""
+        (tx, ty, tt), gain = self.target.tolist(), self.gain
+        lam = (plan.constraint.lam @ np.eye(3)).tolist()  # one column per x, y, theta, or raise
+
+        def rate(step, x, y, angle):
+            err = (gain * (tx - x), gain * (ty - y), gain * wrap_angle(tt - wrap_angle(angle)))
+            return [sum(map(mul, row, err)) for row in lam]
+        return rate
+
 
 @dataclass(frozen=True, eq=False)
 class RetargetPlan:
     """Everything needed to run a learned task with a substituted policy.
 
-    constraint: the learned model, a SelectionConstraint whose feature
-    closure already evaluates on the demonstrator. demonstrator: the arm the
-    data came from. imitator: the executing arm when it differs; its
-    Jacobian replaces the demonstrator's through row_correspondence, which
-    maps each feature row of the learned coefficients to the imitator
-    Jacobian row with the same task meaning. The plan is frozen, since the
-    executing arm and execution_model are derived from these fields once.
+    constraint: the learned model, whose feature must be the demonstrator's
+    task Jacobian. A plan runs lam over the executing arm's Jacobian rows:
+    (x, y, theta) on the demonstrator, and on an imitator the rows of
+    row_correspondence, which maps each feature row of the learned
+    coefficients to the imitator Jacobian row with the same task meaning.
+    The plan is frozen, since the executing arm and execution_model are
+    derived from these fields once.
     """
 
     constraint: SelectionConstraint
@@ -100,14 +118,19 @@ class RetargetPlan:
 
     def __post_init__(self):
         if not isinstance(self.constraint, SelectionConstraint):
-            raise ValueError("plans execute coefficient-form constraints; wrap constant "
-                             "matrices as a selection over identity features")
+            raise ValueError("plans run lam over the executing arm's task Jacobian, so the "
+                             "constraint must be a SelectionConstraint")
         corr = tuple(int(i) for i in self.row_correspondence)
         if len(set(corr)) != len(corr):
             raise ValueError("row correspondence must be injective")
         object.__setattr__(self, "row_correspondence", corr)
         arm, model = self.demonstrator, self.constraint
-        if self.imitator is not None:
+        if self.imitator is None:
+            probe = np.linspace(0.3, 1.1, arm.n)  # no joint at 0 or at a multiple of pi/2
+            if not np.array_equal(np.asarray(model.feature(probe)), jacobian(arm, probe)):
+                raise ValueError("plans run lam over the executing arm's task Jacobian, so "
+                                 "the constraint's feature must be jacobian(demonstrator, q)")
+        else:
             p = self.constraint.lam.shape[1]
             if len(corr) != p or not set(corr) <= {0, 1, 2}:
                 raise ValueError(f"row_correspondence needs one imitator Jacobian row (0, 1 or "
@@ -119,18 +142,56 @@ class RetargetPlan:
         object.__setattr__(self, "arm", arm)
 
 
-def _step(plan: RetargetPlan, x: np.ndarray, step: int):
-    """The retargeted action u = A^+ b + N pi_robot at x, and the A(x) it was formed with.
+def _stepper(plan: RetargetPlan):
+    """The replay step of a plan on lists of floats: (x, step) -> (u, A(x) u).
 
-    Raises RankCollapseError when sigma_min/sigma_max of A(x) falls below
-    RANK_TOL, the same scale-free test the data rollouts use.
+    u = A^+ b + N pi = A^T G^-1 (b - A pi) + pi with G = A A^T, from one pass
+    of link terms: numpy's per-call overhead would cost more than the sums.
+    k <= 2 take split_action's closed forms, trust test and ratio; k >= 3 and
+    untrusted Gram systems hand the sample to split_action. Raises ValueError
+    on a state that is not finite, RankCollapseError below RANK_TOL.
     """
-    A = plan.execution_model.A_at(x)
-    b = np.asarray(plan.task_source.rate(plan, x, step), dtype=float)
-    v, w, ratio = split_action(A[None], b[None], np.asarray(plan.pi_robot(x), dtype=float)[None])
-    if ratio[0] < RANK_TOL:
-        raise RankCollapseError(step, float(ratio[0]))
-    return v[0] + w[0], A
+    lengths, rate = plan.arm.link_lengths[::-1], plan.task_source.float_rate(plan)
+    rows = list(plan.row_correspondence) if plan.imitator is not None else [0, 1, 2]
+    # A = lam J, and J's rows are (-S, C, 1): each row of A is ax S + ay C + at.
+    coef = (plan.constraint.lam @ np.eye(3)[rows] * [-1.0, 1.0, 1.0]).tolist()
+
+    def step(x, t):
+        if not all(map(math.isfinite, x)):
+            raise ValueError("joint angles must be finite")
+        angles = [*accumulate(x)][::-1]
+        # Sums over links i >= j, from the last link back, like the batched reverse cumsum.
+        S = [*accumulate([l * math.sin(a) for l, a in zip(lengths, angles)])][::-1]
+        C = [*accumulate([l * math.cos(a) for l, a in zip(lengths, angles)])][::-1]
+        A = [[ax * s + ay * c + at for s, c in zip(S, C)] for ax, ay, at in coef]
+        b = rate(t, C[0], S[0], angles[0])
+        pi = np.asarray(plan.pi_robot(np.array(x)), dtype=float).tolist()
+        r = [bi - sum(map(mul, row, pi)) for bi, row in zip(b, A)]
+        G = [[sum(map(mul, ai, aj)) for aj in A[i:]] for i, ai in enumerate(A)]
+        u = None
+        if len(A) == 1 and G[0][0] > GRAM_DET_TOL * G[0][0]:
+            z, ratio = r[0] / G[0][0], 1.0
+            u = [p + a * z for p, a in zip(pi, A[0], strict=True)]
+        elif len(A) == 2:
+            (g00, g01), (g11,) = G
+            diag = g00 * g11
+            det = diag - g01 * g01
+            if det > GRAM_DET_TOL * diag:
+                z0, z1 = (g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g01 * r[0]) / det
+                ratio = math.sqrt(det) / (0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), g01))
+                u = [p + a * z0 + c * z1 for p, a, c in zip(pi, *A, strict=True)]
+        if u is None:
+            v, w, ratio = split_action(np.array([A]), np.array([b]), np.array([pi]))
+            u, ratio = (v[0] + w[0]).tolist(), float(ratio[0])
+        if ratio < RANK_TOL:
+            raise RankCollapseError(t, ratio)
+        return u, [sum(map(mul, row, u)) for row in A]
+    return step
+
+
+def _step(plan: RetargetPlan, x, step: int):
+    """The replay step at one state x (n,): u and A(x) u as arrays."""
+    return tuple(map(np.array, _stepper(plan)(np.asarray(x, dtype=float).tolist(), step)))
 
 
 def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> Trajectory:
@@ -140,16 +201,12 @@ def reproduce_trajectory(plan: RetargetPlan, x0, dt: float, duration: float) -> 
     and a duration shorter than half a step is an error.
     """
     steps = _step_count(dt, duration)
-    x = np.asarray(x0, dtype=float).copy()
-    X = np.empty((steps, x.size))
-    U = np.empty((steps, x.size))
-    B = np.empty((steps, plan.execution_model.k))
+    x, step, out = np.asarray(x0, dtype=float).reshape(plan.arm.n).tolist(), _stepper(plan), []
     for t in range(steps):
-        u, A = _step(plan, x, t)
-        X[t] = x
-        U[t] = u
-        B[t] = A @ u
-        x = x + dt * u
+        u, b = step(x, t)
+        out.append((x, u, b))
+        x = [xi + dt * ui for xi, ui in zip(x, u)]
+    X, U, B = zip(*out)
     return Trajectory(dt=dt, x=X, u=U, b=B)
 
 

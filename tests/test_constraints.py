@@ -159,6 +159,16 @@ class TestNullProjector:
     def test_identity_matrix(self):
         assert np.allclose(null_projector(np.eye(3)).N, 0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0, 3)])
+    def test_no_rows(self, shape):
+        # an empty row set constrains nothing and has full row rank, so the
+        # rank test must not fire
+        proj = null_projector(np.zeros(shape))
+        lead = shape[:-2]
+        assert np.array_equal(proj.N, np.broadcast_to(np.eye(3), lead + (3, 3)))
+        assert proj.A_pinv.shape == lead + (3, 0)
+        assert np.array_equal(proj.sigma_ratio, np.ones(lead))
+
     def test_projector_identities(self):
         rng = np.random.default_rng(5)
         for _ in range(200):

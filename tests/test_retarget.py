@@ -3,7 +3,9 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from projlearn.constraints import SelectionConstraint, diagonal_selection, null_projector
+from projlearn import retarget
+from projlearn.constraints import (GRAM_DET_TOL, SelectionConstraint, SphericalConstraint,
+                                   diagonal_selection, null_projector, split_action)
 from projlearn.experiments import resolve
 from projlearn.kinematics import PlanarArm, jacobian, joint_positions
 from projlearn.policies import PointAttractor, TaskPointAttractor
@@ -11,7 +13,7 @@ from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion
                                 ReplaySource, RetargetPlan, _step, check_obstacle_clearance,
                                 estimate_components, estimate_task_policy,
                                 reproduce_trajectory, segment_rect_distance)
-from projlearn.simulator import (RankCollapseError, Trajectory, generate_arm_dataset,
+from projlearn.simulator import (RANK_TOL, RankCollapseError, Trajectory, generate_arm_dataset,
                                  simulate_trajectory)
 from test_learning import zero_prior
 
@@ -152,6 +154,19 @@ class TestRetargetStep:
                          pi_robot=zero_prior, demonstrator=ARM,
                          row_correspondence=(0, 0, 1))
 
+    @pytest.mark.parametrize("model", [
+        SphericalConstraint(theta=(0.3, 1.2), k=1, n=3),
+        SelectionConstraint(lam=diagonal_selection((1, 1, 0)),
+                            feature=lambda q: np.broadcast_to(np.eye(3), np.shape(q) + (3,))),
+        true_model(arm=PlanarArm((0.1, 0.1, 0.2)))], ids=["constant", "identity_feature",
+                                                          "other_arm"])
+    def test_plan_runs_lam_over_the_demonstrator_jacobian(self, model):
+        # a same-arm step runs lam over the demonstrator's Jacobian, so a
+        # constant matrix or another feature would replay a different constraint
+        with pytest.raises(ValueError, match="lam over the executing arm's task Jacobian"):
+            RetargetPlan(constraint=model, task_source=ReplaySource(np.zeros((3, 2))),
+                         pi_robot=zero_prior, demonstrator=ARM)
+
     def test_plan_is_frozen(self):
         # the executing arm and model are derived at construction; a later
         # assignment would leave them on the old arm
@@ -210,10 +225,10 @@ class TestReplayLoop:
         x = np.asarray(x0, dtype=float)
         X, U, B = [], [], []
         for t in range(steps):
-            u = _step(plan, x, t)[0]
+            u, b = _step(plan, x, t)
             X.append(x)
             U.append(u)
-            B.append(plan.execution_model.A_at(x) @ u)
+            B.append(b)
             x = x + dt * u
         return np.array(X), np.array(U), np.array(B)
 
@@ -223,8 +238,11 @@ class TestReplayLoop:
         assert out.n_samples == int(round(duration / dt))
         assert np.array_equal(out.x, X)
         assert np.array_equal(out.u, U)
-        # B[t] is A_at(x_t) @ u_t, with x_t the rollout's own state
+        # B[t] is the step's own A(x_t) u_t, with x_t the rollout's own state,
+        # which sums in another order than A_at(x_t) @ u_t
         assert np.array_equal(out.b, B)
+        AU = np.einsum("skj,sj->sk", plan.execution_model.A_stack(X), U)
+        np.testing.assert_allclose(out.b, AU, rtol=0.0, atol=1e-15)
 
     def test_same_arm_replay(self):
         traj = demo_dataset(seed=12, points=50).trajectories[0]
@@ -259,7 +277,7 @@ class TestReplayLoop:
 
 
 class TestReplayAgainstSvdReference:
-    """reproduce_trajectory (split_action per step) against a null_projector loop."""
+    """reproduce_trajectory (the float step) against a null_projector loop."""
 
     @staticmethod
     def reference(plan, x0, dt, steps):
@@ -303,6 +321,125 @@ class TestReplayAgainstSvdReference:
                             pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
                             demonstrator=ARM, imitator=TestCrossEmbodiment.SEVEN)
         self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
+
+
+class TestFloatStepAgainstSvdReference:
+    """The float replay step against null_projector at single states.
+
+    k = 1 and 2 rows, n = 3 and 7 joints, same arm and imitator, recorded
+    and attractor rates, at random states and near the stretched pose where
+    the x-y rows lose rank. The Gram closed form is accurate to about
+    eps / ratio^2, with ratio = sigma_min/sigma_max of A(x).
+    """
+
+    SEVEN = TestCrossEmbodiment.SEVEN
+    PLANS = [(demo, imit, pattern, source)
+             for demo, imit in ((ARM, None), (SEVEN, None), (ARM, SEVEN))
+             for pattern in ((1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1))
+             for source in ("replay", "attractor")]
+
+    @staticmethod
+    def make_plan(demo, imit, pattern, source, pi_target=None):
+        k, n = sum(pattern), (imit or demo).n
+        rng = np.random.default_rng(n * 100 + k)
+        rates = (ReplaySource(rng.normal(0.0, 0.1, size=(5, k))) if source == "replay"
+                 else AttractorSource(target=np.array([-0.09, 0.04, 0.3]), gain=1.5))
+        pi = PointAttractor(target=rng.uniform(-2.0, 2.0, n) if pi_target is None else pi_target,
+                            beta=2.0)
+        return RetargetPlan(constraint=true_model(arm=demo, pattern=pattern), task_source=rates,
+                            pi_robot=pi, demonstrator=demo, imitator=imit)
+
+    @staticmethod
+    def reference(plan, x, t):
+        """u = A^+ b + N pi from the SVD, and sigma_min/sigma_max of A(x)."""
+        proj = null_projector(plan.execution_model.A_at(x))
+        u = proj.A_pinv @ plan.task_source.rate(plan, x, t) + proj.N @ plan.pi_robot(x)
+        return u, proj.A @ u, float(proj.sigma_ratio)
+
+    @staticmethod
+    def states(n, rng):
+        random = rng.uniform(-np.pi, np.pi, size=(20, n))
+        # near the stretched pose along 0.4 rad, where the x-y rows lose rank
+        stretched = [np.r_[0.4, np.full(n - 1, eps)] + eps * rng.normal(size=n)
+                     for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
+        return np.vstack([random, stretched])
+
+    @pytest.mark.parametrize("demo,imit,pattern,source", PLANS)
+    def test_matches_reference(self, demo, imit, pattern, source):
+        plan = self.make_plan(demo, imit, pattern, source)
+        rng = np.random.default_rng(31)
+        for t, x in enumerate(self.states(plan.arm.n, rng)):
+            u_ref, b_ref, ratio = self.reference(plan, x, t)
+            assert ratio >= RANK_TOL
+            u, b = _step(plan, x, t)
+            tol = 1e-14 * (1.0 + np.abs(u_ref).max()) / ratio ** 2
+            np.testing.assert_allclose(u, u_ref, rtol=0.0, atol=tol, err_msg=f"x = {x}")
+            np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=tol, err_msg=f"x = {x}")
+
+    @staticmethod
+    def spy_on_split_action(monkeypatch):
+        calls = []
+
+        def spy(A, B, PI):
+            calls.append(split_action(A, B, PI))
+            return calls[-1]
+        monkeypatch.setattr(retarget, "split_action", spy)
+        return calls
+
+    def test_untrusted_gram_takes_split_action(self, monkeypatch):
+        plan = self.make_plan(ARM, None, (1, 1, 0), "replay")
+        x = np.array([0.4, 1e-4, 1e-4])
+        G = plan.execution_model.A_at(x) @ plan.execution_model.A_at(x).T
+        assert np.linalg.det(G) <= GRAM_DET_TOL * G[0, 0] * G[1, 1]
+        calls = self.spy_on_split_action(monkeypatch)
+        u, _ = _step(plan, x, 2)
+        assert len(calls) == 1
+        v, w, _ = calls[0]
+        assert np.array_equal(u, v[0] + w[0])
+        u_ref, _, ratio = self.reference(plan, x, 2)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-9)
+        # a well-conditioned state stays on the closed form
+        _step(plan, np.array([0.4, 1.0, -0.5]), 2)
+        assert len(calls) == 1
+
+    def test_three_rows_take_split_action(self, monkeypatch):
+        plan = self.make_plan(ARM, None, (1, 1, 1), "attractor")
+        x = np.array([0.4, 1.0, -0.5])
+        calls = self.spy_on_split_action(monkeypatch)
+        u, b = _step(plan, x, 0)
+        assert len(calls) == 1 and calls[0][0].shape == (1, 3)
+        v, w, _ = calls[0]
+        assert np.array_equal(u, v[0] + w[0])
+        u_ref, b_ref, _ = self.reference(plan, x, 0)
+        np.testing.assert_allclose(u, u_ref, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=0.0, atol=1e-12)
+
+    def test_rank_collapse_raises_at_the_reference_step(self):
+        # A two-link arm replays joint rates (0, -2) in task space, so its
+        # elbow reaches 0, the stretched pose, at step 4 (0.5 - 4 * 0.125).
+        two = PlanarArm((0.1, 0.1))
+        dt, rate = 0.0625, np.array([0.0, -2.0])
+        Q = np.array([0.3, 0.5]) + dt * np.arange(5)[:, None] * rate
+        B = np.einsum("skj,j->sk", jacobian(two, Q)[:, :2], rate)
+        plan = RetargetPlan(constraint=true_model(arm=two), task_source=ReplaySource(B),
+                            pi_robot=zero_prior, demonstrator=two)
+        x = Q[0]
+        for t in range(5):
+            u_ref, _, ratio = self.reference(plan, x, t)
+            if ratio < RANK_TOL:
+                break
+            x = x + dt * u_ref
+        assert t == 4
+        with pytest.raises(RankCollapseError) as err:
+            reproduce_trajectory(plan, Q[0], dt, 10 * dt)
+        assert err.value.step == t
+        assert err.value.sigma_ratio == pytest.approx(ratio, rel=0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_start_that_is_not_finite_raises(self, bad):
+        plan = self.make_plan(ARM, None, (1, 1, 0), "attractor")
+        with pytest.raises(ValueError, match="finite"):
+            reproduce_trajectory(plan, np.array([0.4, bad, 0.2]), 0.02, 0.1)
 
 
 class TestAttractorSource:

@@ -7,12 +7,16 @@ structure of A. A *selection* constraint is A(x) = Lambda Phi(x) for a fixed
 coefficient matrix Lambda and a state-dependent feature matrix Phi, typically
 the arm Jacobian.
 
-Every many-sample path, the learner's start included, solves its Gram
-systems A A^T z = b through _gram_solve, with one trust test.
+Every projection runs through one factorisation A = R Q: Gram-Schmidt run
+twice, Q with orthonormal rows, R lower-triangular. A stack of states, the
+learner's start included, takes lq_factor; one state takes split_floats, the
+same arithmetic in Python floats. The SVD pseudo-inverse and null_projector
+stay as the reference the tests compare against.
 """
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Callable
 
 import numpy as np
@@ -194,154 +198,123 @@ def null_projector(A) -> Projector:
     return Projector(A=A, A_pinv=pinv, N=N, sigma_ratio=ratio[()])
 
 
-# The closed forms lose about eps * prod(diag G) / det of relative accuracy,
-# so Gram systems whose det / prod(diag) is below this go to the SVD instead.
-GRAM_DET_TOL = 1e-6
+# A row whose remainder after Gram-Schmidt is at most this times its own norm
+# depends on the rows before it; rollouts stop when sigma_min/sigma_max of A(x)
+# falls below it. Both tests are scale-free, so they do not depend on units.
+RANK_TOL = 1e-10
 
 
-def _gram_solve(G, B):
-    """z = G^-1 b for a stack of Gram systems (S, k, k), (S, k), and the trusted mask.
+def lq_factor(A):
+    """A_n = R_n Q_n for a stack A (S, k, n), by Gram-Schmidt run twice over the rows.
 
-    A sample is trusted when det G > GRAM_DET_TOL * prod(diag G), a
-    scale-free test since det <= prod(diag) for a Gram matrix: for k = 1 a
-    nonzero row, for k = 2 rows more than about 1e-3 rad from parallel.
-    Closed forms for k <= 3 keep the inner loops off LAPACK's per-matrix
-    overhead: the adjugate for k = 3, with det expanded along the first
-    row. Larger k take np.linalg.det and solve the trusted samples in one
-    call. z of an untrusted sample is unspecified for k <= 2 (the closed
-    form with det set to 1) and zero for k >= 3; every caller drops or
-    replaces it.
+    Q_n has orthonormal rows and R_n is lower-triangular. A second pass
+    keeps Q orthogonal to rounding whatever the conditioning (Giraud, Langou
+    & Rozloznik 2005), so no solve needs a trust test. A row that depends on
+    the rows before it (its remainder at most RANK_TOL times its norm) gets
+    a zero q row and a zero R column, which keeps an exactly rank-deficient A
+    on the SVD's projector. Rows come first and samples last, Q (k, n, S)
+    and R (k, k, S), so that every sum over a row's n entries adds
+    contiguous arrays of S samples.
     """
-    k = B.shape[1]
-    # det and prod(diag G) spelled out for k <= 3: LAPACK's per-matrix overhead costs
-    # more than the arithmetic, and per-call overhead dominates one-state steps.
-    if k == 1:
-        det = diag = G[:, 0, 0]
-    elif k == 2:
-        diag = G[:, 0, 0] * G[:, 1, 1]
-        det = diag - G[:, 0, 1] * G[:, 1, 0]
-    elif k == 3:
-        g00, g01, g02, g10, g11, g12, g20, g21, g22 = G.reshape(-1, 9).T
-        c00, c01, c02 = g11 * g22 - g12 * g21, g12 * g20 - g10 * g22, g10 * g21 - g11 * g20
-        diag = g00 * g11 * g22
-        det = g00 * c00 + g01 * c01 + g02 * c02
-    else:
-        det, diag = np.linalg.det(G), np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
-    ok = det > GRAM_DET_TOL * diag
-    if k > 3:
-        Z = np.zeros(B.shape)
-        Z[ok] = np.linalg.solve(G[ok], B[ok][:, :, None])[:, :, 0]
-        return Z, ok
-    det = np.where(ok, det, 1.0)
-    if k == 1:
-        return B / det[:, None], ok
-    Z = np.empty(B.shape)
-    if k == 2:
-        Z[:, 0] = (G[:, 1, 1] * B[:, 0] - G[:, 0, 1] * B[:, 1]) / det
-        Z[:, 1] = (G[:, 0, 0] * B[:, 1] - G[:, 1, 0] * B[:, 0]) / det
-        return Z, ok
-    # z = adj(G) b / det; adj(G) is the transposed cofactor matrix.
-    b0, b1, b2 = B.T
-    Z[:, 0] = (c00 * b0 + (g02 * g21 - g01 * g22) * b1 + (g01 * g12 - g02 * g11) * b2) / det
-    Z[:, 1] = (c01 * b0 + (g00 * g22 - g02 * g20) * b1 + (g02 * g10 - g00 * g12) * b2) / det
-    Z[:, 2] = (c02 * b0 + (g01 * g20 - g00 * g21) * b1 + (g00 * g11 - g01 * g10) * b2) / det
-    if not ok.all():
-        Z[~ok] = 0.0
-    return Z, ok
+    T = np.ascontiguousarray(A.transpose(1, 2, 0))
+    norms = np.sqrt((T * T).sum(1))
+    # Every row normalised: row 0 of Q, and all of it for k = 1. A zero row
+    # divides by inf, which gives its zero q row.
+    Q = T / np.where(norms > 0.0, norms, np.inf)[:, None]
+    R = np.zeros((len(T),) + norms.shape)
+    R[0, 0] = norms[0]
+    for i in range(1, len(T)):
+        r = T[i]
+        for _ in range(2):
+            for j in range(i):
+                c = (Q[j] * r).sum(0)
+                R[i, j] += c
+                r = r - c * Q[j]
+        norm = np.sqrt((r * r).sum(0))
+        ok = norm > RANK_TOL * norms[i]
+        R[i, i] = norm * ok
+        Q[i] = r / np.where(ok, norm, np.inf)
+    return Q, R
 
 
-def pinv_apply(A, B) -> np.ndarray:
-    """A_n^+ b_n for a stack of wide matrices A (S, k, n) and rates B (S, k).
+def _forward_solve(L, B):
+    """Y with L_n y_n = b_n for lower-triangular L (k, k, S) and B (k, S), rows first.
 
-    Well-conditioned samples go through the Gram solve; the rest get
-    the SVD pseudo-inverse of A_n itself, which is accurate to about
-    eps / (sigma_min/sigma_max) where the Gram form would square that.
+    A zero pivot, a dependent row of lq_factor, gives y_i = 0: for b_n in
+    the range of A_n = L_n Q_n, Q_n^T y_n is then still A_n^+ b_n.
     """
-    Z, ok = _gram_solve(np.einsum("skj,slj->skl", A, A), B)
-    out = np.einsum("skj,sk->sj", A, Z)
-    if not ok.all():
-        out[~ok] = np.einsum("sjk,sk->sj", pseudo_inverse(A[~ok]), B[~ok])
-    return out
+    d = np.diagonal(L).T
+    d = np.where(d != 0.0, d, np.inf)
+    Y = B / d  # y_0, and every y_i for a diagonal L
+    for i in range(1, len(B)):
+        Y[i] = (B[i] - (L[i, :i] * Y[:i]).sum(0)) / d[i]
+    return Y
 
 
 def null_space_apply(A, V) -> np.ndarray:
-    """N(x_n) v_n = v_n - A_n^+ A_n v_n for a stack A (S, k, n) and vectors V (S, n).
+    """N(x_n) v_n = v_n - Q_n^T Q_n v_n for a stack A (S, k, n) and vectors V (S, n).
 
-    The batched counterpart of ``null_projector(A_n).N @ v_n``.
+    The batched counterpart of ``null_projector(A_n).N @ v_n``, from
+    lq_factor's Q.
     """
-    return V - pinv_apply(A, np.einsum("skj,sj->sk", A, V))
-
-
-def _split_svd(A, B, PI):
-    """split_action through null_projector's batched SVD."""
-    proj = null_projector(A)
-    return (np.einsum("sjk,sk->sj", proj.A_pinv, B), np.einsum("sij,sj->si", proj.N, PI),
-            proj.sigma_ratio)
-
-
-def _split_one(A, b, pi):
-    """split_action of one sample A (k, n), b (k,), pi (n,) for k <= 2.
-
-    numpy's per-call overhead is most of the cost of one sample, so the trust
-    test, the solves and the ratio run in Python floats, with the formulas of
-    _gram_solve and split_action term for term. The sums over n stay in
-    einsum, which adds its lanes in an order Python's sum would not: one call
-    gives G = A A^T and c = A pi, one gives A^T z. The bits match the batched
-    path. Returns None when the Gram test fails.
-    """
-    k = len(A)
-    M = np.einsum("kj,lj->kl", A, np.concatenate((A, pi[None]))).tolist()
-    b = b.tolist()
-    if k == 1:
-        (g00, c0), = M
-        if not g00 > GRAM_DET_TOL * g00:
-            return None
-        Z = [(b[0] / g00, c0 / g00)]
-        ratio = 1.0
-    else:
-        (g00, g01, c0), (g10, g11, c1) = M
-        diag = g00 * g11
-        det = diag - g01 * g10
-        if not det > GRAM_DET_TOL * diag:
-            return None
-        Z = [((g11 * b[0] - g01 * b[1]) / det, (g11 * c0 - g01 * c1) / det),
-             ((g00 * b[1] - g10 * b[0]) / det, (g00 * c1 - g10 * c0) / det)]
-        # np.hypot, not math.hypot: Python's own hypot rounds differently.
-        lmax = 0.5 * (g00 + g11) + float(np.hypot(0.5 * (g00 - g11), g01))
-        ratio = math.sqrt(g00 * g11 - g01 * g01) / lmax
-    AZ = np.einsum("kj,kr->rj", A, Z)
-    return AZ[:1], pi - AZ[1:], np.array([ratio])
+    Q, V = lq_factor(A)[0], V.T
+    return (V - ((Q * V).sum(1)[:, None] * Q).sum(0)).T
 
 
 def split_action(A, B, PI):
     """v_n = A_n^+ b_n, w_n = N_n pi_n and sigma_min/sigma_max of A_n: one rollout step.
 
-    Stacks A (S, k, n), B (S, k), PI (S, n). For k = 1 and 2 one Gram matrix
-    G = A A^T serves both solves and the ratio (1 for a nonzero row, sqrt(det
-    G) / lmax(G) for two); a stack of one sample takes _split_one, the same
-    arithmetic in Python floats. Untrusted samples, and every sample for
-    k >= 3, for which no closed form of the ratio is coded, take
-    null_projector.
+    Stacks A (S, k, n), B (S, k), PI (S, n), through lq_factor's A = R Q:
+    v = Q^T R^-1 b by forward substitution and w = pi - Q^T Q pi. The ratio
+    is that of R: 1 for a nonzero row, |r00 r11| / lmax(R R^T) for two rows
+    and the SVD of R beyond. For a rank-deficient A_n, v_n is A_n^+ b_n only
+    when b_n lies in the range of A_n; a rollout stops there anyway.
     """
-    if A.shape[1] > 2:
-        return _split_svd(A, B, PI)
+    Q, R = lq_factor(A)
+    PI = PI.T
+    V = (_forward_solve(R, B.T)[:, None] * Q).sum(0)
+    W = PI - ((Q * PI).sum(1)[:, None] * Q).sum(0)
+    if len(R) == 1:
+        ratio = np.sign(R[0, 0])  # 1 for a nonzero row, 0 for a zero one
+    elif len(R) == 2:
+        r00, r10, r11 = R[0, 0], R[1, 0], R[1, 1]
+        g00, g11 = r00 * r00, r10 * r10 + r11 * r11
+        lmax = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), r00 * r10)
+        ratio = np.abs(r00 * r11) / np.where(lmax > 0.0, lmax, 1.0)
+    else:
+        s = np.linalg.svd(R.transpose(2, 0, 1), compute_uv=False)
+        ratio = s[:, -1] / np.where(s[:, 0] > 0.0, s[:, 0], 1.0)
+    return V.T, W.T, ratio
+
+
+def split_floats(A, b, pi):
+    """split_action of one sample with k <= 2 rows, on lists of floats: v, w and the ratio.
+
+    lq_factor's Gram-Schmidt twice, spelled out for one or two rows in
+    Python floats: numpy's per-call overhead would cost more than the sums.
+    """
+    a0 = A[0]
+    r00 = math.sqrt(sum(map(mul, a0, a0)))
+    q0 = [x / r00 for x in a0] if r00 > 0.0 else [0.0] * len(a0)  # a zero row: a zero q row
+    y0, p0 = b[0] / r00 if r00 > 0.0 else 0.0, sum(map(mul, q0, pi))
     if len(A) == 1:
-        one = _split_one(A[0], B[0], PI[0])
-        return _split_svd(A, B, PI) if one is None else one
-    G = np.einsum("skj,slj->skl", A, A)
-    # Both right-hand sides in one call: per-call overhead dominates small stacks.
-    Z, ok = _gram_solve(np.concatenate([G, G]),
-                        np.concatenate([B, np.einsum("skj,sj->sk", A, PI)]))
-    AZ = np.einsum("skj,rsk->rsj", A, Z.reshape(2, len(A), -1))
-    V, W, ok = AZ[0], PI - AZ[1], ok[:len(A)]
-    ratio = ok.astype(float)
-    if A.shape[1] == 2:
-        g00, g01, g11 = G[:, 0, 0], G[:, 0, 1], G[:, 1, 1]
-        lmax = 0.5 * (g00 + g11) + np.hypot(0.5 * (g00 - g11), g01)
-        ratio = np.sqrt(np.where(ok, g00 * g11 - g01 * g01, 0.0)) / np.where(ok, lmax, 1.0)
-    if not ok.all():
-        V[~ok], W[~ok], ratio[~ok] = _split_svd(A[~ok], B[~ok], PI[~ok])
-    return V, W, ratio
+        return ([y0 * q for q in q0], [p - p0 * q for p, q in zip(pi, q0)],
+                1.0 if r00 > 0.0 else 0.0)
+    a1 = A[1]
+    c = sum(map(mul, q0, a1))
+    r = [x - c * q for x, q in zip(a1, q0)]
+    c2 = sum(map(mul, q0, r))
+    r = [x - c2 * q for x, q in zip(r, q0)]
+    r10, r11 = c + c2, math.sqrt(sum(map(mul, r, r)))
+    if not r11 > RANK_TOL * math.sqrt(sum(map(mul, a1, a1))):
+        r11 = 0.0  # a dependent row: a zero q row and a zero R column
+    q1 = [x / r11 for x in r] if r11 > 0.0 else [0.0] * len(r)
+    y1, p1 = (b[1] - r10 * y0) / r11 if r11 > 0.0 else 0.0, sum(map(mul, q1, pi))
+    g00, g11 = r00 * r00, r10 * r10 + r11 * r11
+    lmax = 0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), r00 * r10)
+    return ([y0 * s + y1 * t for s, t in zip(q0, q1)],
+            [p - p0 * s - p1 * t for p, s, t in zip(pi, q0, q1)],
+            abs(r00 * r11) / lmax if lmax > 0.0 else 0.0)
 
 
 def feature_stack(feature, X) -> np.ndarray:

@@ -4,15 +4,11 @@ joint_positions, end_pose (x, y, theta) and jacobian broadcast over stacks of st
 All three build on one pass of link terms, l_i cos and l_i sin of the
 cumulative joint angles; pose_and_jacobian returns the pose and the
 Jacobian of a stack from a single pass, bit for bit the two separate calls.
-end_pose and jacobian take a scalar path for a single state, (n,) or a stack
-of one (1, n), that gives the same bits as a row of the batched call.
+A single state takes the same numpy path as a stack; a one-state rollout
+runs its own float pass (simulator.float_step).
 """
 
-import math
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add
 
 import numpy as np
 
@@ -75,30 +71,9 @@ def _check_states(arm: PlanarArm, q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim == 0 or q.shape[-1] != arm.n:
         raise ValueError(f"expected {arm.n} joint angles, got shape {q.shape}")
-    # One state: a loop over floats costs less than numpy's per-call overhead.
-    finite = (all(map(math.isfinite, q.ravel().tolist())) if q.size == arm.n
-              else np.isfinite(q).all())
-    if not finite:
+    if not np.isfinite(q).all():
         raise ValueError("joint angles must be finite")
     return q
-
-
-def _is_one_state(q: np.ndarray) -> bool:
-    """True for one state (n,) or a stack of one state (1, n)."""
-    return q.ndim == 1 or q.ndim == 2 and len(q) == 1
-
-
-def _link_terms(arm: PlanarArm, q: np.ndarray):
-    """l_i cos(q_1 + ... + q_i) and l_i sin(...) of one state (n,), as lists of floats.
-
-    The one-state path of end_pose and jacobian: numpy's per-call overhead
-    is most of the cost of a single state, so their sums run over these
-    lists, one at a time in the order the batched cumsums take, and give the
-    same bits.
-    """
-    angles = q.cumsum()
-    return ([l * c for l, c in zip(arm.link_lengths, np.cos(angles).tolist())],
-            [l * s for l, s in zip(arm.link_lengths, np.sin(angles).tolist())])
 
 
 def _chain_terms(arm: PlanarArm, q: np.ndarray):
@@ -158,12 +133,6 @@ def end_pose(arm: PlanarArm, q) -> np.ndarray:
     (..., n) gives (..., 3).
     """
     q = _check_states(arm, q)
-    if _is_one_state(q):
-        one = q.reshape(arm.n)
-        coss, sins = _link_terms(arm, one)
-        # one.sum(), not a running sum: np.sum adds pairwise.
-        pose = np.array([reduce(add, coss), reduce(add, sins), wrap_angle(one.sum())])
-        return pose.reshape(q.shape[:-1] + (3,))
     return _stack_pose(q, *_chain_terms(arm, q))
 
 
@@ -178,19 +147,14 @@ def jacobian(arm: PlanarArm, q) -> np.ndarray:
     contributes its rate directly to the end-effector orientation.
     """
     q = _check_states(arm, q)
-    if _is_one_state(q):
-        coss, sins = _link_terms(arm, q.reshape(arm.n))
-        J = np.array([[-s for s in accumulate(sins[::-1])][::-1],
-                      [*accumulate(coss[::-1])][::-1], [1.0] * arm.n])
-        return J.reshape(q.shape[:-1] + (3, arm.n))
     return _stack_jacobian(q, *_chain_terms(arm, q))
 
 
 def pose_and_jacobian(arm: PlanarArm, q) -> tuple:
     """end_pose and jacobian of the same states from one pass of link terms.
 
-    A lockstep rollout needs both at every step. This takes the batched
-    path for every input, which gives the bits of the two separate calls.
+    A lockstep rollout needs both at every step; the bits are those of the
+    two separate calls.
     """
     q = _check_states(arm, q)
     coss, sins = _chain_terms(arm, q)

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import (SelectionConstraint, SphericalConstraint, _gram_solve,
-                          constraint_angles, feature_stack, null_space_apply, pinv_apply,
+from .constraints import (SelectionConstraint, SphericalConstraint, _forward_solve,
+                          constraint_angles, feature_stack, lq_factor, null_space_apply,
                           spherical_param_count)
 from .metrics import _l1_score, _stacked
 from .simulator import Dataset
@@ -129,21 +129,27 @@ def _signed(rows):
     return rows * np.copysign(1.0, lead)[:, None]  # a product with -1.0 or 1.0 is exact
 
 
-def _row_space_start(D, Phi):
+def _row_space_start(D, Phi=None):
     """Eigenvectors (_signed columns) and eigenvalues, largest first, of the row-space scatter.
 
     Every d_n = u_n - pi_n lies in the row space of A(x_n) = Lambda Phi_n,
-    so z_n = G_n^-1 Phi_n d_n with G_n = Phi_n Phi_n^T lies in the row
-    space of Lambda, and the top k eigenvectors of Z^T Z span its rows. For
-    a constant A (Phi = I) the scatter is D^T D. Samples whose G_n fails
-    the Gram trust test of _gram_solve are left out. On clean data the
+    so z_n = (Phi_n Phi_n^T)^-1 Phi_n d_n lies in the row space of Lambda,
+    and the top k eigenvectors of Z^T Z span its rows. With lq_factor's
+    Phi_n = R_n Q_n that is z_n = R_n^-T Q_n d_n, one back substitution. For
+    a constant A, Phi None (the identity), the scatter is D^T D. Samples
+    whose Phi_n has a dependent row are left out. On clean data the
     eigenvalues past the k-th vanish to rounding, for every k.
     """
-    Z, ok = _gram_solve(np.einsum("spj,sqj->spq", Phi, Phi), np.einsum("spj,sj->sp", Phi, D))
-    if not ok.any():
-        raise ValueError("no sample has a well-conditioned Phi(x) Phi(x)^T; the lambda "
-                         "representation needs Phi(x) of full row rank")
-    Z = Z[ok]
+    Z = D
+    if Phi is not None:
+        Q, R = lq_factor(Phi)
+        ok = np.diagonal(R).all(axis=1)  # no zero pivot: no dependent row
+        if not ok.any():
+            raise ValueError("no sample has Phi(x) of full row rank; the lambda representation "
+                             "needs Phi(x) of full row rank")
+        # R^T z = Q d is upper-triangular: forward substitution in reversed order.
+        Rt = R.transpose(1, 0, 2)[::-1, ::-1]
+        Z = _forward_solve(Rt, (Q * D.T).sum(1)[::-1])[::-1].T[ok]
     vals, vecs = np.linalg.eigh(Z.T @ Z)
     return _signed(vecs[:, ::-1].T).T, vals[::-1]
 
@@ -245,7 +251,7 @@ def learn_constraint(dataset: Dataset, prior_pi=None, k: int = 1,
     else:
         raise ValueError(f"unknown representation {representation!r}")
     spherical_param_count(k, Phi.shape[1])  # validates k
-    basis, spectrum = _row_space_start(D, Phi)
+    basis, spectrum = _row_space_start(D, Phi if representation == "lambda" else None)
     lam = basis[:, :k].T
     A = lam @ Phi
     start_score = value = _l1_score(PI, D, A)
@@ -298,7 +304,7 @@ def learn_selection_matrix(dataset: Dataset, w_hat, feature_fn, k: int):
         raise ValueError("w_hat is identically zero; nothing constrains the fit")
     Phi = feature_stack(feature_fn, X)
     spherical_param_count(k, Phi.shape[1])  # validates k
-    inside = lambda A: pinv_apply(A, np.einsum("skj,sj->sk", A, W_hat))  # A_n^+ A_n w_n
+    inside = lambda A: W_hat - null_space_apply(A, W_hat)  # A_n^+ A_n w_n
     V = np.einsum("spj,sj->sp", Phi, W_hat)
     basis = np.linalg.eigh(V.T @ V)[1]  # ascending: the first k columns span the start
     lam, _ = _fit_row_span(Phi, inside, basis, k)

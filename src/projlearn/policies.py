@@ -104,10 +104,7 @@ class TaskPointAttractor:
     def at_pose(self, pose):
         """The rates at end-effector poses already computed, (3,) or a stack (m, 3)."""
         err = self.target - pose
-        if err.size == 3:  # one state: the float branch of wrap_angle gives the same bits
-            err.flat[2] = wrap_angle(err.flat[2])
-        else:
-            err[..., 2] = wrap_angle(err[..., 2])
+        err[..., 2] = wrap_angle(err[..., 2])
         return self.gain * err
 
 

@@ -8,17 +8,16 @@ onto the imitator's Jacobian through a row correspondence that matches task
 coordinates by meaning.
 """
 
-import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import mul
 
 import numpy as np
 
-from .constraints import GRAM_DET_TOL, SelectionConstraint, null_space_apply, split_action
+from .constraints import SelectionConstraint, null_space_apply
 from .kinematics import PlanarArm, dot_last, end_pose, jacobian, joint_positions, wrap_angle
 from .metrics import _stacked
-from .simulator import RANK_TOL, Dataset, RankCollapseError, Trajectory, _step_count
+from .simulator import (Dataset, Trajectory, _step_count, attractor_rate, check_jacobian_model,
+                        float_step)
 
 
 def estimate_components(dataset: Dataset, model):
@@ -81,17 +80,12 @@ class AttractorSource:
     def rate(self, plan, x, step: int) -> np.ndarray:
         err = self.target - end_pose(plan.arm, x)
         err[2] = wrap_angle(err[2])
-        return plan.execution_model.lam @ (self.gain * err)
+        # lam's columns follow the executing arm's Jacobian rows, row_correspondence
+        return plan.execution_model.lam @ (self.gain * err)[list(plan.row_correspondence)]
 
     def float_rate(self, plan):
         """rate as the replay step takes it: (step, end pose) -> a list of floats."""
-        (tx, ty, tt), gain = self.target.tolist(), self.gain
-        lam = (plan.constraint.lam @ np.eye(3)).tolist()  # one column per x, y, theta, or raise
-
-        def rate(step, x, y, angle):
-            err = (gain * (tx - x), gain * (ty - y), gain * wrap_angle(tt - wrap_angle(angle)))
-            return [sum(map(mul, row, err)) for row in lam]
-        return rate
+        return attractor_rate(self.target, self.gain, plan.task_lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,10 +120,10 @@ class RetargetPlan:
         object.__setattr__(self, "row_correspondence", corr)
         arm, model = self.demonstrator, self.constraint
         if self.imitator is None:
-            probe = np.linspace(0.3, 1.1, arm.n)  # no joint at 0 or at a multiple of pi/2
-            if not np.array_equal(np.asarray(model.feature(probe)), jacobian(arm, probe)):
-                raise ValueError("plans run lam over the executing arm's task Jacobian, so "
-                                 "the constraint's feature must be jacobian(demonstrator, q)")
+            if corr != (0, 1, 2):
+                raise ValueError(f"a same-arm plan runs the demonstrator's own Jacobian rows, "
+                                 f"so its row_correspondence must be (0, 1, 2), got {corr}")
+            check_jacobian_model(model, arm)
         else:
             p = self.constraint.lam.shape[1]
             if len(corr) != p or not set(corr) <= {0, 1, 2}:
@@ -141,52 +135,25 @@ class RetargetPlan:
         object.__setattr__(self, "execution_model", model)
         object.__setattr__(self, "arm", arm)
 
+    @property
+    def task_lam(self) -> np.ndarray:
+        """lam over the executing arm's (x, y, theta) Jacobian rows, (k, 3)."""
+        return self.constraint.lam @ np.eye(3)[list(self.row_correspondence)]
+
 
 def _stepper(plan: RetargetPlan):
     """The replay step of a plan on lists of floats: (x, step) -> (u, A(x) u).
 
-    u = A^+ b + N pi = A^T G^-1 (b - A pi) + pi with G = A A^T, from one pass
-    of link terms: numpy's per-call overhead would cost more than the sums.
-    k <= 2 take split_action's closed forms, trust test and ratio; k >= 3 and
-    untrusted Gram systems hand the sample to split_action. Raises ValueError
-    on a state that is not finite, RankCollapseError below RANK_TOL.
+    simulator.float_step over the executing arm with the plan's task_lam,
+    its task source's float rate and pi_robot; u = v + w.
     """
-    lengths, rate = plan.arm.link_lengths[::-1], plan.task_source.float_rate(plan)
-    rows = list(plan.row_correspondence) if plan.imitator is not None else [0, 1, 2]
-    # A = lam J, and J's rows are (-S, C, 1): each row of A is ax S + ay C + at.
-    coef = (plan.constraint.lam @ np.eye(3)[rows] * [-1.0, 1.0, 1.0]).tolist()
+    step = float_step(plan.arm, plan.task_lam, plan.task_source.float_rate(plan), plan.pi_robot)
 
-    def step(x, t):
-        if not all(map(math.isfinite, x)):
-            raise ValueError("joint angles must be finite")
-        angles = [*accumulate(x)][::-1]
-        # Sums over links i >= j, from the last link back, like the batched reverse cumsum.
-        S = [*accumulate([l * math.sin(a) for l, a in zip(lengths, angles)])][::-1]
-        C = [*accumulate([l * math.cos(a) for l, a in zip(lengths, angles)])][::-1]
-        A = [[ax * s + ay * c + at for s, c in zip(S, C)] for ax, ay, at in coef]
-        b = rate(t, C[0], S[0], angles[0])
-        pi = np.asarray(plan.pi_robot(np.array(x)), dtype=float).tolist()
-        r = [bi - sum(map(mul, row, pi)) for bi, row in zip(b, A)]
-        G = [[sum(map(mul, ai, aj)) for aj in A[i:]] for i, ai in enumerate(A)]
-        u = None
-        if len(A) == 1 and G[0][0] > GRAM_DET_TOL * G[0][0]:
-            z, ratio = r[0] / G[0][0], 1.0
-            u = [p + a * z for p, a in zip(pi, A[0], strict=True)]
-        elif len(A) == 2:
-            (g00, g01), (g11,) = G
-            diag = g00 * g11
-            det = diag - g01 * g01
-            if det > GRAM_DET_TOL * diag:
-                z0, z1 = (g11 * r[0] - g01 * r[1]) / det, (g00 * r[1] - g01 * r[0]) / det
-                ratio = math.sqrt(det) / (0.5 * (g00 + g11) + math.hypot(0.5 * (g00 - g11), g01))
-                u = [p + a * z0 + c * z1 for p, a, c in zip(pi, *A, strict=True)]
-        if u is None:
-            v, w, ratio = split_action(np.array([A]), np.array([b]), np.array([pi]))
-            u, ratio = (v[0] + w[0]).tolist(), float(ratio[0])
-        if ratio < RANK_TOL:
-            raise RankCollapseError(t, ratio)
+    def replay(x, t):
+        A, _, _, v, w = step(x, t)
+        u = [vi + wi for vi, wi in zip(v, w)]
         return u, [sum(map(mul, row, u)) for row in A]
-    return step
+    return replay
 
 
 def _step(plan: RetargetPlan, x, step: int):

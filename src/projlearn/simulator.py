@@ -6,12 +6,16 @@ the observations. Datasets are plain containers; generation is deterministic
 given the seed.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
+from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
-from .constraints import SelectionConstraint, SphericalConstraint, split_action
-from .kinematics import PlanarArm, pose_and_jacobian
+from .constraints import (RANK_TOL, SelectionConstraint, SphericalConstraint, split_action,
+                          split_floats)
+from .kinematics import PlanarArm, jacobian, pose_and_jacobian, wrap_angle
 from .policies import TaskPointAttractor, policy_values
 
 
@@ -148,11 +152,6 @@ def generate_toy_dataset(n_points: int, seed, null_policy) -> Dataset:
     return Dataset(trajectories=[traj], meta={"constraint": model.to_config()})
 
 
-# Rollouts stop when sigma_min/sigma_max of A(x) falls below this: a
-# scale-free test, so it does not depend on length units.
-RANK_TOL = 1e-10
-
-
 class RankCollapseError(RuntimeError):
     """Constraint matrix lost row rank while rolling out a trajectory."""
 
@@ -204,23 +203,87 @@ def _step_count(dt: float, duration: float) -> int:
     return steps
 
 
+def check_jacobian_model(constraint: SelectionConstraint, arm: PlanarArm):
+    """Raise ValueError unless constraint's feature is jacobian(arm, q), as float_step needs.
+
+    The two are compared bit for bit at one generic probe state.
+    """
+    probe = np.linspace(0.3, 1.1, arm.n)  # no joint at 0 or at a multiple of pi/2
+    if not np.array_equal(np.asarray(constraint.feature(probe)), jacobian(arm, probe)):
+        raise ValueError("one-state rollouts run lam over the executing arm's task Jacobian, "
+                         "so the constraint's feature must be jacobian(arm, q)")
+
+
+def attractor_rate(target, gain: float, lam):
+    """gain * (r* - r) through lam (k, 3), as float_step takes a rate: (t, x, y, angle) -> list."""
+    (tx, ty, tt), lam = np.asarray(target, dtype=float).tolist(), np.asarray(lam).tolist()
+
+    def rate(t, x, y, angle):
+        err = (gain * (tx - x), gain * (ty - y), gain * wrap_angle(tt - wrap_angle(angle)))
+        return [sum(map(mul, row, err)) for row in lam]
+    return rate
+
+
+def float_step(arm: PlanarArm, lam, rate, null_policy):
+    """The one-state rollout step on lists of floats: (x, t) -> (A(x), b, pi, v, w).
+
+    A = lam J(x) with lam (k, 3) over the (x, y, theta) Jacobian rows, and
+    b = rate(t, end pose), both from one pass of link terms: numpy's per-call
+    overhead would cost more than the sums. k <= 2 take split_floats;
+    k >= 3 hand the sample to split_action. Raises ValueError on a state
+    that is not finite and RankCollapseError below RANK_TOL.
+    """
+    lengths = arm.link_lengths[::-1]
+    # J's rows are (-S, C, 1), so each row of A is ax S + ay C + at.
+    coef = (np.asarray(lam, dtype=float) * [-1.0, 1.0, 1.0]).tolist()
+
+    def step(x, t):
+        if not all(map(math.isfinite, x)):
+            raise ValueError("joint angles must be finite")
+        angles = [*accumulate(x)][::-1]
+        # Sums over links i >= j, from the last link back, like the batched reverse cumsum.
+        S = [*accumulate([l * math.sin(a) for l, a in zip(lengths, angles)])][::-1]
+        C = [*accumulate([l * math.cos(a) for l, a in zip(lengths, angles)])][::-1]
+        A = [[ax * s + ay * c + at for s, c in zip(S, C)] for ax, ay, at in coef]
+        b = rate(t, C[0], S[0], angles[0])
+        pi = np.asarray(null_policy(np.array(x)), dtype=float).tolist()
+        if len(A) <= 2:
+            v, w, ratio = split_floats(A, b, pi)
+        else:
+            v, w, ratio = split_action(np.array([A]), np.array([b]), np.array([pi]))
+            v, w, ratio = v[0].tolist(), w[0].tolist(), float(ratio[0])
+        if ratio < RANK_TOL:
+            raise RankCollapseError(t, ratio)
+        return A, b, pi, v, w
+    return step
+
+
 def simulate_trajectory(arm: PlanarArm, constraint: SelectionConstraint, task_policy,
                         null_policy, q0, dt: float, duration: float) -> Trajectory:
-    """Explicit-Euler rollout of u = A^+ b + N pi on a planar arm.
+    """Explicit-Euler rollout of u = A^+ b + N pi on a planar arm, one float_step per step.
 
-    task_policy returns the full task-space rate; the constraint selects the
-    coordinates it governs. Raises RankCollapseError when A(x) loses row
-    rank along the way. This is the lockstep rollout with one trajectory.
+    constraint must be lam over jacobian(arm, q) and task_policy a
+    TaskPointAttractor on the same arm with one target; the constraint
+    selects the coordinates of its rate that it governs. Raises
+    RankCollapseError when A(x) loses row rank along the way.
     """
     steps = _step_count(dt, duration)
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (arm.n,):
         raise ValueError(f"expected {arm.n} joint angles, got shape {q0.shape}")
-
-    def terms(Q):
-        return constraint.A_stack(Q), constraint.select_rates(policy_values(task_policy, Q))
-
-    return _rollout(terms, null_policy, q0[None], dt, steps)[0]
+    check_jacobian_model(constraint, arm)
+    if not (isinstance(task_policy, TaskPointAttractor) and task_policy.arm == arm
+            and task_policy.target.shape == (3,)):
+        raise ValueError("the task policy must be a TaskPointAttractor on the same arm "
+                         "with one target")
+    rate = attractor_rate(task_policy.target, task_policy.gain, constraint.lam)
+    step, x, out = float_step(arm, constraint.lam, rate, null_policy), q0.tolist(), []
+    for t in range(steps):
+        _, b, pi, v, w = step(x, t)
+        u = [vi + wi for vi, wi in zip(v, w)]
+        out.append((x, u, v, w, b, pi))
+        x = [xi + dt * ui for xi, ui in zip(x, u)]
+    return Trajectory(dt=dt, **dict(zip(_ARRAY_FIELDS, zip(*out))))
 
 
 THREE_LINK_START_RANGES_DEG = ((0.0, 10.0), (90.0, 100.0), (0.0, 10.0))

@@ -323,7 +323,8 @@ class TestAcceptanceChecks:
         value = gated[0][1]
         own = shipped(config)["acceptance"][key]
         assert check_acceptance({"acceptance": {key: own}}, result) == []
-        tight = 0.5 * value
+        # a threshold below the value; for a value of exactly 0.0 that is a negative one
+        tight = 0.5 * value if value > 0.0 else -1.0
         assert check_acceptance({"acceptance": {key: tight}}, result) == [
             f"{label} = {value:.3e} exceeds {key} = {tight:.3e}"]
 

@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from projlearn.constraints import (GRAM_DET_TOL, Projector, SelectionConstraint,
-                                   SphericalConstraint, _gram_solve, _split_one, _split_svd,
-                                   build_constraint_rows,
-                                   constraint_angles, diagonal_selection,
-                                   null_projector, null_space_apply,
-                                   pinv_apply, pseudo_inverse, spherical_from_unit,
-                                   spherical_param_count, split_action)
+from projlearn.constraints import (RANK_TOL, Projector, SelectionConstraint,
+                                   SphericalConstraint, build_constraint_rows,
+                                   constraint_angles, diagonal_selection, lq_factor,
+                                   null_projector, null_space_apply, pseudo_inverse,
+                                   spherical_from_unit, spherical_param_count, split_action,
+                                   split_floats)
 from projlearn.kinematics import PlanarArm, dot_last, jacobian
 from test_kinematics import same_bits
 
@@ -205,7 +204,7 @@ class TestNullProjector:
 
 
 class TestBatchedProjection:
-    """The stacked Gram-solve path against per-sample null_projector."""
+    """The stacked LQ path against per-sample null_projector."""
 
     @staticmethod
     def _stack(k, n, seed):
@@ -220,15 +219,17 @@ class TestBatchedProjection:
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)])
     def test_matches_per_sample_reference(self, k, n):
         A, V, B = self._stack(k, n, seed=10 * k + n)
+        # split_action's v is A^+ b for a rank-deficient A only when b is in its range
+        B[11] = A[11] @ V[0]
         NV = null_space_apply(A, V)
-        AB = pinv_apply(A, B)
+        AB = split_action(A, B, V)[0]
         for i in range(A.shape[0]):
             proj = null_projector(A[i])
             assert np.allclose(NV[i], proj.N @ V[i], rtol=0.0, atol=1e-12)
             assert np.allclose(AB[i], proj.A_pinv @ B[i], rtol=0.0, atol=1e-12)
 
     def test_near_singular_samples_match_svd_reference(self):
-        # the Gram closed form squares the condition number; samples whose
+        # the Gram closed form squared the condition number; samples whose
         # rows are close to parallel must still match the SVD reference
         rng = np.random.default_rng(12)
         ratios = [1.0, 1e-2, 1e-4, 1e-6, 1e-7, 1e-8, 1e-9]
@@ -238,7 +239,7 @@ class TestBatchedProjection:
             V = np.linalg.qr(rng.normal(size=(3, 2)))[0]
             A[i] = U @ np.diag([1.0, r]) @ V.T
         V, B = rng.normal(size=(len(ratios), 3)), rng.normal(size=(len(ratios), 2))
-        NV, AB = null_space_apply(A, V), pinv_apply(A, B)
+        NV, AB = null_space_apply(A, V), split_action(A, B, V)[0]
         for i in range(len(ratios)):
             proj = null_projector(A[i])
             assert proj.sigma_ratio == pytest.approx(ratios[i], rel=1e-6)
@@ -247,15 +248,19 @@ class TestBatchedProjection:
             assert np.allclose(NV[i], proj.N @ V[i], rtol=0.0, atol=1e-6)
 
     def test_gram_solve_masks_rank_deficient_k3_systems(self):
+        # the rank-deficient samples the Gram solve masked are the ones whose
+        # LQ has a dependent row: a zero R column and a zero q row
         A, _, B = self._stack(3, 4, seed=4)
         A[7, 2] = A[7, 0] - 0.5 * A[7, 1]  # rank 2: an exactly singular Gram matrix
-        G = np.einsum("skj,slj->skl", A, A)
-        Z, ok = _gram_solve(G, B)
-        assert np.array_equal(np.flatnonzero(~ok), [5, 7, 11])
-        assert np.array_equal(Z[~ok], np.zeros((3, 3)))
-        for i in np.flatnonzero(ok):
-            ref = pseudo_inverse(G[i]) @ B[i]
-            assert np.linalg.norm(Z[i] - ref) <= 1e-8 * max(np.linalg.norm(ref), 1.0)
+        Q, R = lq_factor(A)  # rows first: Q (k, n, S), R (k, k, S)
+        dependent = np.diagonal(R) == 0.0
+        assert np.array_equal(np.flatnonzero(dependent.any(axis=1)), [5, 7, 11])
+        assert np.array_equal(R[:, 2, 7], np.zeros(3)) and np.array_equal(Q[2, :, 7], np.zeros(4))
+        assert np.abs(np.einsum("kls,lns->skn", R, Q) - A).max() <= 1e-14 * np.abs(A).max()
+        V = split_action(A, B, np.zeros((len(A), 4)))[0]
+        for i in np.flatnonzero(~dependent.any(axis=1)):
+            ref = pseudo_inverse(A[i]) @ B[i]
+            assert np.linalg.norm(V[i] - ref) <= 1e-12 * max(np.linalg.norm(ref), 1.0)
 
     def test_zero_matrix_leaves_vectors_alone(self):
         A, V, _ = self._stack(2, 3, seed=1)
@@ -297,13 +302,14 @@ class TestBatchedProjection:
 
 
 class TestGramSolveK3:
-    """The k = 3 adjugate closed form of _gram_solve against np.linalg.det and solve."""
+    """k = 3 Gram systems A A^T z = b: split_action's v = A^T z against LAPACK's solve of G."""
 
     @staticmethod
     def reference(G, B):
-        # the LAPACK path that k >= 4 still takes, with the same trust test
+        # LAPACK's solve of G where det G > 1e-6 prod(diag G) keeps it
+        # within about 2.2e-10 in the units sqrt(diag G) z
         diag = np.prod(np.diagonal(G, axis1=1, axis2=2), axis=1)
-        ok = np.linalg.det(G) > GRAM_DET_TOL * diag
+        ok = np.linalg.det(G) > 1e-6 * diag
         Z = np.zeros(B.shape)
         Z[ok] = np.linalg.solve(G[ok], B[ok][:, :, None])[:, :, 0]
         return Z, ok
@@ -312,7 +318,7 @@ class TestGramSolveK3:
     def rows(seed, size, near_parallel):
         # three rows in R^4 per sample, each scaled by 1e-6 .. 1e6; with
         # near_parallel, two of them (in random places) are 1e-5 to 3e-3 rad
-        # apart, so det / prod(diag) straddles GRAM_DET_TOL
+        # apart, and the last sample's are exactly parallel
         rng = np.random.default_rng(seed)
         A = rng.normal(size=(size, 3, 4))
         if near_parallel:
@@ -327,27 +333,35 @@ class TestGramSolveK3:
         A[-2] = 0.0  # a zero matrix
         A *= 10.0 ** rng.uniform(-6.0, 6.0, (size, 3, 1))
         G = np.einsum("skj,slj->skl", A, A)
-        return G, rng.normal(size=(size, 3)) * np.sqrt(np.diagonal(G, axis1=1, axis2=2))
+        return A, G, rng.normal(size=(size, 3)) * np.sqrt(np.diagonal(G, axis1=1, axis2=2))
 
     @pytest.mark.parametrize("near_parallel", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_lapack(self, seed, near_parallel):
-        G, B = self.rows(seed, 5000, near_parallel)
-        Z, ok = _gram_solve(G, B)
-        Z_ref, ok_ref = self.reference(G, B)
-        assert np.array_equal(ok, ok_ref)
+        A, G, B = self.rows(seed, 5000, near_parallel)
+        V, _, ratio = split_action(A, B, np.zeros((len(A), 4)))
+        Z_ref, ok = self.reference(G, B)
         assert 0 < ok.sum() < len(ok) if near_parallel else ok.sum() == len(ok) - 1
-        assert np.array_equal(Z[~ok], np.zeros((np.count_nonzero(~ok), 3)))
-        # compared in the units sqrt(diag G) z, where both solves lose about
-        # eps * prod(diag G) / det <= 2.2e-10; the worst seen over 200,000
-        # near-parallel samples was 4.6e-10
+        # the zero matrix and the parallel rows are the dependent samples
+        R = lq_factor(A)[1]
+        dependent = np.any(np.diagonal(R) == 0.0, axis=1)
+        assert np.array_equal(np.flatnonzero(dependent),
+                              [len(A) - 2, len(A) - 1] if near_parallel else [len(A) - 2])
+        assert np.all(ratio[dependent] == 0.0)
+        # compared in the units sqrt(diag G) z of the Gram solve
         s = np.sqrt(np.diagonal(G, axis1=1, axis2=2))[ok]
-        err = np.linalg.norm(s * (Z[ok] - Z_ref[ok]), axis=1)
+        err = np.linalg.norm(V[ok] - np.einsum("skj,sk->sj", A[ok], Z_ref[ok]), axis=1)
         assert np.all(err <= 1e-8 * np.linalg.norm(s * Z_ref[ok], axis=1))
+        # every independent sample, whatever its conditioning, solves A v = b
+        # to rounding in each row's own scale
+        s = np.sqrt(np.diagonal(G, axis1=1, axis2=2))[~dependent]
+        resid = (np.einsum("skj,sj->sk", A[~dependent], V[~dependent]) - B[~dependent]) / s
+        assert np.all(np.linalg.norm(resid, axis=1)
+                      <= 1e-14 * np.linalg.norm(V[~dependent], axis=1))
 
 
 class TestSplitAction:
-    """split_action against per-sample null_projector, the SVD path it replaces."""
+    """split_action against per-sample null_projector, the SVD reference."""
 
     ARM = PlanarArm((0.1, 0.1, 0.1))
 
@@ -394,31 +408,12 @@ class TestSplitAction:
         ratio = self.check(*self.arm_stack(k, seed=40 + k))
         assert np.all(ratio > 0.0)
 
-    def test_unequal_norms_and_near_parallel_rows(self):
-        A, B, PI = self.hard_rows(seed=43)
-        ratio = self.check(A, B, PI)
-        # the 1e-10 row passes the determinant test, yet its ratio is tiny
-        assert _gram_solve(np.einsum("skj,slj->skl", A[8:9], A[8:9]), B[8:9])[1][0]
-        assert ratio[8] == pytest.approx(1e-10, rel=1e-6)
-        assert ratio[-1] < 1e-15
-
     def test_zero_and_k1_rows(self):
         A, B, PI = self.arm_stack(1, seed=44, size=20)
         A[3] = 0.0
         ratio = self.check(A, B, PI)
         assert ratio[3] == 0.0
         assert np.all(np.delete(ratio, 3) == 1.0)
-
-    @pytest.mark.parametrize("seed", [45, 46])
-    def test_untrusted_samples_take_the_batched_svd_unchanged(self, seed):
-        A, B, PI = self.hard_rows(seed)
-        ok = _gram_solve(np.einsum("skj,slj->skl", A, A), B)[1]
-        assert ok.any() and not ok.all()
-        V, W, ratio = split_action(A, B, PI)
-        proj = null_projector(A[~ok])
-        assert np.array_equal(V[~ok], np.einsum("sjk,sk->sj", proj.A_pinv, B[~ok]))
-        assert np.array_equal(W[~ok], np.einsum("sij,sj->si", proj.N, PI[~ok]))
-        assert np.array_equal(ratio[~ok], proj.sigma_ratio)
 
     def test_three_rows_take_the_svd(self):
         rng = np.random.default_rng(47)
@@ -428,11 +423,10 @@ class TestSplitAction:
 
 
 class TestSplitActionOneSample:
-    """A stack of one sample takes the scalar path; it must give the bits of the batched one."""
+    """A stack of one sample must give the bits of a row of a larger stack."""
 
     @staticmethod
     def one_and_two(A, b, pi):
-        # two copies of the sample take the vectorised path
         one = split_action(A[None], b[None], pi[None])
         two = split_action(np.stack([A, A]), np.stack([b, b]), np.stack([pi, pi]))
         return one, two
@@ -447,16 +441,16 @@ class TestSplitActionOneSample:
             if i % 3 == 0:
                 A[:, rng.integers(n)] = 0.0
                 pi[rng.integers(n)] = -0.0
-            assert _split_one(A, b, pi) is not None
             one, two = self.one_and_two(A, b, pi)
             for got, ref in zip(one, two):
                 assert got.shape == ref[:1].shape and same_bits(got, ref[:1]), i
 
     @staticmethod
     def fallbacks():
+        # the samples the Gram closed forms handed to the SVD
         rng = np.random.default_rng(48)
         a, c = rng.normal(size=3), rng.normal(size=3)
-        # rows 1e-4 rad apart: det / prod(diag) is about 1e-8, below GRAM_DET_TOL
+        # rows 1e-4 rad apart: det / prod(diag) is about 1e-8
         near = np.array([a, a + 1e-4 * np.linalg.norm(a) * c / np.linalg.norm(c)])
         return [np.zeros((1, 3)), near, rng.normal(size=(3, 4))]
 
@@ -464,17 +458,151 @@ class TestSplitActionOneSample:
     def test_fallbacks_equal_the_svd(self, case):
         A = self.fallbacks()[case]
         k, n = A.shape
-        if k == 2:
-            G = A @ A.T
-            assert np.linalg.det(G) < GRAM_DET_TOL * G[0, 0] * G[1, 1]
-        if k <= 2:
-            assert _split_one(A, np.ones(k), np.ones(n)) is None
         rng = np.random.default_rng(49)
         b, pi = rng.normal(size=k), rng.normal(size=n)
         one, two = self.one_and_two(A, b, pi)
-        ref = _split_svd(A[None], b[None], pi[None])
-        for got, batched, svd in zip(one, two, ref):
-            assert same_bits(got, svd) and same_bits(got, batched[:1])
+        proj = null_projector(A)
+        for got, batched, ref in zip(one, two, (proj.A_pinv @ b, proj.N @ pi)):
+            assert same_bits(got, batched[:1])
+            if proj.sigma_ratio == 0.0:
+                assert np.array_equal(got[0], ref)
+            else:  # both sides are accurate to about eps / ratio
+                tol = 1e-15 * (1.0 + np.abs(ref).max()) / proj.sigma_ratio
+                assert np.allclose(got[0], ref, rtol=0.0, atol=tol)
+        assert one[2][0] == pytest.approx(proj.sigma_ratio, rel=1e-6, abs=1e-300)
+
+
+def rotated_rows(rng, k, n, angle):
+    """k random rows in R^n and a (k+1)-th at `angle` rad from the first, in random scales."""
+    A = rng.normal(size=(k + 1, n))
+    a = A[0] / np.linalg.norm(A[0])
+    c = A[k] - (A[k] @ a) * a
+    A[k] = np.cos(angle) * a + np.sin(angle) * c / np.linalg.norm(c)
+    return A * 10.0 ** rng.uniform(-3.0, 3.0, (k + 1, 1))
+
+
+class TestLqAgainstSvdOracle:
+    """lq_factor's paths (null_space_apply, split_action, split_floats) against the SVD."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_stacks(self, k):
+        rng = np.random.default_rng(90 + k)
+        for n in range(k, 8):
+            A = rng.normal(size=(200, k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (200, k, 1))
+            V, B = rng.normal(size=(200, n)), rng.normal(size=(200, k))
+            v, w, ratio = split_action(A, B, V)
+            proj = null_projector(A)
+            assert np.allclose(ratio, proj.sigma_ratio, rtol=1e-6, atol=0.0)
+            tol = 1e-13 / proj.sigma_ratio[:, None]
+            assert np.all(np.abs(null_space_apply(A, V) - np.einsum("sij,sj->si", proj.N, V))
+                          <= tol)
+            assert np.all(np.abs(w - np.einsum("sij,sj->si", proj.N, V)) <= tol)
+            v_ref = np.einsum("sjk,sk->sj", proj.A_pinv, B)
+            assert np.all(np.abs(v - v_ref) <= tol * np.abs(v_ref).max(axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("seed", [43, 45, 46])
+    def test_unequal_norms_and_near_parallel_rows(self, seed):
+        # A^+ b has condition number 1 / ratio, so both sides are accurate to
+        # about eps / ratio; against exact rationals at ratio 2.2e-9 the LQ
+        # read 3.1e-9 relative and the SVD 1.0e-8
+        A, B, PI = TestSplitAction.hard_rows(seed)
+        V, W, ratio = split_action(A, B, PI)
+        proj = null_projector(A)
+        for i in range(len(A)):
+            if proj.sigma_ratio[i] < RANK_TOL:
+                # a rollout stops on both: a dependent row gives ratio 0
+                assert ratio[i] < RANK_TOL, i
+                continue
+            assert ratio[i] == pytest.approx(proj.sigma_ratio[i], rel=1e-6), i
+            if proj.sigma_ratio[i] < 1e-9:
+                continue  # rollouts stop below 1e-10, where the SVD drops the small value
+            v_ref, w_ref = proj.A_pinv[i] @ B[i], proj.N[i] @ PI[i]
+            tol = 1e-15 / proj.sigma_ratio[i]
+            assert np.linalg.norm(V[i] - v_ref) <= tol * np.linalg.norm(v_ref), i
+            assert np.linalg.norm(W[i] - w_ref) <= tol * np.linalg.norm(PI[i]), i
+        if seed == 43:
+            # the 1e-10 row is independent of the first, yet the ratio is tiny
+            assert lq_factor(A[8:9])[1][1, 1, 0] > 0.0
+            assert ratio[8] == pytest.approx(1e-10, rel=1e-6)
+            assert ratio[-1] < 1e-15
+
+    @pytest.mark.parametrize("case", ["zero", "repeated", "combined"])
+    def test_exactly_rank_deficient(self, case):
+        # exact zeros, or a third row that is a combination of the other two
+        rng = np.random.default_rng(95)
+        A = rng.normal(size=(50, 3, 5))
+        if case == "zero":
+            A[:] = 0.0
+        elif case == "repeated":
+            A[:, 2] = A[:, 0]
+        else:
+            A[:, 2] = 0.5 * A[:, 0] - 2.0 * A[:, 1]
+        V = rng.normal(size=(50, 5))
+        B = np.einsum("skj,sj->sk", A, rng.normal(size=(50, 5)))  # in the range of A
+        v, w, ratio = split_action(A, B, V)
+        proj = null_projector(A)
+        NV = np.einsum("sij,sj->si", proj.N, V)
+        assert np.allclose(null_space_apply(A, V), NV, rtol=0.0, atol=1e-12)
+        assert np.allclose(w, NV, rtol=0.0, atol=1e-12)
+        assert np.allclose(v, np.einsum("sjk,sk->sj", proj.A_pinv, B), rtol=0.0, atol=1e-12)
+        assert np.all(ratio == 0.0) and np.all(ratio < RANK_TOL)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_near_parallel_rows_leave_no_residual(self, k):
+        # |A N v| / (|A| |v|) stays at rounding, where the SVD's N reads
+        # about 1e-9 at 1e-7 rad
+        rng = np.random.default_rng(100 + k)
+        for angle in (1e-1, 1e-3, 1e-5, 1e-7):
+            A = np.array([rotated_rows(rng, k, k + 2, angle) for _ in range(300)])
+            V = rng.normal(size=(300, k + 2))
+            NV = null_space_apply(A, V)
+            if k == 1:  # two rows: the one-state float path too
+                NV = np.concatenate([NV, [split_floats(a.tolist(), [0.0, 0.0], v.tolist())[1]
+                                          for a, v in zip(A, V)]])
+                A, V = np.concatenate([A, A]), np.concatenate([V, V])
+            resid = np.linalg.norm(np.einsum("skj,sj->sk", A, NV), axis=1)
+            scale = np.linalg.norm(A, ord=2, axis=(1, 2)) * np.linalg.norm(V, axis=1)
+            assert np.all(resid <= 1e-15 * scale), angle
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ratio_from_r(self, k):
+        rng = np.random.default_rng(110 + k)
+        for r in (1e-2, 1e-4, 1e-6, 1e-8, 1e-9):
+            A = np.empty((50, k, k + 2))
+            for i in range(50):
+                U = np.linalg.qr(rng.normal(size=(k, k)))[0]
+                W = np.linalg.qr(rng.normal(size=(k + 2, k)))[0]
+                A[i] = U @ np.diag(np.r_[1.0, rng.uniform(r, 1.0, k - 2), r]) @ W.T
+            ratio = split_action(A, np.zeros((50, k)), np.zeros((50, k + 2)))[2]
+            assert np.allclose(ratio, null_projector(A).sigma_ratio, rtol=1e-6, atol=0.0), r
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_float_solve_matches_the_batched_split(self, k, n):
+        # the one-state float LQ against split_action on the same one-sample
+        # stacks; both round differently, within 1e-15 (1 + |v| + |w|) / ratio
+        rng = np.random.default_rng(120 + 10 * k + n)
+        cases = [rng.normal(size=(k, n)) * 10.0 ** rng.uniform(-3.0, 3.0, (k, 1))
+                 for _ in range(300)]
+        if k == 2:
+            cases += [rotated_rows(rng, 1, n, angle) for angle in (1e-2, 1e-4, 1e-6, 1e-8)]
+            a = rng.normal(size=n)
+            cases += [np.array([a, -2.0 * a]), np.array([np.zeros(n), a])]  # dependent rows
+        cases += [np.zeros((k, n))]
+        for A in cases:
+            b, pi = rng.normal(size=k), rng.normal(size=n)
+            if np.linalg.matrix_rank(A) < k:
+                b = A @ rng.normal(size=n)  # in the range of A
+            v, w, ratio = split_floats(A.tolist(), b.tolist(), pi.tolist())
+            V, W, R = split_action(A[None], b[None], pi[None])
+            tol = 1e-15 * (1.0 + np.abs(V).max() + np.abs(W).max())
+            if R[0] == 0.0:  # a zero or dependent row, on both paths
+                assert ratio == 0.0
+            else:
+                tol /= R[0]
+                assert ratio == pytest.approx(R[0], rel=1e-15 / R[0], abs=0.0)
+            assert np.allclose(v, V[0], rtol=0.0, atol=tol)
+            assert np.allclose(w, W[0], rtol=0.0, atol=tol)
 
 
 class TestSphericalConstraint:

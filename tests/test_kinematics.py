@@ -152,8 +152,8 @@ def same_bits(a, b):
 
 
 class TestOneStatePath:
-    """One state, (n,) or a stack of one (1, n), takes a scalar path; it must give the
-    bits of the batched call."""
+    """One state, (n,) or a stack of one (1, n), must give the bits of a row of a
+    larger stack."""
 
     @staticmethod
     def states(n, seed):
@@ -203,9 +203,8 @@ class TestOneStatePath:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 9])
     def test_pose_and_jacobian_equal_the_separate_calls(self, n):
-        # one pass of link terms serves both; a single state and a stack of
-        # one take the batched path here and the scalar path in end_pose and
-        # jacobian
+        # one pass of link terms serves both, for a stack, a single state
+        # and a stack of one alike
         arm = PlanarArm(tuple(np.random.default_rng(n).uniform(0.05, 1.5, n)))
         Q = self.states(n, seed=60 + n)
         pose, J = pose_and_jacobian(arm, Q)

@@ -7,7 +7,8 @@ import pytest
 
 from projlearn.constraints import (SelectionConstraint, SphericalConstraint,
                                    build_constraint_rows, constraint_angles,
-                                   diagonal_selection, null_projector, spherical_param_count)
+                                   diagonal_selection, null_projector, pseudo_inverse,
+                                   spherical_param_count)
 from projlearn import learning
 from projlearn.experiments import THREE_LINK_CASES, resolve, run_ingest_learn
 from projlearn.kinematics import PlanarArm, jacobian
@@ -518,7 +519,8 @@ class TestLearnSelectionMatrix:
 
                 def energy(theta):
                     A = build_constraint_rows(theta, k, 3) @ Phi
-                    inside = learning.pinv_apply(A, np.einsum("skj,sj->sk", A, W))
+                    inside = np.einsum("sjk,sk->sj", pseudo_inverse(A),
+                                       np.einsum("skj,sj->sk", A, W))
                     return float(np.sum(inside ** 2))
                 searched = restart_search(energy, spherical_param_count(k, 3), ARM_OPT)
                 assert val <= searched.value * (1.0 + 1e-6) + 1e-12 * float(np.sum(W * W)), \

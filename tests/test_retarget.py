@@ -3,11 +3,11 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from projlearn import retarget
-from projlearn.constraints import (GRAM_DET_TOL, SelectionConstraint, SphericalConstraint,
-                                   diagonal_selection, null_projector, split_action)
+from projlearn import simulator
+from projlearn.constraints import (SelectionConstraint, SphericalConstraint, diagonal_selection,
+                                   null_projector, split_action)
 from projlearn.experiments import resolve
-from projlearn.kinematics import PlanarArm, jacobian, joint_positions
+from projlearn.kinematics import PlanarArm, end_pose, jacobian, joint_positions
 from projlearn.policies import PointAttractor, TaskPointAttractor
 from projlearn.retarget import (AttractorSource, ClearanceReport, ObstacleRegion,
                                 ReplaySource, RetargetPlan, _step, check_obstacle_clearance,
@@ -167,6 +167,14 @@ class TestRetargetStep:
             RetargetPlan(constraint=model, task_source=ReplaySource(np.zeros((3, 2))),
                          pi_robot=zero_prior, demonstrator=ARM)
 
+    @pytest.mark.parametrize("rows", [(1, 0, 2), (0,)])
+    def test_same_arm_plan_rejects_a_row_correspondence(self, rows):
+        # a same-arm plan runs the demonstrator's own (x, y, theta) rows, so
+        # any other correspondence would be ignored
+        with pytest.raises(ValueError, match="row_correspondence must be"):
+            RetargetPlan(constraint=true_model(), task_source=ReplaySource(np.zeros((3, 2))),
+                         pi_robot=zero_prior, demonstrator=ARM, row_correspondence=rows)
+
     def test_plan_is_frozen(self):
         # the executing arm and model are derived at construction; a later
         # assignment would leave them on the old arm
@@ -258,6 +266,23 @@ class TestReplayLoop:
                             demonstrator=ARM, imitator=self.SEVEN)
         self.check(plan, np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5]))
 
+    def test_permuted_correspondence_reaches_the_target(self):
+        # the imitator's A takes its rows in row_correspondence order, so the
+        # attractor's task error must follow the same order
+        target = np.array([-0.09, 0.04, 0.0])
+        q0 = np.deg2rad([0.0, 90.0, -90.0, 85.0, 90.0, -1.0, -81.5])
+        for rows in ((0, 1, 2), (1, 0, 2)):
+            plan = RetargetPlan(constraint=true_model(), task_source=AttractorSource(target=target),
+                                pi_robot=PointAttractor(target=np.deg2rad([-10.0] * 7)),
+                                demonstrator=ARM, imitator=self.SEVEN, row_correspondence=rows)
+            self.check(plan, q0, duration=0.2)
+            # the numpy rate, through the SVD reference, takes the same order
+            u_ref, _, ratio = TestFloatStepAgainstSvdReference.reference(plan, q0, 0)
+            np.testing.assert_allclose(_step(plan, q0, 0)[0], u_ref, rtol=0.0,
+                                       atol=1e-14 * (1.0 + np.abs(u_ref).max()) / ratio ** 2)
+            out = reproduce_trajectory(plan, q0, 0.02, 6.0)
+            assert np.linalg.norm(end_pose(self.SEVEN, out.x[-1])[:2] - target[:2]) < 1e-3, rows
+
     def test_step_count_follows_the_data_rollouts(self):
         # An empty replay would pass any clearance check, so a duration
         # below half a step must fail the way simulate_trajectory does.
@@ -328,8 +353,9 @@ class TestFloatStepAgainstSvdReference:
 
     k = 1 and 2 rows, n = 3 and 7 joints, same arm and imitator, recorded
     and attractor rates, at random states and near the stretched pose where
-    the x-y rows lose rank. The Gram closed form is accurate to about
-    eps / ratio^2, with ratio = sigma_min/sigma_max of A(x).
+    the x-y rows lose rank. u and A u must be within
+    1e-14 (1 + max|u|) / ratio^2 of the SVD's, with ratio = sigma_min/sigma_max
+    of A(x).
     """
 
     SEVEN = TestCrossEmbodiment.SEVEN
@@ -359,10 +385,11 @@ class TestFloatStepAgainstSvdReference:
     @staticmethod
     def states(n, rng):
         random = rng.uniform(-np.pi, np.pi, size=(20, n))
-        # near the stretched pose along 0.4 rad, where the x-y rows lose rank
+        # near the stretched pose along 0.4 rad, where the x-y rows lose rank,
+        # and one exactly 1e-4 rad from it, with rows about 1e-4 rad apart
         stretched = [np.r_[0.4, np.full(n - 1, eps)] + eps * rng.normal(size=n)
                      for eps in (1e-2, 1e-3, 1e-4, 1e-5)]
-        return np.vstack([random, stretched])
+        return np.vstack([random, stretched, np.r_[0.4, np.full(n - 1, 1e-4)]])
 
     @pytest.mark.parametrize("demo,imit,pattern,source", PLANS)
     def test_matches_reference(self, demo, imit, pattern, source):
@@ -383,24 +410,8 @@ class TestFloatStepAgainstSvdReference:
         def spy(A, B, PI):
             calls.append(split_action(A, B, PI))
             return calls[-1]
-        monkeypatch.setattr(retarget, "split_action", spy)
+        monkeypatch.setattr(simulator, "split_action", spy)
         return calls
-
-    def test_untrusted_gram_takes_split_action(self, monkeypatch):
-        plan = self.make_plan(ARM, None, (1, 1, 0), "replay")
-        x = np.array([0.4, 1e-4, 1e-4])
-        G = plan.execution_model.A_at(x) @ plan.execution_model.A_at(x).T
-        assert np.linalg.det(G) <= GRAM_DET_TOL * G[0, 0] * G[1, 1]
-        calls = self.spy_on_split_action(monkeypatch)
-        u, _ = _step(plan, x, 2)
-        assert len(calls) == 1
-        v, w, _ = calls[0]
-        assert np.array_equal(u, v[0] + w[0])
-        u_ref, _, ratio = self.reference(plan, x, 2)
-        np.testing.assert_allclose(u, u_ref, rtol=1e-9)
-        # a well-conditioned state stays on the closed form
-        _step(plan, np.array([0.4, 1.0, -0.5]), 2)
-        assert len(calls) == 1
 
     def test_three_rows_take_split_action(self, monkeypatch):
         plan = self.make_plan(ARM, None, (1, 1, 1), "attractor")

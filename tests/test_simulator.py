@@ -187,6 +187,36 @@ class TestSimulateTrajectory:
             simulate_trajectory(ARM, self.model, task, PointAttractor(target=np.zeros(3)),
                                 q0=np.zeros(3), dt=-0.02, duration=1.0)
 
+    @pytest.mark.parametrize("feature", [
+        lambda q: jacobian(PlanarArm((0.1, 0.1, 0.2)), q),
+        lambda q: np.broadcast_to(np.eye(3), np.shape(q) + (3,))], ids=["other_arm", "identity"])
+    def test_feature_that_is_not_the_arm_jacobian_raises(self, feature):
+        # the float step runs lam over this arm's own Jacobian rows
+        task = TaskPointAttractor(arm=ARM, target=np.array([0.0, 0.02, 0.0]))
+        model = SelectionConstraint(lam=diagonal_selection((1, 1, 0)), feature=feature)
+        with pytest.raises(ValueError, match="task Jacobian"):
+            simulate_trajectory(ARM, model, task, PointAttractor(target=np.zeros(3)),
+                                q0=np.deg2rad([5.0, 95.0, 5.0]), dt=0.02, duration=0.1)
+
+    @pytest.mark.parametrize("pattern", [(1, 0, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1), (1, 1, 1)])
+    def test_float_step_matches_the_lockstep_rollout(self, pattern):
+        # simulate_trajectory runs the one-state float step; the lockstep
+        # rollout of the same start, its batched counterpart, sums in another
+        # order (the worst seen over 70 reaches was 1.4e-14)
+        rng = np.random.default_rng(sum(pattern) * 10 + pattern[0])
+        model = SelectionConstraint(lam=diagonal_selection(pattern),
+                                    feature=lambda q: jacobian(ARM, q))
+        pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
+        for _ in range(4):
+            q0 = np.deg2rad(rng.uniform([0.0, 90.0, 0.0], [10.0, 100.0, 10.0]))
+            task = TaskPointAttractor(arm=ARM, target=np.array(
+                [rng.uniform(-0.05, 0.05), rng.uniform(0.0, 0.1), rng.uniform(0.0, np.pi)]))
+            got = simulate_trajectory(ARM, model, task, pi, q0, dt=0.02, duration=2.0)
+            ref = simulator._rollout(constraint_terms(model, task), pi, q0[None], 0.02, 100)[0]
+            for name in ("x", "u", "v", "w", "b", "pi"):
+                np.testing.assert_allclose(getattr(got, name), getattr(ref, name), rtol=0.0,
+                                           atol=1e-13, err_msg=name)
+
 
 def constraint_terms(constraint, task_rates):
     """_rollout's terms for a constraint and a map from states to full task-space rates."""
@@ -197,7 +227,7 @@ class TestLockstepRollout:
     def test_matches_per_trajectory_rollouts(self):
         # generate_arm_dataset draws every start and target in one call and
         # steps every trajectory at once; each one must equal, bit for bit, a
-        # separate simulate_trajectory from the start and target the
+        # lockstep rollout of its own from the start and target the
         # per-trajectory draw loop gives
         lam = diagonal_selection((1, 0, 1))
         pi = PointAttractor(target=np.deg2rad([10.0, -10.0, 10.0]))
@@ -210,7 +240,7 @@ class TestLockstepRollout:
         for traj in ds.trajectories:
             q0 = sample_arm_start(rng)
             task = TaskPointAttractor(arm=ARM, target=sample_task_target(rng, **target_cfg))
-            ref = simulate_trajectory(ARM, model, task, pi, q0, dt=0.02, duration=30 * 0.02)
+            ref = simulator._rollout(constraint_terms(model, task), pi, q0[None], 0.02, 30)[0]
             for name in ("x", "u", "v", "w", "b", "pi"):
                 np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name),
                                               err_msg=name)
@@ -232,7 +262,9 @@ class TestLockstepRollout:
 
     def test_matches_per_step_projector_near_singularity(self):
         # rows (1, 0, 0) and (1, q_3, 0): trajectory 0 sits at a
-        # sigma_min/sigma_max near 1e-9, inside the rank tolerance
+        # sigma_min/sigma_max near 1e-9, inside the rank tolerance, where the
+        # SVD itself is the inaccurate side. For q_3 != 0 the split is exact:
+        # N = e3 e3^T and A^+ b = (b0, (b1 - b0) / q_3, 0).
         def feature(q):
             q = np.asarray(q, dtype=float)
             Phi = np.zeros(q.shape[:-1] + (2, 3))
@@ -248,9 +280,8 @@ class TestLockstepRollout:
                                    pi, Q0, 0.02, 4)
         for traj, q in zip(trajs, Q0):
             for t in range(4):
-                proj = null_projector(model.A_at(q))
-                v = proj.A_pinv @ rates
-                w = proj.N @ pi(q)
+                v = np.array([rates[0], (rates[1] - rates[0]) / q[2], 0.0])
+                w = np.array([0.0, 0.0, pi(q)[2]])
                 np.testing.assert_allclose(traj.x[t], q, rtol=1e-9, atol=1e-12)
                 np.testing.assert_allclose(traj.v[t], v, rtol=1e-9, atol=1e-12)
                 np.testing.assert_allclose(traj.w[t], w, rtol=1e-9, atol=1e-12)
